@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 ALPHA_DOMAIN_CAP = 6
 CLIQUE_VERTEX_CAP = 20
-_BETA_LITERAL_CAP = 1024
 STATS_N_CAP = 2
 
 
@@ -273,12 +272,6 @@ def _labeled(table: FunctionTable, S, T, sigma, tau) -> tuple[Rectangle, Rectang
     return first, second
 
 
-def similar_disjoint_pairs(table: FunctionTable, mu: InputDistribution, size_cap=None):
-    """Yield (min_weight, cells, (R, R')) with labeled rectangles."""
-    for value, cells, S, T, sigma, tau in _pairs_indexed(table, mu, size_cap):
-        yield value, cells, _labeled(table, S, T, sigma, tau)
-
-
 def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaResult:
     """Maximum min-weight over similar disjoint rectangle pairs (0 and
     no witness when none exists)."""
@@ -296,32 +289,17 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
 
 def beta(table: FunctionTable, mu: InputDistribution) -> float:
     """min over outputs y of Pr[two independent mu-draws differ | both
-    map to y], by literal enumeration of ordered support pairs (the
-    class-wise closed form takes over on large supports)."""
+    map to y], by the class-wise closed form `collision_beta`."""
     support = mu.support()
     for i, j in support:
         if table.entries[i][j] is None:
             raise ValueError("mu puts weight on an undefined entry")
     if not support:
         raise ValueError("empty support")
-    if len(support) > _BETA_LITERAL_CAP:
-        masses: dict = {}
-        for i, j in support:
-            masses.setdefault(table.entries[i][j], []).append(mu.weights[i][j])
-        return collision_beta(masses)
-    totals: dict = {}
-    distinct: dict = {}
-    for c1 in support:
-        y1 = table.entries[c1[0]][c1[1]]
-        w1 = mu.weights[c1[0]][c1[1]]
-        for c2 in support:
-            if table.entries[c2[0]][c2[1]] != y1:
-                continue
-            mass = w1 * mu.weights[c2[0]][c2[1]]
-            totals[y1] = totals.get(y1, 0.0) + mass
-            if c1 != c2:
-                distinct[y1] = distinct.get(y1, 0.0) + mass
-    return min(distinct.get(y, 0.0) / tot for y, tot in totals.items() if tot > 0)
+    masses: dict = {}
+    for i, j in support:
+        masses.setdefault(table.entries[i][j], []).append(mu.weights[i][j])
+    return collision_beta(masses)
 
 
 def collision_beta(masses_by_class: dict) -> float:

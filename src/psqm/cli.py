@@ -7,7 +7,8 @@ small tables.  Every command writes one canonical JSON report (sorted
 keys, floats rounded to 12 significant digits) to --out or stdout, so
 re-runs with the same seed are byte-identical; wall-clock time and a
 human summary go to stderr.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 configuration error.
+failed, 2 configuration error, 3 any other error (out of memory, for
+example), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -361,17 +362,21 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config, checks, cost = _COMMANDS[args.command](args)
+        report = {
+            "version": __version__,
+            "config": {"command": args.command} | config,
+            "checks": checks,
+            "cost": {"value": cost[0], "unit": cost[1]} if cost else None,
+        }
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        _emit(report, args.out, checks, elapsed_ms)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = {
-        "version": __version__,
-        "config": {"command": args.command} | config,
-        "checks": checks,
-        "cost": {"value": cost[0], "unit": cost[1]} if cost else None,
-    }
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _emit(report, args.out, checks, elapsed_ms)
+    except Exception as exc:  # exit 1 means a check failed, so never let one escape
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"error: {message}\n")
+        return 3
     return 0 if all(c["pass"] for c in checks) else 1
 
 

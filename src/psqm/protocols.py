@@ -23,6 +23,7 @@ distinguished non-output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ PROMISE_VIOLATION = _PromiseViolation()
 
 _MAX_PROTOCOL_QUBITS = 10  # density matrices over the full message space stay desk-scale
 _MAX_DJ_QUBITS = 8
+# parities of every index within the cap; np.bitwise_count needs numpy 2
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _MAX_PROTOCOL_QUBITS)])
 
 
 def _bitstrings(length: int):
@@ -153,6 +156,45 @@ class ProtocolInstance:
                 raise ValueError(f"bad {n}-bit input {x!r}")
 
 
+def _pauli_frame(ops, qubits: int) -> tuple[int, int, int]:
+    """Fold (gate, qubit) pairs, applied in order on a `qubits`-qubit
+    register, into the frame (xmask, zmask, phase) of their product
+    (-1)^phase Z^zmask X^xmask, masks over big-endian index bits."""
+    xmask = zmask = phase = 0
+    for gate, qubit in ops:
+        bit = 1 << (qubits - 1 - qubit)
+        if gate == "Z":
+            zmask ^= bit
+        elif gate == "X":
+            phase ^= (zmask & bit) != 0  # X Z = -Z X on a shared qubit
+            xmask ^= bit
+        else:
+            raise ValueError(f"gate {gate!r} is not a Pauli X or Z")
+    return xmask, zmask, phase
+
+
+def _framed_states(amps: np.ndarray, frames) -> np.ndarray:
+    """The real state `amps` under each Pauli frame, one row per frame.
+
+    A frame moves the amplitude at index i to j = i ^ xmask and negates
+    it when phase + |j & zmask| is odd.  Only real parts are written, so
+    every zero stays +0.0.
+    """
+    support = np.flatnonzero(amps)
+    values = amps.real[support]
+    xmask, zmask, phase = np.array(frames).T
+    cols = support ^ xmask[:, None]
+    odd = (_PARITY[cols & zmask[:, None]] + phase[:, None]) & 1
+    states = np.zeros((len(cols), amps.size), dtype=complex)
+    states.real[np.arange(len(cols))[:, None], cols] = np.where(odd, -values, values)
+    return states
+
+
+def _ghz_blocks(width: int, blocks: int) -> np.ndarray:
+    """Amplitudes of `blocks` GHZ states of `width` qubits each."""
+    return functools.reduce(np.kron, [qsim.ghz(width).amplitudes] * blocks)
+
+
 class _GhzMaskProtocol(ProtocolInstance):
     """Shared skeleton for the GHZ-based protocols (sum2 and geq).
 
@@ -161,6 +203,11 @@ class _GhzMaskProtocol(ProtocolInstance):
     is block b's share of internal party j.  A virtual internal party
     (all-zero input) absorbs odd real party counts; its qubits belong to
     the last real party.
+
+    Parties apply only Pauli X and Z, so no gate is simulated: the
+    ``(gate, qubit)`` lists of ``_internal_ops`` fold into one Pauli
+    frame, which moves each nonzero amplitude of the shared state to a
+    new index and fixes its sign (stabilizer reasoning, Gottesman 1998).
     """
 
     blocks: int
@@ -174,40 +221,24 @@ class _GhzMaskProtocol(ProtocolInstance):
         self.party_count = k
         self._parties = k if k % 2 == 0 else k + 1
         self.blocks = blocks
-        qubits = self._parties * blocks
+        self._qubits = qubits = self._parties * blocks
         if qubits > _MAX_PROTOCOL_QUBITS:
             raise ValueError(f"{qubits} message qubits exceeds the {_MAX_PROTOCOL_QUBITS} cap")
-        block_state = qsim.ghz(self._parties)
-        amps = block_state.amplitudes
-        for _ in range(blocks - 1):
-            amps = np.kron(amps, block_state.amplitudes)
-        entangled = qsim.StateVector(amps)
+        self._basis = qsim.phi_basis(self._parties)
+        if blocks > 1:
+            self._basis = qsim.MeasurementBasis(
+                functools.reduce(np.kron, [self._basis.matrix] * blocks)
+            )
         owner = tuple(
             min(j, k - 1) for _ in range(blocks) for j in range(self._parties)
         )
-        self._block_basis = qsim.phi_basis(self._parties)
-        self._basis = self._joint_basis()
-        return entangled, owner
-
-    def _joint_basis(self) -> qsim.MeasurementBasis:
-        if self.blocks == 1:
-            return self._block_basis
-        vectors = []
-        per_block = [v.amplitudes for v in self._block_basis.vectors]
-        for combo in itertools.product(per_block, repeat=self.blocks):
-            amps = combo[0]
-            for nxt in combo[1:]:
-                amps = np.kron(amps, nxt)
-            vectors.append(qsim.StateVector(amps))
-        return qsim.MeasurementBasis(vectors)
-
-    def _internal_inputs(self, inputs) -> tuple[str, ...]:
-        if self._parties == self.party_count:
-            return tuple(inputs)
-        return tuple(inputs) + ("0" * self.input_lengths[0],)
+        # shared states of party_message_state: reference qubit + 1 or 2 shares
+        self._party_ghz = {w: _ghz_blocks(w, blocks) for w in {2, 2 + k % 2}}
+        return qsim.StateVector(_ghz_blocks(self._parties, blocks)), owner
 
     def _internal_ops(self, internal_party: int, own_input: str, randomness) -> tuple:
-        """(gate, qubit) list for one internal party, Z's before X's."""
+        """(gate, qubit) list for one internal party, Z's before X's; the
+        gates are Pauli X and Z only."""
         raise NotImplementedError
 
     def _decode(self, outcome_index: int):
@@ -225,26 +256,28 @@ class _GhzMaskProtocol(ProtocolInstance):
             ops.extend(self._internal_ops(internal, x, randomness))
         return tuple(ops)
 
+    def _message_amplitudes(self, inputs, randomness_values) -> np.ndarray:
+        """Message amplitudes under each randomness value, one row each."""
+        def ops(r):
+            return (op for i, x in enumerate(inputs) for op in self.local_operations(i, x, r))
+
+        frames = [_pauli_frame(ops(r), self._qubits) for r in randomness_values]
+        return _framed_states(self.resource.entangled_state.amplitudes, frames)
+
     def message_state(self, inputs, randomness) -> qsim.StateVector:
         self._check_inputs(inputs)
-        state = self.resource.entangled_state
-        for internal, x in enumerate(self._internal_inputs(inputs)):
-            for gate, qubit in self._internal_ops(internal, x, randomness):
-                state = qsim.apply_gate(state, gate, qubit)
-        return state
+        return qsim.StateVector(self._message_amplitudes(inputs, [randomness])[0])
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         state = self.message_state(inputs, randomness)
         probs = qsim.measure(state, self._basis)
-        qubits = self._parties * self.blocks
         outcome_dist = {}
         output_dist = {}
-        for idx, prob in enumerate(probs):
-            if prob < 1e-15:
-                continue
-            outcome_dist[format(idx, f"0{qubits}b")] = float(prob)
+        for idx in np.flatnonzero(probs >= 1e-15).tolist():
+            prob = float(probs[idx])
+            outcome_dist[format(idx, f"0{self._qubits}b")] = prob
             out = self._decode(idx)
-            output_dist[out] = output_dist.get(out, 0.0) + float(prob)
+            output_dist[out] = output_dist.get(out, 0.0) + prob
         return TranscriptRecord(
             inputs=tuple(inputs),
             randomness=randomness,
@@ -255,36 +288,29 @@ class _GhzMaskProtocol(ProtocolInstance):
         )
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
+        self._check_inputs(inputs)
         domain = self.resource.randomness_domain
-        states = np.array(
-            [self.message_state(inputs, r).amplitudes for r in domain]
-        )
+        states = self._message_amplitudes(inputs, domain)
         w = np.full(len(domain), 1.0 / len(domain))
         return qsim.DensityMatrix((states.T * w) @ states.conj())
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
-        """Local message with one reference qubit per block holding the
-        GHZ branch: per block, (|0>v0 + |1>v1)/sqrt(2) with v0/v1 the
-        party's operations applied to the all-zero / all-one share."""
+        """Local message: the party's operations on its shares of the GHZ
+        blocks, each share led by a reference qubit holding the block's
+        branch.  Per block that is (|0>v0 + |1>v1)/sqrt(2) with v0/v1 the
+        operations applied to the all-zero / all-one share."""
         internals = self._owned_internal(party)
+        width = len(internals) + 1
+        position = {
+            b * self._parties + j: b * width + 1 + i
+            for b in range(self.blocks)
+            for i, j in enumerate(internals)
+        }
         ops = self.local_operations(party, own_input, randomness)
-        amps = None
-        for b in range(self.blocks):
-            qubits = [b * self._parties + j for j in internals]
-            offset = {q: i for i, q in enumerate(qubits)}
-            block_ops = [(g, offset[q]) for g, q in ops if q in qubits]
-            nq = len(qubits)
-            branches = []
-            for fill in (0, (1 << nq) - 1):
-                vec = np.zeros(1 << nq, dtype=complex)
-                vec[fill] = 1.0
-                state = qsim.StateVector(vec)
-                for gate, q in block_ops:
-                    state = qsim.apply_gate(state, gate, q)
-                branches.append(state.amplitudes)
-            block = np.concatenate(branches) / np.sqrt(2)
-            amps = block if amps is None else np.kron(amps, block)
-        return qsim.StateVector(amps)
+        owned = [(g, position[q]) for g, q in ops if q in position]
+        frame = _pauli_frame(owned, width * self.blocks)
+        amps = _framed_states(self._party_ghz[width], [frame])
+        return qsim.StateVector(amps[0])
 
 
 class Sum2Protocol(_GhzMaskProtocol):
@@ -353,16 +379,29 @@ class GeqProtocol(_GhzMaskProtocol):
         self._check_inputs(inputs)
         return geq_reference(inputs)
 
+    @functools.cached_property
+    def _products(self) -> np.ndarray:
+        """Field products of every mask with every input, indexed and
+        valued by bit strings read as big-endian integers."""
+        n = 2 * self.l
+        rev = np.array([int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << n)])
+        prod = np.zeros((rev.size, rev.size), dtype=np.int32)
+        for i in range(n):  # carry-less product of the packed field elements
+            prod ^= np.where((rev >> i) & 1, rev[:, None] << i, 0)
+        for d in range(2 * n - 2, n - 1, -1):  # reduced by the modulus
+            prod ^= np.where((prod >> d) & 1, self.field.encoding << (d - n), 0)
+        return rev[prod].astype(np.uint16)
+
     def masked_input(self, own_input: str, mask: str) -> str:
         """Field product of the nonzero mask with one party's input."""
-        prod = gf2m.mul(
-            gf2m.from_bits(mask, self.field), gf2m.from_bits(own_input, self.field)
-        )
-        return gf2m.to_bits(prod)
+        n = 2 * self.l
+        if {len(own_input), len(mask)} != {n} or set(own_input + mask) - {"0", "1"}:
+            raise ValueError(f"need two {n}-bit strings, got {own_input!r} and {mask!r}")
+        return format(int(self._products[int(mask, 2), int(own_input, 2)]), f"0{n}b")
 
     def _internal_ops(self, internal_party, own_input, randomness):
         block_strings, mask = randomness
-        a = self.masked_input(own_input, mask)
+        a = format(int(self._products[int(mask, 2), int(own_input, 2)]), f"0{2 * self.l}b")
         ops = []
         for b in range(self.l):
             if a[2 * b + 1] == "1":
@@ -465,13 +504,9 @@ class DJProtocol(ProtocolInstance):
         return (x, y)
 
     def _phase_signs(self, x: str, y: str) -> np.ndarray:
-        m = self.m
-        signs = np.ones(1 << (2 * m), dtype=int)
-        for idx in range(1 << (2 * m)):
-            i_a, i_b = idx >> m, idx & ((1 << m) - 1)
-            if (int(x[i_a]) + int(y[i_b])) & 1:
-                signs[idx] = -1
-        return signs
+        """(-1)^(x[i] + y[j]) at index i*n + j."""
+        parity = np.add.outer([int(c) for c in x], [int(c) for c in y]) & 1
+        return 1 - 2 * parity.ravel()
 
     def joint_outcome_distribution(self, inputs) -> np.ndarray:
         """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
@@ -501,15 +536,10 @@ class DJProtocol(ProtocolInstance):
     def _mask_perm(self, randomness) -> np.ndarray:
         if randomness not in self._perm_cache:
             m = self.m
-            perm = np.array(
-                [
-                    gf2m.from_bits(
-                        self.mask_message(format(v, f"0{m}b"), randomness), self.field
-                    ).value
-                    for v in range(self.n)
-                ]
+            messages = [self.mask_message(format(v, f"0{m}b"), randomness) for v in range(self.n)]
+            self._perm_cache[randomness] = np.array(
+                [gf2m.from_bits(msg, self.field).value for msg in messages]
             )
-            self._perm_cache[randomness] = perm
         return self._perm_cache[randomness]
 
     def local_operations(self, party, own_input, randomness):
@@ -531,15 +561,10 @@ class DJProtocol(ProtocolInstance):
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         mat = self._message_matrix(inputs, randomness)
-        msg_dist = {}
-        for a in range(self.n):
-            for b in range(self.n):
-                if mat[a, b] > 1e-15:
-                    key = (
-                        gf2m.to_bits(gf2m.FieldElement(a, self.field)),
-                        gf2m.to_bits(gf2m.FieldElement(b, self.field)),
-                    )
-                    msg_dist[key] = float(mat[a, b])
+        bits = [gf2m.to_bits(gf2m.FieldElement(v, self.field)) for v in range(self.n)]
+        msg_dist = {
+            (bits[a], bits[b]): float(mat[a, b]) for a, b in zip(*np.nonzero(mat > 1e-15))
+        }
         accept = float(np.trace(mat))
         outcome_dist = {"equal": accept, "different": 1.0 - accept}
         return TranscriptRecord(
@@ -575,14 +600,10 @@ class DJProtocol(ProtocolInstance):
         """Purified pre-measurement register: the party's phased and
         Hadamard-transformed share, referenced by an outcome copy."""
         m = self.m
-        state = self.resource.entangled_state
-        signs = np.ones(1 << (2 * m), dtype=int)
-        low = (1 << m) - 1
-        for idx in range(1 << (2 * m)):
-            content = (idx >> m) if party == 0 else (idx & low)
-            if own_input[content] == "1":
-                signs[idx] = -1
-        state = qsim.apply_phase_oracle(state, signs)
+        zeros = "0" * self.n
+        inputs = (own_input, zeros) if party == 0 else (zeros, own_input)
+        signs = self._phase_signs(*inputs)
+        state = qsim.apply_phase_oracle(self.resource.entangled_state, signs)
         first = 0 if party == 0 else m
         for q in range(first, first + m):
             state = qsim.apply_gate(state, "H", q)

@@ -4,7 +4,7 @@ Conventions: qubit 0 is the leftmost tensor factor and basis states are
 encoded big-endian, so basis index b assigns qubit i the bit
 (b >> (q-1-i)) & 1.  Registers are capped at 12 qubits.  State equality
 is never tested amplitude-wise; compare projectors so global phase is
-irrelevant (see `projector_distance`).
+irrelevant.
 """
 
 from __future__ import annotations
@@ -69,21 +69,17 @@ class DensityMatrix:
 
 
 class MeasurementBasis:
-    """Orthonormal basis of a full register; a projective measurement."""
+    """Orthonormal basis of a full register, a projective measurement:
+    one unitary matrix whose row i is basis vector i."""
 
-    def __init__(self, vectors):
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("empty basis")
-        dim = vectors[0].dim
-        if any(v.dim != dim for v in vectors) or len(vectors) != dim:
-            raise ValueError("need exactly dim vectors of equal dimension")
-        mat = np.array([v.amplitudes for v in vectors])
+    def __init__(self, matrix):
+        mat = np.asarray(matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("basis matrix must be square")
         gram = mat.conj() @ mat.T
-        if np.max(np.abs(gram - np.eye(dim))) > DERIVED_TOL:
+        if np.max(np.abs(gram - np.eye(mat.shape[0]))) > DERIVED_TOL:
             raise ValueError("basis is not orthonormal")
-        self.vectors = vectors
-        self.matrix = mat  # row i = basis vector i
+        self.matrix = mat
 
     @property
     def dim(self) -> int:
@@ -130,24 +126,22 @@ def phi_basis(k: int) -> MeasurementBasis:
     """
     if k < 2:
         raise ValueError("basis needs at least two qubits")
-    dim = 1 << k
-    vectors = []
+    rows = np.arange(1 << k)
+    y0 = rows & ~1  # |y,0>; its complement |~y,1> is y0 ^ (2^k - 1)
     root = 1 / np.sqrt(2)
-    for y in range(1 << (k - 1)):
-        ybar = y ^ ((1 << (k - 1)) - 1)
-        for z in (0, 1):
-            amps = np.zeros(dim, dtype=complex)
-            amps[y << 1] = root
-            amps[(ybar << 1) | 1] = -root if z else root
-            vectors.append(StateVector(amps))
-    return MeasurementBasis(vectors)
+    mat = np.zeros((rows.size, rows.size), dtype=complex)
+    mat[rows, y0] = root
+    mat[rows, y0 ^ (rows.size - 1)] = np.where(rows & 1, -root, root)
+    return MeasurementBasis(mat)
 
 
 def measure(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
-    """Outcome probabilities of measuring `state` in `basis`."""
+    """Outcome probabilities of measuring `state` in `basis`; only the
+    basis columns at the state's nonzero amplitudes are read."""
     if basis.dim != state.dim:
         raise ValueError("state and basis dimensions differ")
-    probs = np.abs(basis.matrix.conj() @ state.amplitudes) ** 2
+    support = np.flatnonzero(state.amplitudes)
+    probs = np.abs(basis.matrix[:, support].conj() @ state.amplitudes[support]) ** 2
     total = probs.sum()
     if abs(total - 1.0) > DERIVED_TOL:
         raise AssertionError(f"outcome probabilities sum to {total}")
@@ -176,13 +170,3 @@ def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     return float(np.linalg.norm(a.matrix - b.matrix))
-
-
-def projector(state: StateVector) -> np.ndarray:
-    """Rank-one projector |psi><psi|."""
-    return np.outer(state.amplitudes, state.amplitudes.conj())
-
-
-def projector_distance(a: StateVector, b: StateVector) -> float:
-    """Frobenius distance of projectors; zero iff equal up to global phase."""
-    return float(np.linalg.norm(projector(a) - projector(b)))

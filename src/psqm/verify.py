@@ -27,6 +27,7 @@ from .protocols import PROMISE_VIOLATION, ProtocolInstance
 DEFAULT_TOL = 1e-9
 PURITY_TOL = 1e-10
 DEFAULT_BUDGET = 1 << 16
+_GRAM_INPUT_CAP = 256  # inputs in the informational Gram of a skipped weight-sum check
 _SAMPLES_PER_CLASS = 64
 _NONDEGENERACY_ENUM_CAP = 1 << 20
 
@@ -181,6 +182,7 @@ class PrivacyReport:
     cross_orthogonality: float
     coverage: str
     note: str | None = None
+    worst_input: tuple | None = None
 
     def witnesses(self, protocol=None):
         fmt = protocol.format_output if protocol else str
@@ -199,6 +201,8 @@ class PrivacyReport:
         }
         if self.note:
             out["note"] = self.note
+        if not self.passed and self.worst_input is not None:
+            out["worst_input"] = ",".join(self.worst_input)
         return out
 
 
@@ -212,11 +216,13 @@ def check_privacy(
 
     Each input's averaged message is compared to its class
     representative in Frobenius distance; representatives of different
-    classes are additionally tested for orthogonal supports.
+    classes are additionally tested for orthogonal supports.  A failing
+    report names the input farthest from its representative.
     """
     inputs, coverage = _sweep(protocol, budget, seed)
     classes: dict = {}
     max_distance = 0.0
+    worst_input = None
     for x in inputs:
         y = protocol.reference(x)
         if y is PROMISE_VIOLATION:
@@ -235,7 +241,8 @@ def check_privacy(
         cls.size += 1
         dist = qsim.matrix_distance(cls.representative, rho)
         cls.max_distance = max(cls.max_distance, dist)
-        max_distance = max(max_distance, dist)
+        if dist > max_distance:
+            max_distance, worst_input = dist, tuple(x)
     if not classes:
         raise ValueError("nothing to check: empty sweep")
     cross = 0.0
@@ -258,6 +265,7 @@ def check_privacy(
         cross_orthogonality=cross,
         coverage=coverage,
         note=note,
+        worst_input=worst_input,
     )
 
 
@@ -270,6 +278,7 @@ class WeightSumReport:
     pair_count: int
     skipped: bool = False
     reason: str | None = None
+    gram_inputs: int | None = None  # set when the informational Gram is truncated
 
     def witnesses(self, protocol=None):
         out = {
@@ -280,6 +289,8 @@ class WeightSumReport:
         }
         if self.skipped:
             out["skipped"] = self.reason
+        if self.gram_inputs is not None:
+            out["gram_inputs"] = self.gram_inputs
         return out
 
 
@@ -292,7 +303,8 @@ def check_weight_sums(
     sums |<psi(x;r)|psi(z;r')>|^2 over z != x and over all z; both sums
     must stay at most 1.  The bound is an implication of a total,
     non-degenerate reference, so when that hypothesis fails the check is
-    vacuous: it is reported as skipped with one informational pair.
+    vacuous: it is reported as skipped with one informational pair, over
+    at most the party's first 256 inputs.
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
@@ -300,9 +312,8 @@ def check_weight_sums(
     domain = protocol.resource.randomness_domain
     own = protocol.party_inputs(party)
 
-    def gram_maxima(r, rp, states):
-        g = states[r].conj() @ states[rp].T
-        w = np.abs(g) ** 2
+    def gram_maxima(a, b):
+        w = np.abs(a.conj() @ b.T) ** 2
         incl = w.sum(axis=1)
         excl = incl - np.diag(w)
         return float(excl.max()), float(incl.max())
@@ -313,13 +324,11 @@ def check_weight_sums(
             if hypothesis is False
             else "non-degeneracy enumeration exceeds the cap"
         )
-        r0 = domain[0]
-        states = {
-            r0: np.array(
-                [protocol.party_message_state(party, x, r0).amplitudes for x in own]
-            )
-        }
-        excl, incl = gram_maxima(r0, r0, states)
+        shown = own[:_GRAM_INPUT_CAP]
+        states = np.array(
+            [protocol.party_message_state(party, x, domain[0]).amplitudes for x in shown]
+        )
+        excl, incl = gram_maxima(states, states)
         return WeightSumReport(
             passed=True,
             party=party,
@@ -328,6 +337,7 @@ def check_weight_sums(
             pair_count=1,
             skipped=True,
             reason=reason,
+            gram_inputs=len(shown) if len(shown) < len(own) else None,
         )
 
     states = {
@@ -337,19 +347,17 @@ def check_weight_sums(
         for r in domain
     }
     max_excl = max_incl = 0.0
-    pairs = 0
     for r in domain:
         for rp in domain:
-            excl, incl = gram_maxima(r, rp, states)
+            excl, incl = gram_maxima(states[r], states[rp])
             max_excl = max(max_excl, excl)
             max_incl = max(max_incl, incl)
-            pairs += 1
     return WeightSumReport(
         passed=max_excl <= 1.0 + tol and max_incl <= 1.0 + tol,
         party=party,
         max_excluding_self=max_excl,
         max_including_self=max_incl,
-        pair_count=pairs,
+        pair_count=len(domain) ** 2,
     )
 
 

@@ -184,3 +184,9 @@ def dj_joint_outcome(x: str, y: str) -> np.ndarray:
     ) / np.sqrt(n)
     out = had @ state @ had.T
     return np.abs(out) ** 2
+
+
+def projector_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius distance of the rank-one projectors of two amplitude
+    vectors; zero iff the states are equal up to global phase."""
+    return float(np.linalg.norm(np.outer(a, a.conj()) - np.outer(b, b.conj())))

@@ -17,7 +17,6 @@ from psqm.bounds import (
     min_entropy,
     psqm_lower_bound,
     random_function_stats,
-    similar_disjoint_pairs,
 )
 
 from _oracles import (
@@ -44,6 +43,12 @@ def random_table(rng, n1, n2, partial=False):
     return table_of(
         [[rng.choice(choices) for _ in range(n2)] for _ in range(n1)]
     )
+
+
+def similar_disjoint_pairs(table, mu, size_cap=None):
+    """Yield (min_weight, cells, (R, R')) with labeled rectangles."""
+    for value, cells, S, T, sigma, tau in bounds._pairs_indexed(table, mu, size_cap):
+        yield value, cells, bounds._labeled(table, S, T, sigma, tau)
 
 
 def literal_similar_disjoint(table, first, second):
@@ -190,6 +195,7 @@ def test_beta_closed_form_agrees_with_literal():
     for i, j in mu.support():
         masses.setdefault(table.entries[i][j], []).append(mu.weights[i][j])
     assert abs(beta(table, mu) - collision_beta(masses)) < 1e-12
+    assert abs(beta(table, mu) - oracle_beta(table.entries, mu.weights)) < 1e-12
 
 
 def test_beta_errors():

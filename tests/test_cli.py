@@ -238,3 +238,32 @@ def test_float_rounding_is_idempotent():
         once = cli._canon(value)
         assert cli._canon(once) == once
         assert json.loads(json.dumps(once)) == once
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError("Unable to allocate 64.0 GiB\nfor an array"), RuntimeError("boom")],
+    ids=["memory", "runtime"],
+)
+def test_unexpected_error_exits_three(exc, monkeypatch, capsys):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code, out, err = run_main(["verify", "--protocol", "sum2", "--k", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {type(exc).__name__}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_verify_dj16_sampled_bounds_the_informational_gram(capsys):
+    code, out, _ = run_main(
+        ["verify", "--protocol", "dj", "--n", "16", "--seed", "1"], capsys
+    )
+    assert code == 0
+    by_name = {c["name"]: c for c in parse(out)["checks"]}
+    for party in (0, 1):
+        witnesses = by_name[f"weight_sums_party{party}"]["witnesses"]
+        assert "skipped" in witnesses
+        assert witnesses["gram_inputs"] == 256

@@ -1,0 +1,193 @@
+"""The Pauli-frame path of sum2 and geq against the dense simulator.
+
+sum2 and geq build message states by index arithmetic (an XOR mask and
+a parity sign), never by simulating gates.  For every configuration
+within the message-qubit cap, this file compares that path with a dense
+fold of `qsim.apply_gate` over the protocol's `local_operations`, on the
+all-zero input and three seeded inputs: message amplitudes, referee
+outcome laws (against the full basis matrix) and party message states,
+to 1e-12.  Message amplitudes and outcome laws cover every randomness
+value where R * 2^q <= 2^20 (R randomness values, q message qubits);
+above that, a seeded sample of 512.  Party message states, which depend
+only on (party, own input, randomness), are compared once per such
+triple, over at most 512 seeded randomness values.  Where every
+randomness value is covered and R * 4^q <= 2^25, averaged messages are
+compared with `qsim.mix` too.
+"""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+
+from psqm import qsim
+from psqm.protocols import _MAX_PROTOCOL_QUBITS, GeqProtocol, Sum2Protocol
+
+TOL = 1e-12
+FULL_COVER_CAP = 1 << 20
+SAMPLED_RANDOMNESS = 512
+MIX_CAP = 1 << 25
+
+
+def _internal_count(k):
+    return k + (k & 1)
+
+
+CONFIGS = [
+    ("sum2", k, 1) for k in range(2, 11) if _internal_count(k) <= _MAX_PROTOCOL_QUBITS
+]
+CONFIGS += [
+    ("geq", k, l)
+    for k in range(2, 11)
+    for l in range(1, _MAX_PROTOCOL_QUBITS // _internal_count(k) + 1)
+]
+
+
+class XBeforeZSum2(Sum2Protocol):
+    """sum2 with each party's X applied before its Z: where both act on
+    one qubit the state flips its global sign, which the frame's phase
+    bit must track."""
+
+    def _internal_ops(self, internal_party, own_input, randomness):
+        ops = super()._internal_ops(internal_party, own_input, randomness)
+        return tuple(sorted(ops))  # "X" sorts before "Z"
+
+
+class XBeforeZGeq(GeqProtocol):
+    def _internal_ops(self, internal_party, own_input, randomness):
+        ops = super()._internal_ops(internal_party, own_input, randomness)
+        return tuple(sorted(ops))
+
+
+def build(name, k, l):
+    return Sum2Protocol(k) if name == "sum2" else GeqProtocol(k, l)
+
+
+def message_operations(proto, inputs, r) -> tuple:
+    return tuple(
+        op for party, x in enumerate(inputs) for op in proto.local_operations(party, x, r)
+    )
+
+
+def dense_message(proto, ops) -> np.ndarray:
+    state = proto.resource.entangled_state
+    for gate, qubit in ops:
+        state = qsim.apply_gate(state, gate, qubit)
+    return state.amplitudes
+
+
+def dense_party_message(proto, party, ops, blocks) -> np.ndarray:
+    """The party's gates `ops` applied densely to its shares of the GHZ blocks,
+    each share preceded by a reference qubit that holds the block's
+    branch: per block, (|0>v0 + |1>v1)/sqrt(2) with v0/v1 the gates
+    applied to the all-zero / all-one share."""
+    owned = [q for q, o in enumerate(proto.resource.qubit_owner) if o == party]
+    share = len(owned) // blocks
+    # block b of the register holds [reference, share...]; owned qubits
+    # are block-major, so the i-th one sits at register qubit i + i//share + 1
+    state = _reference_ghz(share + 1, blocks)
+    for gate, q in ops:
+        i = owned.index(q)
+        state = qsim.apply_gate(state, gate, i + i // share + 1)
+    return state.amplitudes
+
+
+@functools.cache
+def _reference_ghz(width, blocks) -> qsim.StateVector:
+    amps = functools.reduce(np.kron, [qsim.ghz(width).amplitudes] * blocks)
+    return qsim.StateVector(amps)
+
+
+def joint_basis(proto, blocks) -> qsim.MeasurementBasis:
+    per_block = qsim.phi_basis(len(proto.resource.qubit_owner) // blocks).matrix
+    mat = per_block
+    for _ in range(blocks - 1):
+        mat = np.kron(mat, per_block)
+    return qsim.MeasurementBasis(mat)
+
+
+def covered_randomness(proto, seed):
+    domain = proto.resource.randomness_domain
+    if len(domain) * proto.resource.entangled_state.dim <= FULL_COVER_CAP:
+        return list(domain), True
+    return random.Random(seed).sample(domain, SAMPLED_RANDOMNESS), False
+
+
+def assert_close(fast, dense):
+    """Entrywise agreement of two equally shaped lists of arrays."""
+    assert len(fast) == len(dense)
+    flat = [np.concatenate([np.ravel(a) for a in arrays]) for arrays in (fast, dense)]
+    assert np.abs(flat[0] - flat[1]).max() <= TOL
+
+
+def check_against_dense(proto, blocks, seed):
+    rng = random.Random(seed)
+    inputs = [tuple("0" * n for n in proto.input_lengths)]
+    inputs += [proto.sample_input(rng) for _ in range(3)]
+    randomness, full = covered_randomness(proto, seed)
+    basis = joint_basis(proto, blocks).matrix
+    dim = proto.resource.entangled_state.dim
+    party_cases = set()  # a party state depends on (party, own input, randomness) only
+    for x in inputs:
+        dense_states, folded = [], {}
+        for r in randomness:
+            ops = message_operations(proto, x, r)
+            if ops not in folded:  # the dense fold reads only the operations
+                folded[ops] = dense_message(proto, ops)
+            dense_states.append(folded[ops])
+        dense_states = np.array(dense_states)
+        fast_states, fast_laws = [], []
+        for r in randomness:
+            record = proto.run(x, r)
+            fast_states.append(record.message_state.amplitudes)
+            law = np.zeros(dim)
+            for outcome, prob in record.outcome_distribution.items():
+                law[int(outcome, 2)] = prob
+            fast_laws.append(law)
+        assert_close(fast_states, dense_states)
+        assert_close(fast_laws, np.abs(dense_states @ basis.conj().T) ** 2)
+        party_cases.update(
+            (p, proto.local_operations(p, x[p], r), x[p], r)
+            for p in range(proto.party_count)
+            for r in randomness
+        )
+        if full and len(randomness) * dim * dim <= MIX_CAP:
+            w = 1.0 / len(randomness)
+            mixed = qsim.mix([(w, qsim.StateVector(s)) for s in dense_states])
+            assert_close([proto.averaged_message(x).matrix], [mixed.matrix])
+    folded = None
+    for party, ops, own, r in sorted(party_cases):  # equal operations fold once
+        if folded is None or folded[0] != (party, ops):
+            folded = (party, ops), dense_party_message(proto, party, ops, blocks)
+        fast = proto.party_message_state(party, own, r).amplitudes
+        assert np.abs(fast - folded[1]).max() <= TOL, (party, own, r)
+
+
+@pytest.mark.parametrize("name,k,l", CONFIGS, ids=[f"{n}-{k}-{l}" for n, k, l in CONFIGS])
+def test_fast_path_matches_dense_fold(name, k, l):
+    check_against_dense(build(name, k, l), l, seed=1000 * k + l)
+
+
+@pytest.mark.parametrize(
+    "proto,blocks",
+    [
+        (XBeforeZSum2(3), 1),
+        (XBeforeZSum2(4), 1),
+        (XBeforeZGeq(2, 2), 2),
+        (XBeforeZGeq(3, 1), 1),
+    ],
+    ids=["sum2-3", "sum2-4", "geq-2-2", "geq-3-1"],
+)
+def test_reordered_operations_match_dense_fold(proto, blocks):
+    check_against_dense(proto, blocks, seed=7)
+
+
+def test_non_pauli_gate_is_refused():
+    class Hadamard(Sum2Protocol):
+        def _internal_ops(self, internal_party, own_input, randomness):
+            return (("H", internal_party),)
+
+    proto = Hadamard(2)
+    with pytest.raises(ValueError, match="not a Pauli"):
+        proto.message_state(("00", "00"), "00")

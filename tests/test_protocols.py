@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from psqm import qsim
+from psqm import gf2m, qsim
 from psqm.protocols import (
     PROMISE_VIOLATION,
     dj_protocol,
@@ -191,6 +191,30 @@ def test_geq_masked_input_matches_oracle():
             continue
         for x in bitstrings(2):
             assert proto.masked_input(x, mask) == geq_masked_bits(x, mask)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_geq_masked_input_wider_fields(l):
+    """The product table against the oracle (every pair where the oracle
+    has a modulus) or `gf2m` (a seeded sample at l = 5)."""
+    proto = geq_protocol(2, l)
+    strings = bitstrings(2 * l)
+    if 2 * l in MODULI:
+        pairs = itertools.product(strings[1:], strings)
+        expected = geq_masked_bits
+    else:
+        rng = random.Random(l)
+        pairs = [(rng.choice(strings[1:]), rng.choice(strings)) for _ in range(2000)]
+
+        def expected(x, mask):
+            f = proto.field
+            return gf2m.to_bits(gf2m.mul(gf2m.from_bits(mask, f), gf2m.from_bits(x, f)))
+
+    for mask, x in pairs:
+        assert proto.masked_input(x, mask) == expected(x, mask)
+    for x, mask in [("0" * (2 * l - 1), "1" * 2 * l), ("2" * 2 * l, "1" * 2 * l)]:
+        with pytest.raises(ValueError):
+            proto.masked_input(x, mask)
 
 
 def test_geq_exhaustive_correctness_small():

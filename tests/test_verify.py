@@ -29,10 +29,7 @@ def sum2_class_state(k: int, output) -> np.ndarray:
         parity = bin(y).count("1") & 1
         if parity == output[0]:
             members.append((y << 1) | output[1])
-    mats = [
-        np.outer(basis.vectors[i].amplitudes, basis.vectors[i].amplitudes.conj())
-        for i in members
-    ]
+    mats = [np.outer(basis.matrix[i], basis.matrix[i].conj()) for i in members]
     return sum(mats) / len(mats)
 
 
@@ -202,6 +199,8 @@ def test_dj_weight_sums_skipped_with_witnesses():
     # sum_z (1 - 2 d(x,z)/n)^2 = 3 excluding self at n = 4
     assert abs(rep.max_excluding_self - 3.0) < 1e-9
     assert rep.pair_count == 1
+    # all 16 inputs fit the informational Gram, so no truncation is reported
+    assert rep.gram_inputs is None and "gram_inputs" not in rep.witnesses()
 
 
 # ------------------------------------------------- purity and collisions

@@ -11,10 +11,8 @@ from .protocols import (  # noqa: F401
     sum2_protocol,
 )
 from .verify import (  # noqa: F401
-    check_collision_bound,
     check_correctness,
-    check_privacy,
-    check_purity_bounds,
+    check_messages,
     check_weight_sums,
     communication_cost,
 )

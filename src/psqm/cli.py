@@ -202,32 +202,18 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     kwargs = dict(budget=args.budget, seed=args.seed)
     checks = []
 
+    def add(name, rep, coverage):
+        checks.append(_record(name, rep.passed, rep.witnesses(protocol), coverage))
+
     rep = verify.check_correctness(protocol, tol=args.tol, **kwargs)
-    checks.append(
-        _record("correctness", rep.passed, rep.witnesses(protocol), rep.coverage)
-    )
-    rep = verify.check_privacy(protocol, tol=args.tol, **kwargs)
-    checks.append(
-        _record("privacy", rep.passed, rep.witnesses(protocol), rep.coverage)
-    )
+    add("correctness", rep, rep.coverage)
+    privacy, purity, collision = verify.check_messages(protocol, tol=args.tol, **kwargs)
+    add("privacy", privacy, privacy.coverage)
     for party in range(protocol.party_count):
         rep = verify.check_weight_sums(protocol, party, tol=args.tol)
-        checks.append(
-            _record(
-                f"weight_sums_party{party}",
-                rep.passed,
-                rep.witnesses(protocol),
-                f"randomness-pairs:{rep.pair_count}",
-            )
-        )
-    rep = verify.check_purity_bounds(protocol, **kwargs)
-    checks.append(
-        _record("purity_bounds", rep.passed, rep.witnesses(protocol), rep.coverage)
-    )
-    rep = verify.check_collision_bound(protocol, tol=args.tol, **kwargs)
-    checks.append(
-        _record("collision_bound", rep.passed, rep.witnesses(protocol), rep.coverage)
-    )
+        add(f"weight_sums_party{party}", rep, f"randomness-pairs:{rep.pair_count}")
+    add("purity_bounds", purity, purity.coverage)
+    add("collision_bound", collision, collision.coverage)
     return _config_echo(args, _PROTO_KEYS), checks, verify.communication_cost(protocol)
 
 

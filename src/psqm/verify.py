@@ -6,6 +6,10 @@ larger domains fall back to a seeded stratified sample with at least 64
 inputs per output class, and reports carry a coverage label so partial
 sweeps are never silent.
 
+Privacy, the purity bounds and the collision bound all read the
+randomness-averaged messages rho_x, so `check_messages` derives the three
+reports from one walk that builds each rho_x once.
+
 Two checks mirror inequalities whose hypotheses (a total, non-degenerate
 reference function) do not hold for every protocol: the per-party weight
 sums and the collision bound on averaged purity.  When the hypothesis
@@ -18,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +112,16 @@ def _kary_nondegenerate(protocol: ProtocolInstance):
             if not hit:
                 return False
     return True
+
+
+def _vacuous_reason(hypothesis):
+    """Why a bound that needs a total, non-degenerate reference is
+    vacuous, given _kary_nondegenerate's answer; None when it holds."""
+    if hypothesis is True:
+        return None
+    if hypothesis is False:
+        return "reference is partial or degenerate; bound is vacuous"
+    return "non-degeneracy enumeration exceeds the cap"
 
 
 @dataclass
@@ -206,69 +221,6 @@ class PrivacyReport:
         return out
 
 
-def check_privacy(
-    protocol: ProtocolInstance,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    seed=None,
-) -> PrivacyReport:
-    """Randomness-averaged message states must agree, per output class.
-
-    Each input's averaged message is compared to its class
-    representative in Frobenius distance; representatives of different
-    classes are additionally tested for orthogonal supports.  A failing
-    report names the input farthest from its representative.
-    """
-    inputs, coverage = _sweep(protocol, budget, seed)
-    classes: dict = {}
-    max_distance = 0.0
-    worst_input = None
-    for x in inputs:
-        y = protocol.reference(x)
-        if y is PROMISE_VIOLATION:
-            continue
-        rho = protocol.averaged_message(x)
-        if y not in classes:
-            classes[y] = PrivacyClass(
-                representative_input=tuple(x),
-                representative=rho,
-                size=1,
-                max_distance=0.0,
-                purity=qsim.purity(rho),
-            )
-            continue
-        cls = classes[y]
-        cls.size += 1
-        dist = qsim.matrix_distance(cls.representative, rho)
-        cls.max_distance = max(cls.max_distance, dist)
-        if dist > max_distance:
-            max_distance, worst_input = dist, tuple(x)
-    if not classes:
-        raise ValueError("nothing to check: empty sweep")
-    cross = 0.0
-    for a, b in itertools.combinations(sorted(classes, key=repr), 2):
-        prod = classes[a].representative.matrix @ classes[b].representative.matrix
-        cross = max(cross, float(np.linalg.norm(prod)))
-    note = None
-    if protocol.name == "dj" and 0 in classes:
-        diag = np.diag(classes[0].representative.matrix).real
-        n = 1 << protocol.m
-        zero_mass = float(diag.reshape(n, n)[0, :].sum())
-        note = (
-            "reject-class message pairs are uniform over ordered distinct "
-            f"values; the all-zero message carries mass {zero_mass:.6g}"
-        )
-    return PrivacyReport(
-        passed=max_distance <= tol,
-        classes=classes,
-        max_distance=max_distance,
-        cross_orthogonality=cross,
-        coverage=coverage,
-        note=note,
-        worst_input=worst_input,
-    )
-
-
 @dataclass
 class WeightSumReport:
     passed: bool
@@ -308,27 +260,24 @@ def check_weight_sums(
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
-    hypothesis = _kary_nondegenerate(protocol)
+    reason = _vacuous_reason(_kary_nondegenerate(protocol))
     domain = protocol.resource.randomness_domain
     own = protocol.party_inputs(party)
 
-    def gram_maxima(a, b):
-        w = np.abs(a.conj() @ b.T) ** 2
-        incl = w.sum(axis=1)
-        excl = incl - np.diag(w)
+    def maxima(a, b):
+        """Largest sums over z of |<a_x|b_z>|^2 without and with z = x,
+        where b stacks blocks of len(a) states indexed like a."""
+        w = (np.abs(a.conj() @ b.T) ** 2).reshape(len(a), -1, len(a))
+        incl = w.sum(axis=2)
+        excl = incl - np.diagonal(w, axis1=0, axis2=2).T
         return float(excl.max()), float(incl.max())
 
-    if hypothesis is not True:
-        reason = (
-            "reference is partial or degenerate; bound is vacuous"
-            if hypothesis is False
-            else "non-degeneracy enumeration exceeds the cap"
-        )
+    if reason is not None:
         shown = own[:_GRAM_INPUT_CAP]
         states = np.array(
             [protocol.party_message_state(party, x, domain[0]).amplitudes for x in shown]
         )
-        excl, incl = gram_maxima(states, states)
+        excl, incl = maxima(states, states)
         return WeightSumReport(
             passed=True,
             party=party,
@@ -340,18 +289,16 @@ def check_weight_sums(
             gram_inputs=len(shown) if len(shown) < len(own) else None,
         )
 
-    states = {
-        r: np.array(
-            [protocol.party_message_state(party, x, r).amplitudes for x in own]
-        )
-        for r in domain
-    }
+    # one Gram per randomness value r against every (r', z) at once
+    states = np.array(
+        [[protocol.party_message_state(party, x, r).amplitudes for x in own] for r in domain]
+    )
+    stacked = states.reshape(-1, states.shape[-1])
     max_excl = max_incl = 0.0
-    for r in domain:
-        for rp in domain:
-            excl, incl = gram_maxima(states[r], states[rp])
-            max_excl = max(max_excl, excl)
-            max_incl = max(max_incl, incl)
+    for block in states:
+        excl, incl = maxima(block, stacked)
+        max_excl = max(max_excl, excl)
+        max_incl = max(max_incl, incl)
     return WeightSumReport(
         passed=max_excl <= 1.0 + tol and max_incl <= 1.0 + tol,
         party=party,
@@ -370,29 +317,6 @@ class PurityBoundsReport:
 
     def witnesses(self, protocol=None):
         return {"purity": self.purity, "dim": self.dim, "floor": 1.0 / self.dim}
-
-
-def check_purity_bounds(
-    protocol: ProtocolInstance,
-    mu=None,
-    tol: float = PURITY_TOL,
-    budget: int = DEFAULT_BUDGET,
-    seed=None,
-) -> PurityBoundsReport:
-    """1/dim <= tr(rho^2) <= 1 for the mu-averaged message state."""
-    inputs, weights, coverage = _distribution(protocol, mu, budget, seed)
-    rho_bar = None
-    for x, w in zip(inputs, weights):
-        mat = protocol.averaged_message(x).matrix
-        rho_bar = w * mat if rho_bar is None else rho_bar + w * mat
-    avg = qsim.DensityMatrix(rho_bar)
-    p = qsim.purity(avg)
-    return PurityBoundsReport(
-        passed=(1.0 / avg.dim - tol) <= p <= 1.0 + tol,
-        purity=p,
-        dim=avg.dim,
-        coverage=coverage,
-    )
 
 
 @dataclass
@@ -418,61 +342,128 @@ class CollisionBoundReport:
         return out
 
 
-def check_collision_bound(
+class MessageReports(NamedTuple):
+    privacy: PrivacyReport
+    purity_bounds: PurityBoundsReport
+    collision_bound: CollisionBoundReport
+
+
+def check_messages(
     protocol: ProtocolInstance,
-    mu=None,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     seed=None,
-) -> CollisionBoundReport:
-    """Averaged purity against distinct-input cross terms.
+    mu=None,
+) -> MessageReports:
+    """Privacy, purity bounds and the collision bound, from one walk over
+    the inputs that builds each randomness-averaged message rho_x once.
 
-    Checks tr(rho_bar^2) <= beta^-1 * sum over distinct input pairs of
-    mu mu' tr(rho rho'), with beta the worst-class probability that two
-    independent mu-draws in an output class differ.  The cross-term sum
-    is evaluated through the exact identity
+    The inputs are mu's keys with its weights, or the sweep with uniform
+    weights when mu is None; all three reports share that coverage.
+
+    Privacy: rho_x must agree within each output class.  Each rho_x is
+    compared to its class representative in Frobenius distance, and a
+    failing report names the input farthest from its representative.
+    `cross_orthogonality`, the largest norm of a product of two classes'
+    representatives, is informational and not gated: perfect correctness
+    for every randomness value already puts different classes in
+    orthogonal referee subspaces, and the correctness check gates that.
+
+    Purity bounds: 1/dim <= tr(rho_bar^2) <= 1 for the weighted average
+    rho_bar, within PURITY_TOL.
+
+    Collision bound: tr(rho_bar^2) <= beta^-1 * sum over distinct input
+    pairs of mu mu' tr(rho rho'), with beta the worst-class probability
+    that two independent mu-draws in an output class differ.  The
+    cross-term sum is evaluated through the exact identity
     tr(rho_bar^2) - sum_x mu(x)^2 tr(rho_x^2).  Requires a total,
     non-degenerate reference and beta > 0; otherwise skipped as vacuous.
     """
-    hypothesis = _kary_nondegenerate(protocol)
-    if hypothesis is not True:
-        reason = (
-            "reference is partial or degenerate; bound is vacuous"
-            if hypothesis is False
-            else "non-degeneracy enumeration exceeds the cap"
+    inputs, weights, coverage = _distribution(protocol, mu, budget, seed)
+    classes: dict = {}
+    masses_by_class: dict = {}
+    max_distance, worst_input = 0.0, None
+    rho_bar = None
+    self_terms = 0.0
+    for x, w in zip(inputs, weights):  # _distribution holds promise inputs only
+        y = protocol.reference(x)
+        rho = protocol.averaged_message(x)
+        rho_bar = w * rho.matrix if rho_bar is None else rho_bar + w * rho.matrix
+        purity = qsim.purity(rho)
+        self_terms += float(w) ** 2 * purity
+        masses_by_class.setdefault(y, []).append(float(w))
+        if y not in classes:
+            classes[y] = PrivacyClass(
+                representative_input=tuple(x),
+                representative=rho,
+                size=1,
+                max_distance=0.0,
+                purity=purity,
+            )
+            continue
+        cls = classes[y]
+        cls.size += 1
+        dist = qsim.matrix_distance(cls.representative, rho)
+        cls.max_distance = max(cls.max_distance, dist)
+        if dist > max_distance:
+            max_distance, worst_input = dist, tuple(x)
+    if not classes:
+        raise ValueError("nothing to check: empty sweep")
+
+    cross = 0.0
+    for a, b in itertools.combinations(sorted(classes, key=repr), 2):
+        prod = classes[a].representative.matrix @ classes[b].representative.matrix
+        cross = max(cross, float(np.linalg.norm(prod)))
+    note = None
+    if protocol.name == "dj" and 0 in classes:
+        diag = np.diag(classes[0].representative.matrix).real
+        n = 1 << protocol.m
+        zero_mass = float(diag.reshape(n, n)[0, :].sum())
+        note = (
+            "reject-class message pairs are uniform over ordered distinct "
+            f"values; the all-zero message carries mass {zero_mass:.6g}"
         )
-        return CollisionBoundReport(
+    privacy = PrivacyReport(
+        passed=max_distance <= tol,
+        classes=classes,
+        max_distance=max_distance,
+        cross_orthogonality=cross,
+        coverage=coverage,
+        note=note,
+        worst_input=worst_input,
+    )
+
+    avg = qsim.DensityMatrix(rho_bar)
+    lhs = qsim.purity(avg)
+    purity_bounds = PurityBoundsReport(
+        passed=(1.0 / avg.dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL,
+        purity=lhs,
+        dim=avg.dim,
+        coverage=coverage,
+    )
+
+    reason = _vacuous_reason(_kary_nondegenerate(protocol))
+    if reason is not None:
+        collision = CollisionBoundReport(
             passed=True, lhs=0.0, rhs=0.0, beta=0.0, cross_terms=0.0,
             coverage="none", skipped=True, reason=reason,
         )
-    inputs, weights, coverage = _distribution(protocol, mu, budget, seed)
-    masses_by_class: dict = {}
-    rho_bar = None
-    self_terms = 0.0
-    for x, w in zip(inputs, weights):
-        y = protocol.reference(x)
-        masses_by_class.setdefault(y, []).append(float(w))
-        rho = protocol.averaged_message(x)
-        rho_bar = w * rho.matrix if rho_bar is None else rho_bar + w * rho.matrix
-        self_terms += float(w) ** 2 * qsim.purity(rho)
-    beta = bounds.collision_beta(masses_by_class)
-    lhs = float(np.vdot(rho_bar, rho_bar).real)
-    cross = lhs - self_terms
-    if beta <= 0.0:
-        return CollisionBoundReport(
-            passed=True, lhs=lhs, rhs=0.0, beta=beta, cross_terms=cross,
-            coverage=coverage, skipped=True,
-            reason="beta is zero; inequality is vacuous",
+    else:
+        beta = bounds.collision_beta(masses_by_class)
+        cross_terms = lhs - self_terms
+        vacuous = beta <= 0.0
+        rhs = 0.0 if vacuous else cross_terms / beta
+        collision = CollisionBoundReport(
+            passed=vacuous or lhs <= rhs + tol,
+            lhs=lhs,
+            rhs=rhs,
+            beta=beta,
+            cross_terms=cross_terms,
+            coverage=coverage,
+            skipped=vacuous,
+            reason="beta is zero; inequality is vacuous" if vacuous else None,
         )
-    rhs = cross / beta
-    return CollisionBoundReport(
-        passed=lhs <= rhs + tol,
-        lhs=lhs,
-        rhs=rhs,
-        beta=beta,
-        cross_terms=cross,
-        coverage=coverage,
-    )
+    return MessageReports(privacy, purity_bounds, collision)
 
 
 def communication_cost(protocol: ProtocolInstance) -> tuple[int, str]:

@@ -190,3 +190,24 @@ def projector_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance of the rank-one projectors of two amplitude
     vectors; zero iff the states are equal up to global phase."""
     return float(np.linalg.norm(np.outer(a, a.conj()) - np.outer(b, b.conj())))
+
+
+def weight_sum_maxima(protocol, party) -> tuple:
+    """Largest summed squared overlap of one party's message states, over
+    every randomness pair (r, r') and input x: (sum over z != x, sum over
+    all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair."""
+    domain = protocol.resource.randomness_domain
+    own = protocol.party_inputs(party)
+    states = {
+        r: np.array([protocol.party_message_state(party, x, r).amplitudes for x in own])
+        for r in domain
+    }
+    max_excl = max_incl = 0.0
+    for r in domain:
+        for rp in domain:
+            w = np.abs(states[r].conj() @ states[rp].T) ** 2
+            incl = w.sum(axis=1)
+            excl = incl - np.diag(w)
+            max_excl = max(max_excl, float(excl.max()))
+            max_incl = max(max_incl, float(incl.max()))
+    return max_excl, max_incl

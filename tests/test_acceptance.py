@@ -62,7 +62,7 @@ def test_criterion_2_sum2_privacy():
     ok = True
     details = []
     for k in (2, 4):
-        rep = verify.check_privacy(sum2_protocol(k), tol=TOL)
+        rep = verify.check_messages(sum2_protocol(k), tol=TOL).privacy
         purities = {y: c.purity for y, c in rep.classes.items()}
         target = 2.0 ** -(k - 2)
         ok &= rep.passed and rep.max_distance <= TOL
@@ -85,7 +85,7 @@ def test_criterion_3_geq_correctness_privacy_cost():
         want_cost = k * l if k % 2 == 0 else (k + 1) * l
         ok &= proto.cost() == (want_cost, "qubits")
         corr = verify.check_correctness(proto, tol=TOL)
-        priv = verify.check_privacy(proto, tol=TOL)
+        priv = verify.check_messages(proto, tol=TOL).privacy
         ok &= corr.passed and corr.coverage.startswith("exhaustive:")
         ok &= priv.passed and priv.max_distance <= TOL
         details.append(f"({k},{l}): cost {want_cost}")
@@ -188,8 +188,7 @@ def test_criterion_7_purity_and_collision_bounds():
     ]
     for label, factory in factories:
         proto = factory()
-        pur = verify.check_purity_bounds(proto)
-        col = verify.check_collision_bound(proto, tol=TOL)
+        _, pur, col = verify.check_messages(proto, tol=TOL)
         ok &= pur.passed
         ok &= col.passed and not col.skipped and col.lhs <= col.rhs + TOL
         details.append(f"{label}: purity {pur.purity:.4g}")

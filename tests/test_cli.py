@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from psqm import cli
+from psqm import cli, protocols
 
 
 def run_main(argv, capsys):
@@ -63,6 +63,25 @@ def test_verify_dj_skips_but_exits_zero(capsys):
     assert "skipped" in by_name["collision_bound"]["witnesses"]
     assert by_name["collision_bound"]["pass"]
     assert report["cost"] == {"value": 2, "unit": "bits"}
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [(["--protocol", "sum2", "--k", "3"], 4**3), (["--protocol", "dj", "--n", "4"], 112)],
+    ids=["sum2-k3", "dj-n4"],
+)
+def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, capsys):
+    calls = []
+    for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
+        def counted(self, inputs, _original=cls.averaged_message):
+            calls.append(tuple(inputs))
+            return _original(self, inputs)
+
+        monkeypatch.setattr(cls, "averaged_message", counted)
+    code, out, _ = run_main(["verify"] + argv, capsys)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == count
+    assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
 
 
 def test_run_explicit_inputs(capsys):

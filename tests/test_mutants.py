@@ -9,8 +9,8 @@ import dataclasses
 import pytest
 
 from psqm import qsim
-from psqm.protocols import Sum2Protocol
-from psqm.verify import check_correctness, check_privacy
+from psqm.protocols import GeqProtocol, Sum2Protocol
+from psqm.verify import check_correctness, check_messages
 
 
 @pytest.fixture(autouse=True)
@@ -21,25 +21,54 @@ def no_dense_gates(monkeypatch):
     monkeypatch.setattr(qsim, "apply_gate", refuse)
 
 
+def restrict_randomness(proto, keep):
+    domain = tuple(r for r in proto.resource.randomness_domain if keep(r))
+    proto.resource = dataclasses.replace(proto.resource, randomness_domain=domain)
+    return proto
+
+
+def assert_privacy_names_a_leaking_input(proto, privacy):
+    assert not privacy.passed
+    worst = tuple(privacy.witnesses(proto)["worst_input"].split(","))
+    assert worst in set(proto.input_domain())
+    rep = privacy.classes[proto.reference(worst)].representative
+    distance = qsim.matrix_distance(rep, proto.averaged_message(worst))
+    assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
+
+
 def test_sum2_with_one_randomness_value_leaks_inputs():
     """Without the random X mask the message state depends on the inputs
-    themselves, so it stays correct but stops being private."""
-    proto = Sum2Protocol(4)
-    domain = proto.resource.randomness_domain
-    proto.resource = dataclasses.replace(proto.resource, randomness_domain=domain[:1])
+    themselves, so it stays correct but stops being private.  The
+    averaged messages then spread over more orthogonal states than the
+    output alone allows, so the collision bound fails too, while the
+    purity bounds of their average still hold."""
+    first = Sum2Protocol(4).resource.randomness_domain[0]
+    proto = restrict_randomness(Sum2Protocol(4), lambda r: r == first)
 
     correctness = check_correctness(proto)
     assert correctness.passed
     assert correctness.cases == 4**4
 
-    privacy = check_privacy(proto)
-    assert not privacy.passed
-    witness = privacy.witnesses(proto)["worst_input"]
-    worst = tuple(witness.split(","))
-    assert worst in set(proto.input_domain())
-    rep = privacy.classes[proto.reference(worst)].representative
-    distance = qsim.matrix_distance(rep, proto.averaged_message(worst))
-    assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
+    privacy, purity, collision = check_messages(proto)
+    assert_privacy_names_a_leaking_input(proto, privacy)
+    assert purity.passed
+    assert not collision.passed and not collision.skipped
+    assert collision.lhs == purity.purity
+    assert collision.lhs > collision.rhs
+
+
+def test_geq_with_the_field_mask_fixed_to_one_leaks_sums():
+    """With the mask fixed to the field element 1 (bit string "10",
+    constant term first) each party sends its input unmasked, so the
+    referee learns the coordinate sums, not only whether they vanish."""
+    proto = restrict_randomness(GeqProtocol(2, 1), lambda r: r[1] == "10")
+    assert len(proto.resource.randomness_domain) == 2
+    assert check_correctness(proto).passed
+
+    privacy = check_messages(proto).privacy
+    assert_privacy_names_a_leaking_input(proto, privacy)
+    assert proto.reference(privacy.worst_input) == 0
+    assert privacy.classes[1].max_distance == 0.0  # accept-class messages still agree
 
 
 class FlippedXSum2(Sum2Protocol):

@@ -7,15 +7,13 @@ from psqm import qsim, verify
 from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
 from psqm.verify import (
     _kary_nondegenerate,
-    check_collision_bound,
     check_correctness,
-    check_privacy,
-    check_purity_bounds,
+    check_messages,
     check_weight_sums,
     communication_cost,
 )
 
-from _oracles import sum2_overlap_sq
+from _oracles import sum2_overlap_sq, weight_sum_maxima
 from test_protocols import bitstrings, geq_masked_bits
 
 
@@ -36,7 +34,7 @@ def sum2_class_state(k: int, output) -> np.ndarray:
 @pytest.mark.parametrize("k", [2, 4])
 def test_sum2_privacy_class_states(k):
     proto = sum2_protocol(k)
-    report = check_privacy(proto)
+    report = check_messages(proto).privacy
     assert report.passed
     assert report.max_distance <= 1e-9
     assert report.cross_orthogonality <= 1e-9
@@ -57,7 +55,7 @@ def test_sum2_averaged_message_direct():
 @pytest.mark.parametrize("k,l", [(2, 1), (3, 1)])
 def test_geq_privacy_classes(k, l):
     proto = geq_protocol(k, l)
-    report = check_privacy(proto)
+    report = check_messages(proto).privacy
     assert report.passed
     p = proto.cost()[0] // l
     sizes = {y: cls.size for y, cls in report.classes.items()}
@@ -110,7 +108,7 @@ def test_dj_reject_class_distribution():
 
 def test_dj_privacy_report():
     proto = dj_protocol(4)
-    report = check_privacy(proto)
+    report = check_messages(proto).privacy
     assert report.passed
     assert report.note is not None and "0.25" in report.note
     assert abs(report.classes[1].purity - 0.25) < 1e-9
@@ -185,6 +183,19 @@ def test_sum2_weight_sum_check(k):
         assert rep.max_including_self <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: sum2_protocol(3), lambda: geq_protocol(2, 1), lambda: geq_protocol(3, 1)],
+)
+def test_weight_sums_match_pairwise_grams(factory):
+    proto = factory()
+    for party in range(proto.party_count):
+        rep = check_weight_sums(proto, party)
+        excl, incl = weight_sum_maxima(proto, party)
+        assert rep.max_excluding_self == pytest.approx(excl, abs=1e-12)
+        assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
+
+
 def test_weight_sum_party_range():
     with pytest.raises(ValueError):
         check_weight_sums(sum2_protocol(2), 2)
@@ -209,14 +220,14 @@ def test_dj_weight_sums_skipped_with_witnesses():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sum2_purity_floor_is_exact(k):
     proto = sum2_protocol(k)
-    rep = check_purity_bounds(proto)
+    rep = check_messages(proto).purity_bounds
     assert rep.passed
     # averaging over everything hits the maximally mixed state
     assert abs(rep.purity - 1.0 / rep.dim) < 1e-12
 
 
 def test_geq_purity_bounds():
-    rep = check_purity_bounds(geq_protocol(2, 1))
+    rep = check_messages(geq_protocol(2, 1)).purity_bounds
     assert rep.passed
     assert 1.0 / rep.dim - 1e-10 <= rep.purity <= 1.0 + 1e-10
 
@@ -227,15 +238,23 @@ def test_purity_with_supplied_mu():
     mu = {x: 0.0 for x in inputs}
     mu[("00", "00")] = 0.5
     mu[("01", "11")] = 0.5
-    rep = check_purity_bounds(proto, mu=mu)
-    assert rep.coverage == "supplied:16"
-    assert rep.passed
+    reports = check_messages(proto, mu=mu)
+    assert all(rep.coverage == "supplied:16" for rep in reports)
+    assert all(rep.passed for rep in reports)
+    # privacy reads every key of mu, weighted or not
+    assert sum(cls.size for cls in reports.privacy.classes.values()) == 16
+    # rho_bar mixes two orthogonal class messages evenly
+    want = 0.25 * (reports.privacy.classes[(0, 0)].purity + reports.privacy.classes[(1, 0)].purity)
+    assert abs(reports.purity_bounds.purity - want) < 1e-12
+    assert reports.collision_bound.lhs == reports.purity_bounds.purity
+    only = {("10", "01"): 1.0}
+    rep = check_messages(proto, mu=only).privacy
+    assert rep.coverage == "supplied:1"
+    assert [cls.representative_input for cls in rep.classes.values()] == [("10", "01")]
     with pytest.raises(ValueError):
-        check_purity_bounds(proto, mu={("00", "00"): 0.7})
+        check_messages(proto, mu={("00", "00"): 0.7})
     with pytest.raises(ValueError):
-        check_purity_bounds(
-            dj_protocol(2), mu={("00", "11"): 1.0}
-        )  # promise violation
+        check_messages(dj_protocol(2), mu={("00", "11"): 1.0})  # promise violation
 
 
 @pytest.mark.parametrize(
@@ -248,7 +267,7 @@ def test_purity_with_supplied_mu():
 )
 def test_collision_bound_cross_terms_literal(factory):
     proto = factory()
-    rep = check_collision_bound(proto)
+    rep = check_messages(proto).collision_bound
     assert rep.passed and not rep.skipped
     inputs = list(proto.input_domain())
     w = 1.0 / len(inputs)
@@ -264,7 +283,7 @@ def test_collision_bound_cross_terms_literal(factory):
 
 
 def test_collision_bound_sum2_k2_is_tight():
-    rep = check_collision_bound(sum2_protocol(2))
+    rep = check_messages(sum2_protocol(2)).collision_bound
     assert abs(rep.lhs - 0.25) < 1e-12
     assert abs(rep.rhs - 0.25) < 1e-9
     assert abs(rep.beta - 0.75) < 1e-12
@@ -272,7 +291,7 @@ def test_collision_bound_sum2_k2_is_tight():
 
 def test_collision_bound_beta_matches_class_masses():
     proto = sum2_protocol(3)
-    rep = check_collision_bound(proto)
+    rep = check_messages(proto).collision_bound
     inputs = list(proto.input_domain())
     sizes: dict = {}
     for x in inputs:
@@ -282,7 +301,7 @@ def test_collision_bound_beta_matches_class_masses():
 
 
 def test_collision_bound_skipped_for_dj():
-    rep = check_collision_bound(dj_protocol(2))
+    rep = check_messages(dj_protocol(2)).collision_bound
     assert rep.skipped and rep.passed
     assert "partial" in rep.reason
 

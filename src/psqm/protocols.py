@@ -127,9 +127,6 @@ class ProtocolInstance:
     def party_inputs(self, party: int):
         return _bitstrings(self.input_lengths[party])
 
-    def local_operations(self, party: int, own_input: str, randomness) -> tuple:
-        raise NotImplementedError
-
     def run(self, inputs, randomness) -> TranscriptRecord:
         raise NotImplementedError
 
@@ -156,37 +153,20 @@ class ProtocolInstance:
                 raise ValueError(f"bad {n}-bit input {x!r}")
 
 
-def _pauli_frame(ops, qubits: int) -> tuple[int, int, int]:
-    """Fold (gate, qubit) pairs, applied in order on a `qubits`-qubit
-    register, into the frame (xmask, zmask, phase) of their product
-    (-1)^phase Z^zmask X^xmask, masks over big-endian index bits."""
-    xmask = zmask = phase = 0
-    for gate, qubit in ops:
-        bit = 1 << (qubits - 1 - qubit)
-        if gate == "Z":
-            zmask ^= bit
-        elif gate == "X":
-            phase ^= (zmask & bit) != 0  # X Z = -Z X on a shared qubit
-            xmask ^= bit
-        else:
-            raise ValueError(f"gate {gate!r} is not a Pauli X or Z")
-    return xmask, zmask, phase
+def _framed_states(amps: np.ndarray, xmasks: np.ndarray, zmasks: np.ndarray) -> np.ndarray:
+    """The real state `amps` under each operator X^xmask Z^zmask, one row
+    per mask pair, masks over big-endian index bits.
 
-
-def _framed_states(amps: np.ndarray, frames) -> np.ndarray:
-    """The real state `amps` under each Pauli frame, one row per frame.
-
-    A frame moves the amplitude at index i to j = i ^ xmask and negates
-    it when phase + |j & zmask| is odd.  Only real parts are written, so
-    every zero stays +0.0.
+    Z negates the amplitude at index i when |i & zmask| is odd, then X
+    moves it to i ^ xmask.  Only real parts are written, so every zero
+    stays +0.0.
     """
     support = np.flatnonzero(amps)
     values = amps.real[support]
-    xmask, zmask, phase = np.array(frames).T
-    cols = support ^ xmask[:, None]
-    odd = (_PARITY[cols & zmask[:, None]] + phase[:, None]) & 1
-    states = np.zeros((len(cols), amps.size), dtype=complex)
-    states.real[np.arange(len(cols))[:, None], cols] = np.where(odd, -values, values)
+    odd = _PARITY[support & zmasks[:, None]]
+    states = np.zeros((len(xmasks), amps.size), dtype=complex)
+    rows = np.arange(len(xmasks))[:, None]
+    states.real[rows, support ^ xmasks[:, None]] = np.where(odd, -values, values)
     return states
 
 
@@ -204,10 +184,11 @@ class _GhzMaskProtocol(ProtocolInstance):
     (all-zero input) absorbs odd real party counts; its qubits belong to
     the last real party.
 
-    Parties apply only Pauli X and Z, so no gate is simulated: the
-    ``(gate, qubit)`` lists of ``_internal_ops`` fold into one Pauli
-    frame, which moves each nonzero amplitude of the shared state to a
-    new index and fixes its sign (stabilizer reasoning, Gottesman 1998).
+    Parties apply only Pauli X and Z, so no gate is simulated: each
+    protocol gives, per randomness value, the X and Z masks of the whole
+    message operator X^xmask Z^zmask (``_frames``), which moves each
+    nonzero amplitude of the shared state to a new index and fixes its
+    sign (stabilizer reasoning, Gottesman 1998).
     """
 
     blocks: int
@@ -236,33 +217,19 @@ class _GhzMaskProtocol(ProtocolInstance):
         self._party_ghz = {w: _ghz_blocks(w, blocks) for w in {2, 2 + k % 2}}
         return qsim.StateVector(_ghz_blocks(self._parties, blocks)), owner
 
-    def _internal_ops(self, internal_party: int, own_input: str, randomness) -> tuple:
-        """(gate, qubit) list for one internal party, Z's before X's; the
-        gates are Pauli X and Z only."""
+    def _frames(self, inputs, randomness_values) -> tuple[np.ndarray, np.ndarray]:
+        """(xmasks, zmasks) of the message operator X^xmask Z^zmask under each
+        randomness value, over big-endian qubit bits; the virtual party inputs zeros."""
         raise NotImplementedError
 
     def _decode(self, outcome_index: int):
         """Referee outcome index -> protocol output."""
         raise NotImplementedError
 
-    def _owned_internal(self, party: int) -> tuple[int, ...]:
-        last = self._parties != self.party_count and party == self.party_count - 1
-        return (party, self._parties - 1) if last else (party,)
-
-    def local_operations(self, party, own_input, randomness):
-        ops = []
-        for internal in self._owned_internal(party):
-            x = own_input if internal < self.party_count else "0" * self.input_lengths[0]
-            ops.extend(self._internal_ops(internal, x, randomness))
-        return tuple(ops)
-
     def _message_amplitudes(self, inputs, randomness_values) -> np.ndarray:
         """Message amplitudes under each randomness value, one row each."""
-        def ops(r):
-            return (op for i, x in enumerate(inputs) for op in self.local_operations(i, x, r))
-
-        frames = [_pauli_frame(ops(r), self._qubits) for r in randomness_values]
-        return _framed_states(self.resource.entangled_state.amplitudes, frames)
+        amps = self.resource.entangled_state.amplitudes
+        return _framed_states(amps, *self._frames(inputs, randomness_values))
 
     def message_state(self, inputs, randomness) -> qsim.StateVector:
         self._check_inputs(inputs)
@@ -295,21 +262,23 @@ class _GhzMaskProtocol(ProtocolInstance):
         return qsim.DensityMatrix((states.T * w) @ states.conj())
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
-        """Local message: the party's operations on its shares of the GHZ
-        blocks, each share led by a reference qubit holding the block's
-        branch.  Per block that is (|0>v0 + |1>v1)/sqrt(2) with v0/v1 the
-        operations applied to the all-zero / all-one share."""
-        internals = self._owned_internal(party)
+        """Local message: the party's bits of the frame of (own input, zeros
+        elsewhere, r) on its shares of the GHZ blocks, each share led by a
+        reference qubit holding the block's branch: per block
+        (|0>v0 + |1>v1)/sqrt(2), v0/v1 the masked all-zero / all-one share."""
+        last = self._parties != self.party_count and party == self.party_count - 1
+        internals = (party, self._parties - 1) if last else (party,)
         width = len(internals) + 1
-        position = {
-            b * self._parties + j: b * width + 1 + i
-            for b in range(self.blocks)
-            for i, j in enumerate(internals)
-        }
-        ops = self.local_operations(party, own_input, randomness)
-        owned = [(g, position[q]) for g, q in ops if q in position]
-        frame = _pauli_frame(owned, width * self.blocks)
-        amps = _framed_states(self._party_ghz[width], [frame])
+        inputs = ["0" * n for n in self.input_lengths]
+        inputs[party] = own_input
+        frame = [int(masks[0]) for masks in self._frames(inputs, [randomness])]
+        local = [0, 0]
+        for b in range(self.blocks):  # qubit b*_parties + j -> register qubit b*width + 1 + i
+            for i, j in enumerate(internals):
+                for m in range(2):
+                    bit = (frame[m] >> (self._qubits - 1 - b * self._parties - j)) & 1
+                    local[m] |= bit << (width * self.blocks - 2 - b * width - i)
+        amps = _framed_states(self._party_ghz[width], *np.array(local)[:, None])
         return qsim.StateVector(amps[0])
 
 
@@ -333,13 +302,13 @@ class Sum2Protocol(_GhzMaskProtocol):
         self._check_inputs(inputs)
         return sum2_reference(inputs)
 
-    def _internal_ops(self, internal_party, own_input, randomness):
-        ops = []
-        if own_input[1] == "1":
-            ops.append(("Z", internal_party))
-        if int(own_input[0]) ^ int(randomness[internal_party]):
-            ops.append(("X", internal_party))
-        return tuple(ops)
+    def _frames(self, inputs, randomness_values):
+        """Party j's first bit masks X and its second bit Z on qubit j,
+        and r's bit j flips that X."""
+        pad = "0" * (self._parties - self.party_count)
+        first, second = (int("".join(x[i] for x in inputs) + pad, 2) for i in (0, 1))
+        rs = np.array([int(r, 2) for r in randomness_values])
+        return first ^ rs, np.full(rs.size, second)
 
     def _decode(self, outcome_index):
         bits = format(outcome_index, f"0{self._parties}b")
@@ -399,17 +368,29 @@ class GeqProtocol(_GhzMaskProtocol):
             raise ValueError(f"need two {n}-bit strings, got {own_input!r} and {mask!r}")
         return format(int(self._products[int(mask, 2), int(own_input, 2)]), f"0{n}b")
 
-    def _internal_ops(self, internal_party, own_input, randomness):
-        block_strings, mask = randomness
-        a = format(int(self._products[int(mask, 2), int(own_input, 2)]), f"0{2 * self.l}b")
-        ops = []
+    @functools.cached_property
+    def _spread(self) -> np.ndarray:
+        """Internal party 0's (X mask, Z mask) for every masked input a: string
+        bits 2b, 2b+1 of a go to qubit b*_parties; party j's are these >> j."""
+        n = 2 * self.l
+        a = np.arange(1 << n)
+        spread = np.zeros((2, a.size), dtype=int)
         for b in range(self.l):
-            if a[2 * b + 1] == "1":
-                ops.append(("Z", b * self._parties + internal_party))
-        for b in range(self.l):
-            if int(a[2 * b]) ^ int(block_strings[b][internal_party]):
-                ops.append(("X", b * self._parties + internal_party))
-        return tuple(ops)
+            qubit = 1 << (self._qubits - 1 - b * self._parties)
+            spread[0] |= np.where((a >> (n - 1 - 2 * b)) & 1, qubit, 0)
+            spread[1] |= np.where((a >> (n - 2 - 2 * b)) & 1, qubit, 0)
+        return spread
+
+    def _frames(self, inputs, randomness_values):
+        """Party j masks its input with the field mask; the product's bit
+        pairs give X and Z on its block shares, and each block string of r
+        flips those X's."""
+        masks = np.array([int(mask, 2) for _, mask in randomness_values])
+        masked = self._products[masks[:, None], [int(x, 2) for x in inputs]]
+        shifted = self._spread[:, masked] >> np.arange(len(inputs))
+        xmasks, zmasks = np.bitwise_xor.reduce(shifted, axis=2)
+        xmasks ^= [int("".join(blocks), 2) for blocks, _ in randomness_values]
+        return xmasks, zmasks
 
     def _decode(self, outcome_index):
         p = self._parties
@@ -541,16 +522,6 @@ class DJProtocol(ProtocolInstance):
                 [gf2m.from_bits(msg, self.field).value for msg in messages]
             )
         return self._perm_cache[randomness]
-
-    def local_operations(self, party, own_input, randomness):
-        signs = tuple(
-            -1 if own_input[i] == "1" else 1 for i in range(self.n)
-        )
-        m = self.m
-        mask_table = tuple(
-            self.mask_message(format(v, f"0{m}b"), randomness) for v in range(self.n)
-        )
-        return (("phase", signs), ("hadamard", m), ("mask", mask_table))
 
     def _message_matrix(self, inputs, randomness) -> np.ndarray:
         pkl = self.joint_outcome_distribution(inputs)

@@ -19,6 +19,7 @@ reported as skipped, with informational witnesses still attached.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -80,6 +81,7 @@ def _distribution(protocol, mu, budget, seed):
     return inputs, weights, coverage
 
 
+@functools.lru_cache(maxsize=1)  # one verify asks once per weight-sum party and once more
 def _kary_nondegenerate(protocol: ProtocolInstance):
     """Every pair of one party's inputs must be distinguished by some
     assignment of the other parties, with both outputs defined.  Returns

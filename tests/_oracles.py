@@ -156,6 +156,40 @@ def oracle_max_clique(count: int, edge) -> tuple:
 # -------------------------------------------------- protocol-side oracles
 
 
+def ghz_gate_ops(proto, party, own_input, randomness) -> list:
+    """(gate, qubit) list of one real party of sum2 or geq, written from
+    the protocol description, Z's before X's on the party's GHZ shares.
+
+    Qubit b*P + j is block b's share of internal party j (P internal
+    parties); the last real party also plays the virtual internal party
+    with the all-zero input when the real party count is odd.  sum2:
+    Z if the second input bit is set, X if x[0] ^ r[j].  geq: the field
+    product a = mask * x (bit strings, constant term first) gives, per
+    block b, Z if a[2b+1] is set and X if a[2b] ^ blocks[b][j].
+    """
+    k = proto.party_count
+    internal_count = k + (k & 1)
+    internals = [party]
+    if internal_count > k and party == k - 1:
+        internals.append(internal_count - 1)
+    ops = []
+    for j in internals:
+        x = own_input if j == party else "0" * len(own_input)
+        if proto.name == "sum2":
+            zs, xs = [(int(x[1]), j)], [(int(x[0]) ^ int(randomness[j]), j)]
+        else:
+            blocks, mask = randomness
+            packed = [sum(int(c) << i for i, c in enumerate(s)) for s in (mask, x)]
+            value = field_mul(*packed, proto.field.encoding)
+            a = [(value >> i) & 1 for i in range(len(x))]
+            qubits = [b * internal_count + j for b in range(len(blocks))]
+            zs = [(a[2 * b + 1], q) for b, q in enumerate(qubits)]
+            xs = [(a[2 * b] ^ int(blocks[b][j]), q) for b, q in enumerate(qubits)]
+        ops += [("Z", q) for bit, q in zs if bit]
+        ops += [("X", q) for bit, q in xs if bit]
+    return ops
+
+
 def sum2_overlap_sq(x, z, r, rp, internal_party) -> float:
     """Squared overlap of one party's purified message states in the
     two-bit-sum protocol: 1 iff the X exponents and Z exponents agree."""

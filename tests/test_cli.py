@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from psqm import cli, protocols
+from psqm import cli, protocols, verify
 
 
 def run_main(argv, capsys):
@@ -82,6 +82,16 @@ def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, caps
     assert code == 0
     assert len(calls) == len(set(calls)) == count
     assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
+
+
+def test_verify_enumerates_nondegeneracy_once(capsys):
+    """Each weight-sum party and the collision bound ask whether the
+    reference is non-degenerate; the enumeration runs for the first only."""
+    verify._kary_nondegenerate.cache_clear()
+    code, _, _ = run_main(["verify", "--protocol", "geq", "--k", "3", "--l", "1"], capsys)
+    assert code == 0
+    info = verify._kary_nondegenerate.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_run_explicit_inputs(capsys):

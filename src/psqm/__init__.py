@@ -14,7 +14,6 @@ from .verify import (  # noqa: F401
     check_correctness,
     check_messages,
     check_weight_sums,
-    communication_cost,
 )
 from .bounds import (  # noqa: F401
     FunctionTable,

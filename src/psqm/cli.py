@@ -123,6 +123,27 @@ def _record(name, passed, witnesses, coverage=None) -> dict:
     return {"name": name, "pass": passed, "witnesses": witnesses, "coverage": coverage}
 
 
+def _transcript(protocol, inputs, randomness) -> dict:
+    """Report entry of one execution under one randomness value."""
+    record = protocol.run(inputs, randomness)
+    entry = {
+        "randomness": protocol.format_randomness(randomness),
+        "outcomes": record.outcome_distribution,
+        "outputs": {
+            protocol.format_output(o): p for o, p in record.output_distribution.items()
+        },
+    }
+    if record.message_state is not None and record.message_state.dim <= 64:
+        entry["message_amplitudes"] = [
+            [amp.real, amp.imag] for amp in record.message_state.amplitudes
+        ]
+    if record.message_distribution is not None:
+        entry["message_distribution"] = {
+            f"{a},{b}": p for (a, b), p in record.message_distribution.items()
+        }
+    return entry
+
+
 def cmd_run(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
     if args.inputs is not None:
@@ -139,51 +160,23 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
     domain = protocol.resource.randomness_domain
     for inputs in requested:
         reference = protocol.reference(inputs)
-        averaged: dict = {}
-        min_mass = float("inf")
-        per_randomness = []
-        for r in domain:
-            record = protocol.run(inputs, r)
-            for out, prob in record.output_distribution.items():
-                averaged[out] = averaged.get(out, 0.0) + prob / len(domain)
-            if reference is not PROMISE_VIOLATION:
-                min_mass = min(
-                    min_mass, record.output_distribution.get(reference, 0.0)
-                )
-            if detailed:
-                entry = {
-                    "randomness": protocol.format_randomness(r),
-                    "outcomes": record.outcome_distribution,
-                    "outputs": {
-                        protocol.format_output(o): p
-                        for o, p in record.output_distribution.items()
-                    },
-                }
-                if record.message_state is not None and record.message_state.dim <= 64:
-                    entry["message_amplitudes"] = [
-                        [amp.real, amp.imag] for amp in record.message_state.amplitudes
-                    ]
-                if record.message_distribution is not None:
-                    entry["message_distribution"] = {
-                        f"{a},{b}": p
-                        for (a, b), p in record.message_distribution.items()
-                    }
-                per_randomness.append(entry)
+        masses = protocol.output_masses(inputs)
+        averaged = np.cumsum(masses / len(domain), axis=0)[-1]  # summed in domain order
         witnesses = {
             "reference": "promise-violation"
             if reference is PROMISE_VIOLATION
             else protocol.format_output(reference),
             "output_distribution": {
-                protocol.format_output(o): p for o, p in averaged.items()
+                protocol.format_output(o): p
+                for o, p in zip(protocol.output_domain, averaged.tolist())
+                if p > 0.0
             },
             "randomness_values": len(domain),
         }
         if detailed:
-            witnesses["per_randomness"] = per_randomness
-        passed = (
-            True
-            if reference is PROMISE_VIOLATION
-            else bool(min_mass >= 1.0 - args.tol)
+            witnesses["per_randomness"] = [_transcript(protocol, inputs, r) for r in domain]
+        passed = reference is PROMISE_VIOLATION or bool(
+            masses[:, protocol.output_domain.index(reference)].min() >= 1.0 - args.tol
         )
         checks.append(
             _record(
@@ -214,7 +207,7 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
         add(f"weight_sums_party{party}", rep, f"randomness-pairs:{rep.pair_count}")
     add("purity_bounds", purity, purity.coverage)
     add("collision_bound", collision, collision.coverage)
-    return _config_echo(args, _PROTO_KEYS), checks, verify.communication_cost(protocol)
+    return _config_echo(args, _PROTO_KEYS), checks, protocol.cost()
 
 
 def _load_table(args) -> bounds.FunctionTable:
@@ -347,6 +340,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         config, checks, cost = _COMMANDS[args.command](args)
         report = {
             "version": __version__,

@@ -68,11 +68,6 @@ class Modulus:
         if not is_irreducible(self.encoding):
             raise ValueError(f"modulus {bin(self.encoding)} is reducible")
 
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        """Coefficients c0..cm, constant term first."""
-        return tuple((self.encoding >> i) & 1 for i in range(self.degree + 1))
-
 
 def find_irreducible(m: int) -> Modulus:
     """Smallest-integer-encoding monic irreducible polynomial of degree m."""

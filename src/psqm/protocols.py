@@ -82,11 +82,8 @@ class SharedResource:
 class TranscriptRecord:
     """One protocol execution under a fixed randomness value."""
 
-    inputs: tuple[str, ...]
-    randomness: object
     outcome_distribution: dict
     output_distribution: dict
-    cost: tuple[int, str]
     message_state: qsim.StateVector | None = None
     message_distribution: dict | None = None
 
@@ -130,8 +127,10 @@ class ProtocolInstance:
     def run(self, inputs, randomness) -> TranscriptRecord:
         raise NotImplementedError
 
-    def output_distribution(self, inputs, randomness) -> dict:
-        return self.run(inputs, randomness).output_distribution
+    def output_masses(self, inputs) -> np.ndarray:
+        """Exact output law under every randomness value: row i is for
+        randomness_domain[i], column j the mass on output_domain[j]."""
+        raise NotImplementedError
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         raise NotImplementedError
@@ -188,7 +187,8 @@ class _GhzMaskProtocol(ProtocolInstance):
     protocol gives, per randomness value, the X and Z masks of the whole
     message operator X^xmask Z^zmask (``_frames``), which moves each
     nonzero amplitude of the shared state to a new index and fixes its
-    sign (stabilizer reasoning, Gottesman 1998).
+    sign (stabilizer reasoning, Gottesman 1998).  The referee's
+    phi-basis outcome is then certain and is read off the same masks.
     """
 
     blocks: int
@@ -205,11 +205,6 @@ class _GhzMaskProtocol(ProtocolInstance):
         self._qubits = qubits = self._parties * blocks
         if qubits > _MAX_PROTOCOL_QUBITS:
             raise ValueError(f"{qubits} message qubits exceeds the {_MAX_PROTOCOL_QUBITS} cap")
-        self._basis = qsim.phi_basis(self._parties)
-        if blocks > 1:
-            self._basis = qsim.MeasurementBasis(
-                functools.reduce(np.kron, [self._basis.matrix] * blocks)
-            )
         owner = tuple(
             min(j, k - 1) for _ in range(blocks) for j in range(self._parties)
         )
@@ -226,6 +221,36 @@ class _GhzMaskProtocol(ProtocolInstance):
         """Referee outcome index -> protocol output."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ys, zs): the referee's phi-basis outcome under the frame
+        (xmask, zmask) is ys[xmask] | zs[zmask], with certainty.
+
+        Per block of p qubits, X^x Z^z takes the GHZ state to
+        +-(|x> + (-1)^|z| |~x>)/sqrt(2): the basis vector whose leading
+        p-1 bits are those of whichever of x and ~x ends in 0, and whose
+        last bit is the parity of z."""
+        p = self._parties
+        index = np.arange(1 << self._qubits)
+        ys, zs = np.zeros_like(index), np.zeros_like(index)
+        for b in range(self.blocks):
+            shift = (self.blocks - 1 - b) * p
+            block = (index >> shift) & ((1 << p) - 1)
+            ys |= (np.where(block & 1, ~block, block) & ((1 << p) - 2)) << shift
+            zs |= _PARITY[block] << shift
+        return ys, zs
+
+    @functools.cached_property
+    def _output_columns(self) -> np.ndarray:
+        """Column of output_domain that the referee decodes each outcome to."""
+        outputs = [self._decode(o) for o in range(1 << self._qubits)]
+        return np.array([self.output_domain.index(y) for y in outputs])
+
+    def _outcomes(self, inputs, randomness_values) -> np.ndarray:
+        ys, zs = self._outcome_tables
+        xmasks, zmasks = self._frames(inputs, randomness_values)
+        return ys[xmasks] | zs[zmasks]
+
     def _message_amplitudes(self, inputs, randomness_values) -> np.ndarray:
         """Message amplitudes under each randomness value, one row each."""
         amps = self.resource.entangled_state.amplitudes
@@ -237,22 +262,17 @@ class _GhzMaskProtocol(ProtocolInstance):
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         state = self.message_state(inputs, randomness)
-        probs = qsim.measure(state, self._basis)
-        outcome_dist = {}
-        output_dist = {}
-        for idx in np.flatnonzero(probs >= 1e-15).tolist():
-            prob = float(probs[idx])
-            outcome_dist[format(idx, f"0{self._qubits}b")] = prob
-            out = self._decode(idx)
-            output_dist[out] = output_dist.get(out, 0.0) + prob
+        outcome = int(self._outcomes(inputs, [randomness])[0])
         return TranscriptRecord(
-            inputs=tuple(inputs),
-            randomness=randomness,
-            outcome_distribution=outcome_dist,
-            output_distribution=output_dist,
-            cost=self.cost(),
+            outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
+            output_distribution={self._decode(outcome): 1.0},
             message_state=state,
         )
+
+    def output_masses(self, inputs) -> np.ndarray:
+        self._check_inputs(inputs)
+        outcomes = self._outcomes(inputs, self.resource.randomness_domain)
+        return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         self._check_inputs(inputs)
@@ -523,35 +543,35 @@ class DJProtocol(ProtocolInstance):
             )
         return self._perm_cache[randomness]
 
-    def _message_matrix(self, inputs, randomness) -> np.ndarray:
+    def _message_laws(self, inputs, randomness_values) -> np.ndarray:
+        """Joint law of the field-encoded message pair under each randomness
+        value, an (R, n, n) array: the outcome law pushed through that
+        value's masks, with the masses of colliding outcomes added."""
         pkl = self.joint_outcome_distribution(inputs)
-        perm = self._mask_perm(randomness)
-        out = np.zeros_like(pkl)
-        out[np.ix_(perm, perm)] = pkl
-        return out
+        perms = np.array([self._mask_perm(r) for r in randomness_values])
+        laws = np.zeros((len(perms), self.n, self.n))
+        rows = np.arange(len(perms))[:, None, None]
+        np.add.at(laws, (rows, perms[:, :, None], perms[:, None, :]), pkl)
+        return laws
 
     def run(self, inputs, randomness) -> TranscriptRecord:
-        mat = self._message_matrix(inputs, randomness)
+        (law,) = self._message_laws(inputs, [randomness])
         bits = [gf2m.to_bits(gf2m.FieldElement(v, self.field)) for v in range(self.n)]
         msg_dist = {
-            (bits[a], bits[b]): float(mat[a, b]) for a, b in zip(*np.nonzero(mat > 1e-15))
+            (bits[a], bits[b]): float(law[a, b]) for a, b in zip(*np.nonzero(law > 1e-15))
         }
-        accept = float(np.trace(mat))
-        outcome_dist = {"equal": accept, "different": 1.0 - accept}
+        accept = float(np.trace(law))
         return TranscriptRecord(
-            inputs=tuple(inputs),
-            randomness=randomness,
-            outcome_distribution=outcome_dist,
+            outcome_distribution={"equal": accept, "different": 1.0 - accept},
             output_distribution={1: accept, 0: 1.0 - accept},
-            cost=self.cost(),
             message_distribution=msg_dist,
         )
 
-    def output_distribution(self, inputs, randomness):
-        pkl = self.joint_outcome_distribution(inputs)
-        perm = self._mask_perm(randomness)
-        accept = float(pkl[np.equal.outer(perm, perm)].sum())
-        return {1: accept, 0: 1.0 - accept}
+    def output_masses(self, inputs) -> np.ndarray:
+        """The referee accepts exactly when the two messages agree."""
+        laws = self._message_laws(inputs, self.resource.randomness_domain)
+        accept = np.trace(laws, axis1=1, axis2=2)
+        return np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         """Randomness-averaged law of the message pair, as a diagonal
@@ -561,10 +581,7 @@ class DJProtocol(ProtocolInstance):
         w = _xor_strings([x, y])
         if w not in self._avg_cache:
             domain = self.resource.randomness_domain
-            acc = np.zeros((self.n, self.n))
-            for randomness in domain:
-                acc += self._message_matrix(inputs, randomness)
-            self._avg_cache[w] = acc / len(domain)
+            self._avg_cache[w] = self._message_laws(inputs, domain).sum(axis=0) / len(domain)
         return qsim.DensityMatrix(np.diag(self._avg_cache[w].reshape(-1)))
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:

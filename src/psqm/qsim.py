@@ -68,24 +68,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-class MeasurementBasis:
-    """Orthonormal basis of a full register, a projective measurement:
-    one unitary matrix whose row i is basis vector i."""
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("basis matrix must be square")
-        gram = mat.conj() @ mat.T
-        if np.max(np.abs(gram - np.eye(mat.shape[0]))) > DERIVED_TOL:
-            raise ValueError("basis is not orthonormal")
-        self.matrix = mat
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def ghz(k: int) -> StateVector:
     """(|0..0> + |1..1>)/sqrt(2) on k qubits."""
     if k < 1:
@@ -117,12 +99,14 @@ def apply_phase_oracle(state: StateVector, signs) -> StateVector:
     return StateVector(state.amplitudes * signs)
 
 
-def phi_basis(k: int) -> MeasurementBasis:
-    """GHZ-type basis {(|y,0> + (-1)^z |~y,1>)/sqrt(2)} on k qubits.
+def phi_basis(k: int) -> np.ndarray:
+    """GHZ-type basis {(|y,0> + (-1)^z |~y,1>)/sqrt(2)} on k qubits, as the
+    unitary matrix whose row i is basis vector i.
 
     Basis vector index is the integer with bits y_1..y_{k-1} z, so y is
     carried by the first k-1 qubits and the last qubit separates the
-    two branches.
+    two branches.  The protocols read their outcomes off Pauli frames;
+    this matrix is the tests' dense oracle for them.
     """
     if k < 2:
         raise ValueError("basis needs at least two qubits")
@@ -132,20 +116,7 @@ def phi_basis(k: int) -> MeasurementBasis:
     mat = np.zeros((rows.size, rows.size), dtype=complex)
     mat[rows, y0] = root
     mat[rows, y0 ^ (rows.size - 1)] = np.where(rows & 1, -root, root)
-    return MeasurementBasis(mat)
-
-
-def measure(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
-    """Outcome probabilities of measuring `state` in `basis`; only the
-    basis columns at the state's nonzero amplitudes are read."""
-    if basis.dim != state.dim:
-        raise ValueError("state and basis dimensions differ")
-    support = np.flatnonzero(state.amplitudes)
-    probs = np.abs(basis.matrix[:, support].conj() @ state.amplitudes[support]) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > DERIVED_TOL:
-        raise AssertionError(f"outcome probabilities sum to {total}")
-    return probs
+    return mat
 
 
 def mix(ensemble) -> DensityMatrix:

@@ -84,6 +84,38 @@ def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, caps
     assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["verify", "--protocol", "sum2", "--k", "3"], 4**3),
+        (["verify", "--protocol", "geq", "--k", "2", "--l", "1"], 4**2),
+        (["verify", "--protocol", "dj", "--n", "4"], 112),
+        (["run", "--protocol", "sum2", "--k", "3"], 4**3),
+        (["run", "--protocol", "dj", "--n", "4"], 112),
+    ],
+    ids=["verify-sum2-k3", "verify-geq-k2-l1", "verify-dj-n4", "run-sum2-k3", "run-dj-n4"],
+)
+def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, capsys):
+    """Correctness, and `run` without --inputs, read each input's output
+    masses over the whole randomness domain in one call."""
+    calls, runs = [], []
+    for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
+        def counted(self, inputs, _original=cls.output_masses):
+            calls.append(tuple(inputs))
+            return _original(self, inputs)
+
+        def run(self, inputs, randomness, _original=cls.run):
+            runs.append((tuple(inputs), randomness))
+            return _original(self, inputs, randomness)
+
+        monkeypatch.setattr(cls, "output_masses", counted)
+        monkeypatch.setattr(cls, "run", run)
+    code, _, _ = run_main(argv, capsys)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == count
+    assert runs == []
+
+
 def test_verify_enumerates_nondegeneracy_once(capsys):
     """Each weight-sum party and the collision bound ask whether the
     reference is non-degenerate; the enumeration runs for the first only."""
@@ -136,10 +168,17 @@ def test_run_budget_guard(capsys):
     assert "--inputs" in err
 
 
-def test_exit_one_on_check_failure(capsys):
+def test_exit_one_on_check_failure(monkeypatch, capsys):
+    """Party 0 flipping its X makes the referee's first-bit parity wrong."""
+    frames = protocols.Sum2Protocol._frames
+
+    def flipped(self, inputs, randomness_values):
+        xmasks, zmasks = frames(self, inputs, randomness_values)
+        return xmasks ^ (1 << (self._qubits - 1)), zmasks
+
+    monkeypatch.setattr(protocols.Sum2Protocol, "_frames", flipped)
     code, out, _ = run_main(
-        ["run", "--protocol", "sum2", "--k", "2", "--inputs", "01,10", "--tol", "0"],
-        capsys,
+        ["run", "--protocol", "sum2", "--k", "2", "--inputs", "01,10"], capsys
     )
     assert code == 1
     assert not parse(out)["checks"][0]["pass"]
@@ -157,6 +196,9 @@ def test_exit_one_on_check_failure(capsys):
         ["stats"],
         ["stats", "--n", "2", "--trials", "5"],
         ["stats", "--n", "1", "--trials", "5"],
+        ["verify", "--protocol", "sum2", "--k", "2", "--tol", "nan"],
+        ["verify", "--protocol", "sum2", "--k", "2", "--tol", "-1"],
+        ["verify", "--protocol", "sum2", "--k", "2", "--tol", "inf"],
     ],
 )
 def test_config_errors_exit_two(argv, capsys):

@@ -1,7 +1,8 @@
 """Deliberately broken protocols that a check must catch.
 
-Each mutant runs on the Pauli-frame path; `qsim.apply_gate` is made to
-raise so that no dense gate simulation can stand in for it.
+Each sum2 and geq mutant runs on the Pauli-frame path; `qsim.apply_gate`
+is made to raise so that no dense gate simulation can stand in for it.
+dj simulates its outcome law densely, so its mutant keeps the gates.
 """
 
 import dataclasses
@@ -9,11 +10,13 @@ import dataclasses
 import pytest
 
 from psqm import qsim
-from psqm.protocols import GeqProtocol, Sum2Protocol
+from psqm.protocols import DJProtocol, GeqProtocol, Sum2Protocol
 from psqm.verify import check_correctness, check_messages
 
+pauli_frame_only = pytest.mark.usefixtures("no_dense_gates")
 
-@pytest.fixture(autouse=True)
+
+@pytest.fixture
 def no_dense_gates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Pauli-frame path simulated a gate")
@@ -36,6 +39,7 @@ def assert_privacy_names_a_leaking_input(proto, privacy):
     assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
 
 
+@pauli_frame_only
 def test_sum2_with_one_randomness_value_leaks_inputs():
     """Without the random X mask the message state depends on the inputs
     themselves, so it stays correct but stops being private.  The
@@ -57,6 +61,7 @@ def test_sum2_with_one_randomness_value_leaks_inputs():
     assert collision.lhs > collision.rhs
 
 
+@pauli_frame_only
 def test_geq_with_the_field_mask_fixed_to_one_leaks_sums():
     """With the mask fixed to the field element 1 (bit string "10",
     constant term first) each party sends its input unmasked, so the
@@ -103,9 +108,48 @@ def assert_correctness_names_a_wrong_run(proto):
     assert wrong.get(proto.reference(worst), 0.0) == 0.0
 
 
+@pauli_frame_only
 def test_flipped_x_fails_correctness():
     assert_correctness_names_a_wrong_run(FlippedXSum2(4))
 
 
+@pauli_frame_only
 def test_geq_with_party_0_dropping_its_z_fails_correctness():
     assert_correctness_names_a_wrong_run(DroppedZGeq(2, 1))
+
+
+class FlippedDecodeSum2(Sum2Protocol):
+    """sum2 whose referee flips the second output bit: the messages are
+    untouched, so privacy holds, but every answer is wrong."""
+
+    def _decode(self, outcome_index):
+        first, second = super()._decode(outcome_index)
+        return first, second ^ 1
+
+
+@pauli_frame_only
+def test_sum2_with_a_flipped_decoder_fails_correctness_only():
+    proto = FlippedDecodeSum2(4)
+    assert_correctness_names_a_wrong_run(proto)
+    assert check_messages(proto).privacy.passed
+
+
+def test_dj_with_a_zero_mask_fails_correctness():
+    """With r = 0 the mask p(r)p(outcome) + p(r') sends every outcome to
+    p(r'), so the two messages always agree and the referee accepts
+    half-distance inputs.  The message law of such a value still sums to
+    1: colliding outcomes add their masses."""
+    proto = DJProtocol(4)
+    zero = tuple(("00", format(v, "02b")) for v in range(4))
+    proto.resource = dataclasses.replace(
+        proto.resource, randomness_domain=proto.resource.randomness_domain + zero
+    )
+    report = check_correctness(proto)
+    assert not report.passed and report.min_mass < 1e-9
+    x, y = report.worst_input
+    assert sum(a != b for a, b in zip(x, y)) == 2
+    assert report.worst_randomness in zero
+    assert report.witnesses(proto)["worst_randomness"].startswith("00;")
+    law = proto.run(report.worst_input, report.worst_randomness).message_distribution
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(law) == 1

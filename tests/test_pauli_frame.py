@@ -6,15 +6,17 @@ within the message-qubit cap, this file compares that path with a dense
 fold of `qsim.apply_gate` over the oracle gate lists of
 `_oracles.ghz_gate_ops`, which share no code with the protocols, on the
 all-zero input and three seeded inputs: message amplitudes, referee
-outcome laws (against the full basis matrix) and party message states,
-to 1e-12.  Message amplitudes and outcome laws cover every randomness
-value where R * 2^q <= 2^20 (R randomness values, q message qubits);
-above that, a seeded sample of 512.  Party message states, which depend
-only on (party, own input, randomness), are compared once per such
-triple, over at most 512 seeded randomness values.  Where every
+outcome laws (against the full basis matrix), output masses (that law
+pushed through the referee's decoder) and party message states, to
+1e-12.  Message amplitudes, outcome laws and output masses cover every
+randomness value where R * 2^q <= 2^20 (R randomness values, q message
+qubits); above that, a seeded sample of 512.  Party message states,
+which depend only on (party, own input, randomness), are compared once
+per such triple, over at most 512 seeded randomness values.  Where every
 randomness value is covered and R * 4^q <= 2^25, averaged messages are
 compared with `qsim.mix` too.  A hypothesis property draws further
-(configuration, input, randomness) triples.
+(configuration, input, randomness) triples.  dj's output masses are
+checked against its transcripts, exactly.
 """
 
 import functools
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqm import qsim
-from psqm.protocols import _MAX_PROTOCOL_QUBITS, GeqProtocol, Sum2Protocol
+from psqm.protocols import _MAX_PROTOCOL_QUBITS, DJProtocol, GeqProtocol, Sum2Protocol
 
 from _oracles import ghz_gate_ops
 
@@ -90,12 +92,15 @@ def _reference_ghz(width, blocks) -> qsim.StateVector:
     return qsim.StateVector(amps)
 
 
-def joint_basis(proto, blocks) -> qsim.MeasurementBasis:
-    per_block = qsim.phi_basis(len(proto.resource.qubit_owner) // blocks).matrix
-    mat = per_block
-    for _ in range(blocks - 1):
-        mat = np.kron(mat, per_block)
-    return qsim.MeasurementBasis(mat)
+def joint_basis(proto, blocks) -> np.ndarray:
+    per_block = qsim.phi_basis(len(proto.resource.qubit_owner) // blocks)
+    return functools.reduce(np.kron, [per_block] * blocks)
+
+
+def decoder(proto, dim) -> np.ndarray:
+    """One-hot (outcome, output) matrix of the referee's decoder."""
+    outputs = [proto._decode(o) for o in range(dim)]
+    return np.array([[y == out for out in proto.output_domain] for y in outputs], dtype=float)
 
 
 def covered_randomness(proto, seed):
@@ -117,8 +122,11 @@ def check_against_dense(proto, blocks, seed):
     inputs = [tuple("0" * n for n in proto.input_lengths)]
     inputs += [proto.sample_input(rng) for _ in range(3)]
     randomness, full = covered_randomness(proto, seed)
-    basis = joint_basis(proto, blocks).matrix
+    basis = joint_basis(proto, blocks)
     dim = proto.resource.entangled_state.dim
+    decode = decoder(proto, dim)
+    index = {r: i for i, r in enumerate(proto.resource.randomness_domain)}
+    rows = [index[r] for r in randomness]  # output_masses rows of the covered values
     party_cases = set()  # a party state depends on (party, own input, randomness) only
     for x in inputs:
         dense_states, folded = [], {}
@@ -136,8 +144,10 @@ def check_against_dense(proto, blocks, seed):
             for outcome, prob in record.outcome_distribution.items():
                 law[int(outcome, 2)] = prob
             fast_laws.append(law)
+        dense_laws = np.abs(dense_states @ basis.conj().T) ** 2
         assert_close(fast_states, dense_states)
-        assert_close(fast_laws, np.abs(dense_states @ basis.conj().T) ** 2)
+        assert_close(fast_laws, dense_laws)
+        assert_close([proto.output_masses(x)[rows]], [dense_laws @ decode])
         party_cases.update(
             (p, tuple(ghz_gate_ops(proto, p, x[p], r)), x[p], r)
             for p in range(proto.party_count)
@@ -180,3 +190,15 @@ def test_fast_path_matches_dense_fold_property(case):
         fast = proto.party_message_state(party, x, r).amplitudes
         expected = dense_party_message(proto, party, ops[party], proto.blocks)
         assert np.abs(fast - expected).max() <= TOL, (party, x, r)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_dj_output_masses_match_run(n):
+    """Each row of dj's output masses is exactly its transcript's output
+    law, for every promise input and every randomness value."""
+    proto = DJProtocol(n)
+    domain = proto.resource.randomness_domain
+    for x in proto.input_domain():
+        laws = [proto.run(x, r).output_distribution for r in domain]
+        expected = [[law[y] for y in proto.output_domain] for law in laws]
+        assert proto.output_masses(x).tolist() == expected, x

@@ -351,15 +351,3 @@ def test_dj_cost_and_guards():
     for bad in (0, 1, 3, 6, 32):
         with pytest.raises(ValueError):
             dj_protocol(bad)
-
-
-def test_dj_output_distribution_matches_run():
-    proto = dj_protocol(4)
-    rng = random.Random(7)
-    for _ in range(20):
-        inputs = proto.sample_input(rng)
-        r = rng.choice(proto.resource.randomness_domain)
-        fast = proto.output_distribution(inputs, r)
-        full = proto.run(inputs, r).output_distribution
-        for key in (0, 1):
-            assert abs(fast[key] - full.get(key, 0.0)) < 1e-12

@@ -10,7 +10,6 @@ from psqm.verify import (
     check_correctness,
     check_messages,
     check_weight_sums,
-    communication_cost,
 )
 
 from _oracles import sum2_overlap_sq, weight_sum_maxima
@@ -27,7 +26,7 @@ def sum2_class_state(k: int, output) -> np.ndarray:
         parity = bin(y).count("1") & 1
         if parity == output[0]:
             members.append((y << 1) | output[1])
-    mats = [np.outer(basis.matrix[i], basis.matrix[i].conj()) for i in members]
+    mats = [np.outer(basis[i], basis[i].conj()) for i in members]
     return sum(mats) / len(mats)
 
 
@@ -335,7 +334,7 @@ def test_exhaustive_sweep_below_budget():
     assert rep.passed
 
 
-def test_communication_cost_passthrough():
-    assert communication_cost(sum2_protocol(5)) == (6, "qubits")
-    assert communication_cost(dj_protocol(4)) == (4, "bits")
+def test_protocol_cost_and_default_tol():
+    assert sum2_protocol(5).cost() == (6, "qubits")
+    assert dj_protocol(4).cost() == (4, "bits")
     assert verify.DEFAULT_TOL == 1e-9

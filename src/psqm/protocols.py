@@ -138,6 +138,11 @@ class ProtocolInstance:
     def party_message_state(self, party: int, own_input: str, randomness) -> qsim.StateVector:
         raise NotImplementedError
 
+    def weight_sum_maxima(self, party: int, own_inputs, randomness_values) -> tuple[float, float]:
+        """Largest sums over z in own_inputs of |<psi(x;r)|psi(z;r')>|^2, over
+        x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
+        raise NotImplementedError
+
     def format_randomness(self, randomness) -> str:
         return str(randomness)
 
@@ -167,6 +172,27 @@ def _framed_states(amps: np.ndarray, xmasks: np.ndarray, zmasks: np.ndarray) -> 
     rows = np.arange(len(xmasks))[:, None]
     states.real[rows, support ^ xmasks[:, None]] = np.where(odd, -values, values)
     return states
+
+
+@functools.cache
+def _outcome_tables(width: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, zs) for `blocks` GHZ states of `width` qubits each: the
+    phi-basis outcome of X^xmask Z^zmask applied to them is
+    ys[xmask] | zs[zmask], with certainty.
+
+    Per block of p qubits, X^x Z^z takes the GHZ state to
+    +-(|x> + (-1)^|z| |~x>)/sqrt(2): the basis vector whose leading
+    p-1 bits are those of whichever of x and ~x ends in 0, and whose
+    last bit is the parity of z."""
+    index = np.arange(1 << (width * blocks))
+    ys, zs = np.zeros_like(index), np.zeros_like(index)
+    for b in range(blocks):
+        shift = (blocks - 1 - b) * width
+        block = (index >> shift) & ((1 << width) - 1)
+        ys |= (np.where(block & 1, ~block, block) & ((1 << width) - 2)) << shift
+        zs |= _PARITY[block] << shift
+    ys.flags.writeable = zs.flags.writeable = False  # shared by every caller
+    return ys, zs
 
 
 def _ghz_blocks(width: int, blocks: int) -> np.ndarray:
@@ -208,13 +234,17 @@ class _GhzMaskProtocol(ProtocolInstance):
         owner = tuple(
             min(j, k - 1) for _ in range(blocks) for j in range(self._parties)
         )
-        # shared states of party_message_state: reference qubit + 1 or 2 shares
-        self._party_ghz = {w: _ghz_blocks(w, blocks) for w in {2, 2 + k % 2}}
         return qsim.StateVector(_ghz_blocks(self._parties, blocks)), owner
 
-    def _frames(self, inputs, randomness_values) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _domain_ints(self):
+        """The randomness domain, parsed on first use by `_randomness_ints`."""
+        return self._randomness_ints(self.resource.randomness_domain)
+
+    def _frames(self, inputs, randomness) -> tuple[np.ndarray, np.ndarray]:
         """(xmasks, zmasks) of the message operator X^xmask Z^zmask under each
-        randomness value, over big-endian qubit bits; the virtual party inputs zeros."""
+        randomness value, given as the integer arrays of `_randomness_ints`,
+        over big-endian qubit bits; the virtual party inputs zeros."""
         raise NotImplementedError
 
     def _decode(self, outcome_index: int):
@@ -222,47 +252,29 @@ class _GhzMaskProtocol(ProtocolInstance):
         raise NotImplementedError
 
     @functools.cached_property
-    def _outcome_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ys, zs): the referee's phi-basis outcome under the frame
-        (xmask, zmask) is ys[xmask] | zs[zmask], with certainty.
-
-        Per block of p qubits, X^x Z^z takes the GHZ state to
-        +-(|x> + (-1)^|z| |~x>)/sqrt(2): the basis vector whose leading
-        p-1 bits are those of whichever of x and ~x ends in 0, and whose
-        last bit is the parity of z."""
-        p = self._parties
-        index = np.arange(1 << self._qubits)
-        ys, zs = np.zeros_like(index), np.zeros_like(index)
-        for b in range(self.blocks):
-            shift = (self.blocks - 1 - b) * p
-            block = (index >> shift) & ((1 << p) - 1)
-            ys |= (np.where(block & 1, ~block, block) & ((1 << p) - 2)) << shift
-            zs |= _PARITY[block] << shift
-        return ys, zs
-
-    @functools.cached_property
     def _output_columns(self) -> np.ndarray:
         """Column of output_domain that the referee decodes each outcome to."""
         outputs = [self._decode(o) for o in range(1 << self._qubits)]
         return np.array([self.output_domain.index(y) for y in outputs])
 
-    def _outcomes(self, inputs, randomness_values) -> np.ndarray:
-        ys, zs = self._outcome_tables
-        xmasks, zmasks = self._frames(inputs, randomness_values)
+    def _outcomes(self, inputs, randomness) -> np.ndarray:
+        ys, zs = _outcome_tables(self._parties, self.blocks)
+        xmasks, zmasks = self._frames(inputs, randomness)
         return ys[xmasks] | zs[zmasks]
 
-    def _message_amplitudes(self, inputs, randomness_values) -> np.ndarray:
+    def _message_amplitudes(self, inputs, randomness) -> np.ndarray:
         """Message amplitudes under each randomness value, one row each."""
         amps = self.resource.entangled_state.amplitudes
-        return _framed_states(amps, *self._frames(inputs, randomness_values))
+        return _framed_states(amps, *self._frames(inputs, randomness))
 
     def message_state(self, inputs, randomness) -> qsim.StateVector:
         self._check_inputs(inputs)
-        return qsim.StateVector(self._message_amplitudes(inputs, [randomness])[0])
+        amps = self._message_amplitudes(inputs, self._randomness_ints([randomness]))
+        return qsim.StateVector(amps[0])
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         state = self.message_state(inputs, randomness)
-        outcome = int(self._outcomes(inputs, [randomness])[0])
+        outcome = int(self._outcomes(inputs, self._randomness_ints([randomness]))[0])
         return TranscriptRecord(
             outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
             output_distribution={self._decode(outcome): 1.0},
@@ -271,35 +283,58 @@ class _GhzMaskProtocol(ProtocolInstance):
 
     def output_masses(self, inputs) -> np.ndarray:
         self._check_inputs(inputs)
-        outcomes = self._outcomes(inputs, self.resource.randomness_domain)
+        outcomes = self._outcomes(inputs, self._domain_ints)
         return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         self._check_inputs(inputs)
-        domain = self.resource.randomness_domain
-        states = self._message_amplitudes(inputs, domain)
-        w = np.full(len(domain), 1.0 / len(domain))
+        states = self._message_amplitudes(inputs, self._domain_ints)
+        w = np.full(len(states), 1.0 / len(states))
         return qsim.DensityMatrix((states.T * w) @ states.conj())
 
-    def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
-        """Local message: the party's bits of the frame of (own input, zeros
-        elsewhere, r) on its shares of the GHZ blocks, each share led by a
-        reference qubit holding the block's branch: per block
-        (|0>v0 + |1>v1)/sqrt(2), v0/v1 the masked all-zero / all-one share."""
+    def _party_frames(self, party, own_inputs, randomness):
+        """(width, xmasks, zmasks) of the party's local register of `width`
+        qubits per block, a reference qubit holding the block's branch and
+        then the party's shares: its bits of the frame of (own input, zeros
+        elsewhere, r), one row per own input, one column per value of r."""
         last = self._parties != self.party_count and party == self.party_count - 1
         internals = (party, self._parties - 1) if last else (party,)
         width = len(internals) + 1
         inputs = ["0" * n for n in self.input_lengths]
-        inputs[party] = own_input
-        frame = [int(masks[0]) for masks in self._frames(inputs, [randomness])]
-        local = [0, 0]
+        frames = []
+        for x in own_inputs:
+            inputs[party] = x
+            frames.append(self._frames(inputs, randomness))
+        frames = np.array(frames).transpose(1, 0, 2)
+        local = np.zeros_like(frames)
         for b in range(self.blocks):  # qubit b*_parties + j -> register qubit b*width + 1 + i
             for i, j in enumerate(internals):
-                for m in range(2):
-                    bit = (frame[m] >> (self._qubits - 1 - b * self._parties - j)) & 1
-                    local[m] |= bit << (width * self.blocks - 2 - b * width - i)
-        amps = _framed_states(self._party_ghz[width], *np.array(local)[:, None])
+                bit = (frames >> (self._qubits - 1 - b * self._parties - j)) & 1
+                local |= bit << (width * self.blocks - 2 - b * width - i)
+        return width, local[0], local[1]
+
+    def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
+        """Local message: per block (|0>v0 + |1>v1)/sqrt(2), with v0/v1 the
+        party's masked all-zero / all-one share (see _party_frames)."""
+        randomness = self._randomness_ints([randomness])
+        width, xmasks, zmasks = self._party_frames(party, [own_input], randomness)
+        amps = _framed_states(_ghz_blocks(width, self.blocks), xmasks[0], zmasks[0])
         return qsim.StateVector(amps[0])
+
+    def weight_sum_maxima(self, party, own_inputs, randomness_values):
+        """Up to sign, a party state is the phi-basis vector of its local
+        outcome (key), so two overlap with modulus 1 if their keys agree and
+        0 otherwise: the sum over z counts the z whose key under r' is x's."""
+        randomness = self._randomness_ints(randomness_values)
+        width, xmasks, zmasks = self._party_frames(party, own_inputs, randomness)
+        ys, zs = _outcome_tables(width, self.blocks)
+        keys = (ys[xmasks] | zs[zmasks]).T  # one row per randomness value
+        max_excl = max_incl = 0
+        for row in keys:  # r'
+            incl = np.bincount(row, minlength=ys.size)[keys]
+            max_incl = max(max_incl, int(incl.max()))
+            max_excl = max(max_excl, int((incl - (keys == row)).max()))
+        return float(max_excl), float(max_incl)
 
 
 class Sum2Protocol(_GhzMaskProtocol):
@@ -322,13 +357,15 @@ class Sum2Protocol(_GhzMaskProtocol):
         self._check_inputs(inputs)
         return sum2_reference(inputs)
 
-    def _frames(self, inputs, randomness_values):
+    def _randomness_ints(self, randomness_values):
+        return np.array([int(r, 2) for r in randomness_values])
+
+    def _frames(self, inputs, randomness):
         """Party j's first bit masks X and its second bit Z on qubit j,
         and r's bit j flips that X."""
         pad = "0" * (self._parties - self.party_count)
         first, second = (int("".join(x[i] for x in inputs) + pad, 2) for i in (0, 1))
-        rs = np.array([int(r, 2) for r in randomness_values])
-        return first ^ rs, np.full(rs.size, second)
+        return first ^ randomness, np.full(randomness.size, second)
 
     def _decode(self, outcome_index):
         bits = format(outcome_index, f"0{self._parties}b")
@@ -401,16 +438,20 @@ class GeqProtocol(_GhzMaskProtocol):
             spread[1] |= np.where((a >> (n - 2 - 2 * b)) & 1, qubit, 0)
         return spread
 
-    def _frames(self, inputs, randomness_values):
+    def _randomness_ints(self, randomness_values):
+        """(X flips of the block strings, field masks)."""
+        flips = np.array([int("".join(blocks), 2) for blocks, _ in randomness_values])
+        return flips, np.array([int(mask, 2) for _, mask in randomness_values])
+
+    def _frames(self, inputs, randomness):
         """Party j masks its input with the field mask; the product's bit
         pairs give X and Z on its block shares, and each block string of r
         flips those X's."""
-        masks = np.array([int(mask, 2) for _, mask in randomness_values])
+        flips, masks = randomness
         masked = self._products[masks[:, None], [int(x, 2) for x in inputs]]
         shifted = self._spread[:, masked] >> np.arange(len(inputs))
         xmasks, zmasks = np.bitwise_xor.reduce(shifted, axis=2)
-        xmasks ^= [int("".join(blocks), 2) for blocks, _ in randomness_values]
-        return xmasks, zmasks
+        return xmasks ^ flips, zmasks
 
     def _decode(self, outcome_index):
         p = self._parties
@@ -464,9 +505,8 @@ class DJProtocol(ProtocolInstance):
             for rp in _bitstrings(m)
         )
         self.resource = SharedResource(domain, entangled, owner)
-        self._pkl_cache: dict[str, np.ndarray] = {}
         self._perm_cache: dict[tuple, np.ndarray] = {}
-        self._avg_cache: dict[str, np.ndarray] = {}
+        self._law_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def cost(self):
         return (2 * self.m, "bits")
@@ -512,17 +552,12 @@ class DJProtocol(ProtocolInstance):
     def joint_outcome_distribution(self, inputs) -> np.ndarray:
         """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
         self._check_inputs(inputs)
-        x, y = inputs
-        w = _xor_strings([x, y])
-        if w not in self._pkl_cache:
-            state = qsim.apply_phase_oracle(
-                self.resource.entangled_state, self._phase_signs(x, y)
-            )
-            for q in range(2 * self.m):
-                state = qsim.apply_gate(state, "H", q)
-            probs = np.abs(state.amplitudes) ** 2
-            self._pkl_cache[w] = probs.reshape(self.n, self.n)
-        return self._pkl_cache[w]
+        state = qsim.apply_phase_oracle(
+            self.resource.entangled_state, self._phase_signs(*inputs)
+        )
+        for q in range(2 * self.m):
+            state = qsim.apply_gate(state, "H", q)
+        return (np.abs(state.amplitudes) ** 2).reshape(self.n, self.n)
 
     def mask_message(self, outcome: str, randomness) -> str:
         """Classical message p(r)p(outcome) + p(r') for one party."""
@@ -567,22 +602,27 @@ class DJProtocol(ProtocolInstance):
             message_distribution=msg_dist,
         )
 
+    def _domain_laws(self, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """(output masses, averaged message law), computed once per x XOR y,
+        the only thing about the inputs that they depend on."""
+        self._check_inputs(inputs)
+        w = _xor_strings(inputs)
+        if w not in self._law_cache:
+            domain = self.resource.randomness_domain
+            laws = self._message_laws(inputs, domain)
+            accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
+            masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
+            masses.flags.writeable = False  # shared by every input with this x XOR y
+            self._law_cache[w] = masses, laws.sum(axis=0) / len(domain)
+        return self._law_cache[w]
+
     def output_masses(self, inputs) -> np.ndarray:
-        """The referee accepts exactly when the two messages agree."""
-        laws = self._message_laws(inputs, self.resource.randomness_domain)
-        accept = np.trace(laws, axis1=1, axis2=2)
-        return np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
+        return self._domain_laws(inputs)[0]
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         """Randomness-averaged law of the message pair, as a diagonal
         density matrix indexed by a*n + b (field-encoded messages)."""
-        x, y = inputs
-        self._check_inputs(inputs)
-        w = _xor_strings([x, y])
-        if w not in self._avg_cache:
-            domain = self.resource.randomness_domain
-            self._avg_cache[w] = self._message_laws(inputs, domain).sum(axis=0) / len(domain)
-        return qsim.DensityMatrix(np.diag(self._avg_cache[w].reshape(-1)))
+        return qsim.DensityMatrix(np.diag(self._domain_laws(inputs)[1].reshape(-1)))
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
         """Purified pre-measurement register: the party's phased and
@@ -596,6 +636,14 @@ class DJProtocol(ProtocolInstance):
         for q in range(first, first + m):
             state = qsim.apply_gate(state, "H", q)
         return state
+
+    def weight_sum_maxima(self, party, own_inputs, randomness_values):
+        """Party states do not depend on the randomness, and the Hadamards
+        are unitary, so |<psi(x)|psi(z)>|^2 = (sum_i (-1)^(x_i + z_i) / n)^2."""
+        signs = 1 - 2 * np.array([[int(c) for c in x] for x in own_inputs])
+        overlaps = (signs @ signs.T / self.n) ** 2
+        incl = overlaps.sum(axis=1)
+        return float((incl - np.diag(overlaps)).max()), float(incl.max())
 
     def format_randomness(self, randomness):
         return f"{randomness[0]};{randomness[1]}"

@@ -10,6 +10,10 @@ Privacy, the purity bounds and the collision bound all read the
 randomness-averaged messages rho_x, so `check_messages` derives the three
 reports from one walk that builds each rho_x once.
 
+The per-party weight sums build no states: a sum2 or geq party state is,
+up to sign, one phi-basis vector, so the sums count equal local outcomes,
+and dj's party states overlap in closed form (`weight_sum_maxima`).
+
 Two checks mirror inequalities whose hypotheses (a total, non-degenerate
 reference function) do not hold for every protocol: the per-party weight
 sums and the collision bound on averaged purity.  When the hypothesis
@@ -33,7 +37,7 @@ from .protocols import PROMISE_VIOLATION, ProtocolInstance
 DEFAULT_TOL = 1e-9
 PURITY_TOL = 1e-10
 DEFAULT_BUDGET = 1 << 16
-_GRAM_INPUT_CAP = 256  # inputs in the informational Gram of a skipped weight-sum check
+_GRAM_INPUT_CAP = 256  # inputs in the informational witness of a skipped weight-sum check
 _SAMPLES_PER_CLASS = 64
 _NONDEGENERACY_ENUM_CAP = 1 << 20
 
@@ -236,7 +240,7 @@ class WeightSumReport:
     pair_count: int
     skipped: bool = False
     reason: str | None = None
-    gram_inputs: int | None = None  # set when the informational Gram is truncated
+    gram_inputs: int | None = None  # set when the informational witness is truncated
 
     def witnesses(self, protocol=None):
         out = {
@@ -259,58 +263,30 @@ def check_weight_sums(
 
     For every randomness pair (r, r') and every input x of the party,
     sums |<psi(x;r)|psi(z;r')>|^2 over z != x and over all z; both sums
-    must stay at most 1.  The bound is an implication of a total,
-    non-degenerate reference, so when that hypothesis fails the check is
-    vacuous: it is reported as skipped with one informational pair, over
-    at most the party's first 256 inputs.
+    must stay at most 1.  The protocol's `weight_sum_maxima` gives the
+    maxima: sum2 and geq count inputs with equal local phi-basis
+    outcomes, dj uses its closed-form overlap.  The bound is an
+    implication of a total, non-degenerate reference, so when that
+    hypothesis fails the check is vacuous: it is reported as skipped with
+    one informational pair, over at most the party's first 256 inputs.
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
     reason = _vacuous_reason(_kary_nondegenerate(protocol))
     domain = protocol.resource.randomness_domain
     own = protocol.party_inputs(party)
-
-    def maxima(a, b):
-        """Largest sums over z of |<a_x|b_z>|^2 without and with z = x,
-        where b stacks blocks of len(a) states indexed like a."""
-        w = (np.abs(a.conj() @ b.T) ** 2).reshape(len(a), -1, len(a))
-        incl = w.sum(axis=2)
-        excl = incl - np.diagonal(w, axis1=0, axis2=2).T
-        return float(excl.max()), float(incl.max())
-
-    if reason is not None:
-        shown = own[:_GRAM_INPUT_CAP]
-        states = np.array(
-            [protocol.party_message_state(party, x, domain[0]).amplitudes for x in shown]
-        )
-        excl, incl = maxima(states, states)
-        return WeightSumReport(
-            passed=True,
-            party=party,
-            max_excluding_self=excl,
-            max_including_self=incl,
-            pair_count=1,
-            skipped=True,
-            reason=reason,
-            gram_inputs=len(shown) if len(shown) < len(own) else None,
-        )
-
-    # one Gram per randomness value r against every (r', z) at once
-    states = np.array(
-        [[protocol.party_message_state(party, x, r).amplitudes for x in own] for r in domain]
-    )
-    stacked = states.reshape(-1, states.shape[-1])
-    max_excl = max_incl = 0.0
-    for block in states:
-        excl, incl = maxima(block, stacked)
-        max_excl = max(max_excl, excl)
-        max_incl = max(max_incl, incl)
+    full = reason is None
+    shown = own if full else own[:_GRAM_INPUT_CAP]
+    excl, incl = protocol.weight_sum_maxima(party, shown, domain if full else domain[:1])
     return WeightSumReport(
-        passed=max_excl <= 1.0 + tol and max_incl <= 1.0 + tol,
+        passed=not full or (excl <= 1.0 + tol and incl <= 1.0 + tol),
         party=party,
-        max_excluding_self=max_excl,
-        max_including_self=max_incl,
-        pair_count=len(domain) ** 2,
+        max_excluding_self=excl,
+        max_including_self=incl,
+        pair_count=len(domain) ** 2 if full else 1,
+        skipped=not full,
+        reason=reason,
+        gram_inputs=len(shown) if len(shown) < len(own) else None,
     )
 
 

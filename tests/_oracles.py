@@ -226,12 +226,13 @@ def projector_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.outer(a, a.conj()) - np.outer(b, b.conj())))
 
 
-def weight_sum_maxima(protocol, party) -> tuple:
+def weight_sum_maxima(protocol, party, own=None, domain=None) -> tuple:
     """Largest summed squared overlap of one party's message states, over
     every randomness pair (r, r') and input x: (sum over z != x, sum over
-    all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair."""
-    domain = protocol.resource.randomness_domain
-    own = protocol.party_inputs(party)
+    all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair.  `own`
+    and `domain` default to all of the party's inputs and randomness."""
+    domain = protocol.resource.randomness_domain if domain is None else domain
+    own = protocol.party_inputs(party) if own is None else own
     states = {
         r: np.array([protocol.party_message_state(party, x, r).amplitudes for x in own])
         for r in domain

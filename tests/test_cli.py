@@ -116,6 +116,43 @@ def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, caps
     assert runs == []
 
 
+def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):
+    """Output masses and averaged messages depend on the inputs only
+    through x XOR y: at n = 4 the promise sweep has 7 distinct values
+    (0000 and the six strings of weight 2)."""
+    calls = []
+    laws = protocols.DJProtocol._message_laws
+
+    def counted(self, inputs, randomness_values):
+        calls.append(int(inputs[0], 2) ^ int(inputs[1], 2))
+        return laws(self, inputs, randomness_values)
+
+    monkeypatch.setattr(protocols.DJProtocol, "_message_laws", counted)
+    code, _, _ = run_main(["verify", "--protocol", "dj", "--n", "4"], capsys)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--protocol", "sum2", "--k", "4"],
+        ["--protocol", "geq", "--k", "3", "--l", "1"],
+        ["--protocol", "dj", "--n", "4"],
+    ],
+    ids=["sum2-k4", "geq-k3-l1", "dj-n4"],
+)
+def test_verify_builds_no_party_message_state(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a dense party message state")
+
+    for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
+        monkeypatch.setattr(cls, "party_message_state", refuse)
+    code, out, _ = run_main(["verify"] + argv, capsys)
+    assert code == 0
+    assert "weight_sums_party1" in {c["name"] for c in parse(out)["checks"]}
+
+
 def test_verify_enumerates_nondegeneracy_once(capsys):
     """Each weight-sum party and the collision bound ask whether the
     reference is non-degenerate; the enumeration runs for the first only."""

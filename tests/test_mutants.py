@@ -11,7 +11,9 @@ import pytest
 
 from psqm import qsim
 from psqm.protocols import DJProtocol, GeqProtocol, Sum2Protocol
-from psqm.verify import check_correctness, check_messages
+from psqm.verify import check_correctness, check_messages, check_weight_sums
+
+from _oracles import weight_sum_maxima
 
 pauli_frame_only = pytest.mark.usefixtures("no_dense_gates")
 
@@ -116,6 +118,26 @@ def test_flipped_x_fails_correctness():
 @pauli_frame_only
 def test_geq_with_party_0_dropping_its_z_fails_correctness():
     assert_correctness_names_a_wrong_run(DroppedZGeq(2, 1))
+
+
+class IgnoredSecondBitSum2(Sum2Protocol):
+    """sum2 whose party 0 ignores its second input bit: inputs 00 and 01
+    then give party 0 the same local state under every randomness value."""
+
+    def _frames(self, inputs, randomness):
+        return super()._frames((inputs[0][0] + "0",) + tuple(inputs[1:]), randomness)
+
+
+@pauli_frame_only
+def test_sum2_ignoring_a_bit_fails_weight_sums():
+    """Two inputs sharing each local state put a weight of 2 on one
+    message, above the bound of 1 that a non-degenerate reference needs."""
+    proto = IgnoredSecondBitSum2(3)
+    report = check_weight_sums(proto, 0)
+    assert not report.passed and not report.skipped
+    assert report.max_including_self == report.max_excluding_self == 2.0
+    assert weight_sum_maxima(proto, 0) == pytest.approx((2.0, 2.0), abs=1e-12)
+    assert check_weight_sums(proto, 1).passed
 
 
 class FlippedDecodeSum2(Sum2Protocol):

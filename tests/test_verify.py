@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -182,15 +183,53 @@ def test_sum2_weight_sum_check(k):
         assert rep.max_including_self <= 1.0 + 1e-9
 
 
+WEIGHT_SUM_CONFIGS = [("sum2", k) for k in (2, 3, 4, 5)] + [
+    ("geq", k, l) for k, l in ((2, 1), (3, 1), (4, 1), (2, 2))
+]
+
+
+def build(config):
+    name, *args = config
+    return sum2_protocol(*args) if name == "sum2" else geq_protocol(*args)
+
+
 @pytest.mark.parametrize(
-    "factory",
-    [lambda: sum2_protocol(3), lambda: geq_protocol(2, 1), lambda: geq_protocol(3, 1)],
+    "config", WEIGHT_SUM_CONFIGS, ids=["-".join(map(str, c)) for c in WEIGHT_SUM_CONFIGS]
 )
-def test_weight_sums_match_pairwise_grams(factory):
-    proto = factory()
+def test_weight_sums_match_pairwise_grams(config):
+    proto = build(config)
     for party in range(proto.party_count):
         rep = check_weight_sums(proto, party)
         excl, incl = weight_sum_maxima(proto, party)
+        assert rep.max_excluding_self == pytest.approx(excl, abs=1e-12)
+        assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [("sum2", 3), ("geq", 2, 1)], ids=["sum2-3", "geq-2-1"])
+def test_weight_sums_without_self_under_one_randomness_value(config):
+    """With a single randomness value every input's local state is its
+    own, so the sum without z = x drops to 0 while the sum with it is 1."""
+    proto = build(config)
+    domain = proto.resource.randomness_domain[:1]
+    proto.resource = dataclasses.replace(proto.resource, randomness_domain=domain)
+    for party in range(proto.party_count):
+        rep = check_weight_sums(proto, party)
+        assert (rep.max_excluding_self, rep.max_including_self) == (0.0, 1.0)
+        assert weight_sum_maxima(proto, party) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_dj_skipped_weight_sums_match_dense_gram(n):
+    """The skipped check's informational pair, from dj's closed-form
+    overlap, against a dense Gram of the party states over the same
+    inputs and randomness value."""
+    proto = dj_protocol(n)
+    domain = proto.resource.randomness_domain
+    for party in (0, 1):
+        rep = check_weight_sums(proto, party)
+        assert rep.skipped
+        own = proto.party_inputs(party)[: verify._GRAM_INPUT_CAP]
+        excl, incl = weight_sum_maxima(proto, party, own, domain[:1])
         assert rep.max_excluding_self == pytest.approx(excl, abs=1e-12)
         assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
 

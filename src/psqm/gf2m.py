@@ -4,30 +4,25 @@ Polynomials over GF(2) are packed into Python ints, bit i holding the
 coefficient of a^i.  A bit string "x1 x2 ... xm" encodes the element
 x1 + x2*a + ... + xm*a^(m-1), i.e. the FIRST character is the constant
 term.  Addition is XOR; multiplication is a carry-less product reduced
-modulo the modulus polynomial.  No inversion is provided or needed.
+modulo the modulus polynomial.  Every product comes from one table per
+field (`product_table`), so its degree is capped at MAX_TABLE_DEGREE,
+the widest field a protocol uses.  No inversion is provided or needed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_DEGREE = 32
+MAX_TABLE_DEGREE = 10  # 4^m entries: geq masks 2l <= 10 bits
 
 
 def degree(poly: int) -> int:
     """Degree of a packed polynomial (-1 for the zero polynomial)."""
     return poly.bit_length() - 1
-
-
-def clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[a]) product of two packed polynomials."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
 
 
 def polymod(a: int, mod: int) -> int:
@@ -79,51 +74,20 @@ def find_irreducible(m: int) -> Modulus:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(2^m), packed value plus its modulus."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << self.modulus.degree):
-            raise ValueError("value outside the field")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-
-def _check_same_field(a: FieldElement, b: FieldElement):
-    if a.modulus != b.modulus:
-        raise ValueError("operands live in different fields")
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    return FieldElement(a.value ^ b.value, a.modulus)
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    return FieldElement(polymod(clmul(a.value, b.value), a.modulus.encoding), a.modulus)
-
-
-def from_bits(bits: str, modulus: Modulus) -> FieldElement:
-    """Bit string to field element; first character is the constant term."""
-    if len(bits) != modulus.degree or set(bits) - {"0", "1"}:
-        raise ValueError(f"need a {modulus.degree}-bit string, got {bits!r}")
-    value = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            value |= 1 << i
-    return FieldElement(value, modulus)
-
-
-def to_bits(element: FieldElement) -> str:
-    """Field element to bit string, constant term first."""
-    m = element.modulus.degree
-    return "".join(str((element.value >> i) & 1) for i in range(m))
+@functools.cache
+def product_table(modulus: Modulus) -> np.ndarray:
+    """Every product of GF(2^m), indexed and valued by bit strings read as
+    big-endian integers: entry [int(a, 2), int(b, 2)] is int(c, 2) for the
+    field product c of a and b.  Read-only, shared by every caller."""
+    m = modulus.degree
+    if m > MAX_TABLE_DEGREE:
+        raise ValueError(f"a product table of degree {m} exceeds {MAX_TABLE_DEGREE}")
+    rev = np.array([int(format(v, f"0{m}b")[::-1], 2) for v in range(1 << m)])
+    prod = np.zeros((rev.size, rev.size), dtype=np.int32)
+    for i in range(m):  # carry-less product of the packed field elements
+        prod ^= np.where((rev >> i) & 1, rev[:, None] << i, 0)
+    for d in range(2 * m - 2, m - 1, -1):  # reduced by the modulus
+        prod ^= np.where((prod >> d) & 1, modulus.encoding << (d - m), 0)
+    table = rev[prod].astype(np.uint16)
+    table.flags.writeable = False
+    return table

@@ -132,8 +132,14 @@ class ProtocolInstance:
         randomness_domain[i], column j the mass on output_domain[j]."""
         raise NotImplementedError
 
-    def averaged_message(self, inputs) -> qsim.DensityMatrix:
+    def _averaged_matrix(self, inputs) -> np.ndarray:
+        """Randomness-averaged message as a complex matrix, unvalidated:
+        it is a convex combination of states, so PSD by construction."""
         raise NotImplementedError
+
+    def averaged_message(self, inputs) -> qsim.DensityMatrix:
+        """The randomness-averaged message, validated."""
+        return qsim.DensityMatrix(self._averaged_matrix(inputs))
 
     def party_message_state(self, party: int, own_input: str, randomness) -> qsim.StateVector:
         raise NotImplementedError
@@ -286,11 +292,11 @@ class _GhzMaskProtocol(ProtocolInstance):
         outcomes = self._outcomes(inputs, self._domain_ints)
         return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
-    def averaged_message(self, inputs) -> qsim.DensityMatrix:
+    def _averaged_matrix(self, inputs) -> np.ndarray:
         self._check_inputs(inputs)
         states = self._message_amplitudes(inputs, self._domain_ints)
         w = np.full(len(states), 1.0 / len(states))
-        return qsim.DensityMatrix((states.T * w) @ states.conj())
+        return (states.T * w) @ states.conj()
 
     def _party_frames(self, party, own_inputs, randomness):
         """(width, xmasks, zmasks) of the party's local register of `width`
@@ -405,25 +411,13 @@ class GeqProtocol(_GhzMaskProtocol):
         self._check_inputs(inputs)
         return geq_reference(inputs)
 
-    @functools.cached_property
-    def _products(self) -> np.ndarray:
-        """Field products of every mask with every input, indexed and
-        valued by bit strings read as big-endian integers."""
-        n = 2 * self.l
-        rev = np.array([int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << n)])
-        prod = np.zeros((rev.size, rev.size), dtype=np.int32)
-        for i in range(n):  # carry-less product of the packed field elements
-            prod ^= np.where((rev >> i) & 1, rev[:, None] << i, 0)
-        for d in range(2 * n - 2, n - 1, -1):  # reduced by the modulus
-            prod ^= np.where((prod >> d) & 1, self.field.encoding << (d - n), 0)
-        return rev[prod].astype(np.uint16)
-
     def masked_input(self, own_input: str, mask: str) -> str:
         """Field product of the nonzero mask with one party's input."""
         n = 2 * self.l
         if {len(own_input), len(mask)} != {n} or set(own_input + mask) - {"0", "1"}:
             raise ValueError(f"need two {n}-bit strings, got {own_input!r} and {mask!r}")
-        return format(int(self._products[int(mask, 2), int(own_input, 2)]), f"0{n}b")
+        product = gf2m.product_table(self.field)[int(mask, 2), int(own_input, 2)]
+        return format(int(product), f"0{n}b")
 
     @functools.cached_property
     def _spread(self) -> np.ndarray:
@@ -448,7 +442,7 @@ class GeqProtocol(_GhzMaskProtocol):
         pairs give X and Z on its block shares, and each block string of r
         flips those X's."""
         flips, masks = randomness
-        masked = self._products[masks[:, None], [int(x, 2) for x in inputs]]
+        masked = gf2m.product_table(self.field)[masks[:, None], [int(x, 2) for x in inputs]]
         shifted = self._spread[:, masked] >> np.arange(len(inputs))
         xmasks, zmasks = np.bitwise_xor.reduce(shifted, axis=2)
         return xmasks ^ flips, zmasks
@@ -505,7 +499,6 @@ class DJProtocol(ProtocolInstance):
             for rp in _bitstrings(m)
         )
         self.resource = SharedResource(domain, entangled, owner)
-        self._perm_cache: dict[tuple, np.ndarray] = {}
         self._law_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def cost(self):
@@ -559,39 +552,33 @@ class DJProtocol(ProtocolInstance):
             state = qsim.apply_gate(state, "H", q)
         return (np.abs(state.amplitudes) ** 2).reshape(self.n, self.n)
 
-    def mask_message(self, outcome: str, randomness) -> str:
-        """Classical message p(r)p(outcome) + p(r') for one party."""
-        r, rp = randomness
-        f = self.field
-        masked = gf2m.add(
-            gf2m.mul(gf2m.from_bits(r, f), gf2m.from_bits(outcome, f)),
-            gf2m.from_bits(rp, f),
-        )
-        return gf2m.to_bits(masked)
+    @functools.cached_property
+    def _message_bits(self) -> list[str]:
+        """Bit string of each packed field value, constant term first."""
+        return [format(v, f"0{self.m}b")[::-1] for v in range(self.n)]
 
-    def _mask_perm(self, randomness) -> np.ndarray:
-        if randomness not in self._perm_cache:
-            m = self.m
-            messages = [self.mask_message(format(v, f"0{m}b"), randomness) for v in range(self.n)]
-            self._perm_cache[randomness] = np.array(
-                [gf2m.from_bits(msg, self.field).value for msg in messages]
-            )
-        return self._perm_cache[randomness]
+    def _masks(self, randomness_values) -> np.ndarray:
+        """Message p(r)p(v) + p(r') of every outcome v under each randomness
+        value, an (R, n) array.  Column v is the outcome string read as a
+        big-endian integer; entries are packed field values."""
+        packed = np.array([int(bits, 2) for bits in self._message_bits])  # its own inverse
+        r, rp = (np.array([int(s[i], 2) for s in randomness_values]) for i in (0, 1))
+        return packed[gf2m.product_table(self.field)[r] ^ rp[:, None]]
 
     def _message_laws(self, inputs, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
         value, an (R, n, n) array: the outcome law pushed through that
         value's masks, with the masses of colliding outcomes added."""
         pkl = self.joint_outcome_distribution(inputs)
-        perms = np.array([self._mask_perm(r) for r in randomness_values])
-        laws = np.zeros((len(perms), self.n, self.n))
-        rows = np.arange(len(perms))[:, None, None]
-        np.add.at(laws, (rows, perms[:, :, None], perms[:, None, :]), pkl)
+        masks = self._masks(randomness_values)
+        laws = np.zeros((len(masks), self.n, self.n))
+        rows = np.arange(len(masks))[:, None, None]
+        np.add.at(laws, (rows, masks[:, :, None], masks[:, None, :]), pkl)
         return laws
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         (law,) = self._message_laws(inputs, [randomness])
-        bits = [gf2m.to_bits(gf2m.FieldElement(v, self.field)) for v in range(self.n)]
+        bits = self._message_bits
         msg_dist = {
             (bits[a], bits[b]): float(law[a, b]) for a, b in zip(*np.nonzero(law > 1e-15))
         }
@@ -619,10 +606,10 @@ class DJProtocol(ProtocolInstance):
     def output_masses(self, inputs) -> np.ndarray:
         return self._domain_laws(inputs)[0]
 
-    def averaged_message(self, inputs) -> qsim.DensityMatrix:
+    def _averaged_matrix(self, inputs) -> np.ndarray:
         """Randomness-averaged law of the message pair, as a diagonal
-        density matrix indexed by a*n + b (field-encoded messages)."""
-        return qsim.DensityMatrix(np.diag(self._domain_laws(inputs)[1].reshape(-1)))
+        complex matrix indexed by a*n + b (field-encoded messages)."""
+        return np.diag(self._domain_laws(inputs)[1].reshape(-1).astype(complex))
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
         """Purified pre-measurement register: the party's phased and
@@ -693,10 +680,10 @@ def geq_mask_identity_check(inputs, mask: str) -> bool:
     """
     if set(mask) == {"0"}:
         raise ValueError("mask must be nonzero")
-    modulus = gf2m.find_irreducible(len(mask))
-    mask_el = gf2m.from_bits(mask, modulus)
-    total = gf2m.FieldElement(0, modulus)
+    if {len(x) for x in inputs} - {len(mask)} or set("".join(inputs) + mask) - {"0", "1"}:
+        raise ValueError(f"inputs and mask must be {len(mask)}-bit strings")
+    row = gf2m.product_table(gf2m.find_irreducible(len(mask)))[int(mask, 2)]
+    total = 0
     for x in inputs:
-        total = gf2m.add(total, gf2m.mul(mask_el, gf2m.from_bits(x, modulus)))
-    direct = gf2m.mul(mask_el, gf2m.from_bits(_xor_strings(inputs), modulus))
-    return total == direct
+        total ^= int(row[int(x, 2)])
+    return total == int(row[int(_xor_strings(inputs), 2)])

@@ -131,13 +131,13 @@ def mix(ensemble) -> DensityMatrix:
     return DensityMatrix((states.T * weights) @ states.conj())
 
 
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); equals the squared Frobenius norm for Hermitian rho."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+def purity(rho: np.ndarray) -> float:
+    """tr(rho^2) of a Hermitian matrix, its squared Frobenius norm."""
+    return float(np.vdot(rho, rho).real)
 
 
-def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Frobenius norm of the difference."""
-    if a.dim != b.dim:
+def matrix_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of the difference of two matrices."""
+    if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a.matrix - b.matrix))
+    return float(np.linalg.norm(a - b))

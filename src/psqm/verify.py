@@ -8,7 +8,12 @@ sweeps are never silent.
 
 Privacy, the purity bounds and the collision bound all read the
 randomness-averaged messages rho_x, so `check_messages` derives the three
-reports from one walk that builds each rho_x once.
+reports from one walk that builds each rho_x once.  The walk reads the
+raw matrices: a convex combination of states is a density matrix by
+construction, so no rho_x is validated on the way.  Validation stays at
+the API edge: the public `averaged_message`, and each class
+representative of the privacy report when it is read, are
+`qsim.DensityMatrix` objects, and the purity bounds gate the average.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -193,10 +198,15 @@ def check_correctness(
 @dataclass
 class PrivacyClass:
     representative_input: tuple
-    representative: qsim.DensityMatrix
+    matrix: np.ndarray  # the representative's averaged message, unvalidated
     size: int
     max_distance: float
     purity: float
+
+    @functools.cached_property
+    def representative(self) -> qsim.DensityMatrix:
+        """The representative's averaged message, validated when first read."""
+        return qsim.DensityMatrix(self.matrix)
 
 
 @dataclass
@@ -352,7 +362,8 @@ def check_messages(
     orthogonal referee subspaces, and the correctness check gates that.
 
     Purity bounds: 1/dim <= tr(rho_bar^2) <= 1 for the weighted average
-    rho_bar, within PURITY_TOL.
+    rho_bar, within PURITY_TOL.  No rho_x is validated, so this check is
+    what catches an average that is not a density matrix.
 
     Collision bound: tr(rho_bar^2) <= beta^-1 * sum over distinct input
     pairs of mu mu' tr(rho rho'), with beta the worst-class probability
@@ -369,15 +380,15 @@ def check_messages(
     self_terms = 0.0
     for x, w in zip(inputs, weights):  # _distribution holds promise inputs only
         y = protocol.reference(x)
-        rho = protocol.averaged_message(x)
-        rho_bar = w * rho.matrix if rho_bar is None else rho_bar + w * rho.matrix
+        rho = protocol._averaged_matrix(x)
+        rho_bar = w * rho if rho_bar is None else rho_bar + w * rho
         purity = qsim.purity(rho)
         self_terms += float(w) ** 2 * purity
         masses_by_class.setdefault(y, []).append(float(w))
         if y not in classes:
             classes[y] = PrivacyClass(
                 representative_input=tuple(x),
-                representative=rho,
+                matrix=rho,
                 size=1,
                 max_distance=0.0,
                 purity=purity,
@@ -385,7 +396,7 @@ def check_messages(
             continue
         cls = classes[y]
         cls.size += 1
-        dist = qsim.matrix_distance(cls.representative, rho)
+        dist = qsim.matrix_distance(cls.matrix, rho)
         cls.max_distance = max(cls.max_distance, dist)
         if dist > max_distance:
             max_distance, worst_input = dist, tuple(x)
@@ -394,11 +405,11 @@ def check_messages(
 
     cross = 0.0
     for a, b in itertools.combinations(sorted(classes, key=repr), 2):
-        prod = classes[a].representative.matrix @ classes[b].representative.matrix
+        prod = classes[a].matrix @ classes[b].matrix
         cross = max(cross, float(np.linalg.norm(prod)))
     note = None
     if protocol.name == "dj" and 0 in classes:
-        diag = np.diag(classes[0].representative.matrix).real
+        diag = np.diag(classes[0].matrix).real
         n = 1 << protocol.m
         zero_mass = float(diag.reshape(n, n)[0, :].sum())
         note = (
@@ -415,12 +426,12 @@ def check_messages(
         worst_input=worst_input,
     )
 
-    avg = qsim.DensityMatrix(rho_bar)
-    lhs = qsim.purity(avg)
+    lhs = qsim.purity(rho_bar)
+    dim = len(rho_bar)
     purity_bounds = PurityBoundsReport(
-        passed=(1.0 / avg.dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL,
+        passed=(1.0 / dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL,
         purity=lhs,
-        dim=avg.dim,
+        dim=dim,
         coverage=coverage,
     )
 

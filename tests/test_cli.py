@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from psqm import cli, protocols, verify
+from psqm import cli, protocols, qsim, verify
 
 
 def run_main(argv, capsys):
@@ -71,16 +71,26 @@ def test_verify_dj_skips_but_exits_zero(capsys):
     ids=["sum2-k3", "dj-n4"],
 )
 def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, capsys):
-    calls = []
+    """Each input's averaged matrix is built once, and only class
+    representatives could become validated `DensityMatrix` objects."""
+    calls, validated = [], []
     for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
-        def counted(self, inputs, _original=cls.averaged_message):
+        def counted(self, inputs, _original=cls._averaged_matrix):
             calls.append(tuple(inputs))
             return _original(self, inputs)
 
-        monkeypatch.setattr(cls, "averaged_message", counted)
+        monkeypatch.setattr(cls, "_averaged_matrix", counted)
+
+    def counted_init(self, matrix, _original=qsim.DensityMatrix.__init__):
+        validated.append(matrix)
+        _original(self, matrix)
+
+    monkeypatch.setattr(qsim.DensityMatrix, "__init__", counted_init)
     code, out, _ = run_main(["verify"] + argv, capsys)
     assert code == 0
     assert len(calls) == len(set(calls)) == count
+    classes = parse(out)["checks"][1]["witnesses"]["classes"]
+    assert len(validated) <= len(classes)
     assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
 
 

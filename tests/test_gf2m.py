@@ -1,10 +1,13 @@
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from psqm import gf2m
 
-from _oracles import field_mul, oracle_irreducible, poly_mul, poly_rem
+from _oracles import field_mul, oracle_irreducible, poly_rem
 
 
 def test_frozen_moduli():
@@ -20,28 +23,26 @@ def test_irreducibility_matches_factorization_oracle():
         assert gf2m.is_irreducible(poly) == oracle_irreducible(poly), bin(poly)
 
 
+def packed(v: int, m: int) -> int:
+    """Packed value (bit i the coefficient of a^i) of the m-bit string that
+    reads as v big-endian, and back: reversing the bits is an involution."""
+    return int(format(v, f"0{m}b")[::-1], 2)
+
+
 def test_gf4_generator_square():
-    gf4 = gf2m.find_irreducible(2)
-    a = gf2m.FieldElement(0b10, gf4)
-    assert (a * a).value == 0b11  # a^2 = a + 1
+    table = gf2m.product_table(gf2m.find_irreducible(2))
+    a = int("01", 2)
+    assert table[a, a] == int("11", 2)  # a^2 = a + 1
 
 
 def test_bit_string_encoding_constant_term_first():
-    gf4 = gf2m.find_irreducible(2)
-    assert gf2m.from_bits("10", gf4).value == 1
-    assert gf2m.from_bits("01", gf4).value == 2
-    assert gf2m.to_bits(gf2m.FieldElement(2, gf4)) == "01"
-    for v in range(4):
-        el = gf2m.FieldElement(v, gf4)
-        assert gf2m.from_bits(gf2m.to_bits(el), gf4) == el
-
-
-def test_from_bits_validation():
-    gf4 = gf2m.find_irreducible(2)
-    with pytest.raises(ValueError):
-        gf2m.from_bits("1", gf4)
-    with pytest.raises(ValueError):
-        gf2m.from_bits("1x", gf4)
+    """The table speaks bit strings whose first character is the constant
+    term: "10" is the unit and "01" the generator a of GF(8)."""
+    table = gf2m.product_table(gf2m.find_irreducible(3))
+    one, a = int("100", 2), int("010", 2)
+    assert table[one, a] == a
+    assert table[a, a] == int("001", 2)  # a^2
+    assert table[a, int("001", 2)] == int("110", 2)  # a^3 = a + 1 mod a^3 + a + 1
 
 
 def test_modulus_validation():
@@ -55,54 +56,53 @@ def test_modulus_validation():
         gf2m.find_irreducible(gf2m.MAX_DEGREE + 1)
 
 
-def test_field_element_validation():
-    gf4 = gf2m.find_irreducible(2)
-    with pytest.raises(ValueError):
-        gf2m.FieldElement(4, gf4)
-    gf8 = gf2m.find_irreducible(3)
-    with pytest.raises(ValueError):
-        gf2m.add(gf2m.FieldElement(1, gf4), gf2m.FieldElement(1, gf8))
-
-
-@given(st.integers(0, (1 << 8) - 1), st.integers(0, (1 << 8) - 1))
-def test_clmul_matches_schoolbook(a, b):
-    assert gf2m.clmul(a, b) == poly_mul(a, b)
-
-
 @given(st.integers(0, (1 << 10) - 1), st.integers(2, (1 << 6) - 1))
 def test_polymod_matches_long_division(a, mod):
     assert gf2m.polymod(a, mod) == poly_rem(a, mod)
 
 
-@st.composite
-def field_and_elements(draw, count):
-    m = draw(st.integers(1, 8))
-    modulus = gf2m.find_irreducible(m)
-    values = [draw(st.integers(0, (1 << m) - 1)) for _ in range(count)]
-    return modulus, [gf2m.FieldElement(v, modulus) for v in values]
+def test_product_table_is_shared_read_only_and_capped():
+    modulus = gf2m.find_irreducible(4)
+    table = gf2m.product_table(modulus)
+    assert table is gf2m.product_table(gf2m.Modulus(4, modulus.encoding))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        gf2m.product_table(gf2m.find_irreducible(gf2m.MAX_TABLE_DEGREE + 1))
 
 
-@settings(deadline=None)
-@given(field_and_elements(2))
-def test_mul_matches_oracle_and_commutes(data):
-    modulus, (a, b) = data
-    prod = gf2m.mul(a, b)
-    assert prod.value == field_mul(a.value, b.value, modulus.encoding)
-    assert prod == gf2m.mul(b, a)
+# every element up to m = 6, a seeded sample of 48 in the widest table
+FIELD_DEGREES = [1, 2, 3, 4, 5, 6, gf2m.MAX_TABLE_DEGREE]
 
 
-@settings(deadline=None)
-@given(field_and_elements(3))
-def test_field_algebra(data):
-    _, (a, b, c) = data
-    assert ((a * b) * c) == (a * (b * c))
-    assert (a * (b + c)) == (a * b + a * c)
-    assert (a + a).value == 0
+def fields():
+    """(m, table, modulus encoding, elements) for each of FIELD_DEGREES."""
+    for m in FIELD_DEGREES:
+        modulus = gf2m.find_irreducible(m)
+        if m <= 6:
+            elements = np.arange(1 << m)
+        else:
+            elements = np.array(random.Random(m).sample(range(1 << m), 48))
+        yield m, gf2m.product_table(modulus), modulus.encoding, elements
 
 
-@settings(deadline=None)
-@given(field_and_elements(1))
-def test_multiplicative_identity(data):
-    modulus, (a,) = data
-    one = gf2m.FieldElement(1, modulus)
-    assert a * one == a
+def test_mul_matches_oracle_and_commutes():
+    for m, table, encoding, elements in fields():
+        for a in elements:
+            for b in elements:
+                want = packed(field_mul(packed(a, m), packed(b, m), encoding), m)
+                assert table[a, b] == want, (m, a, b)
+        np.testing.assert_array_equal(table, table.T)
+
+
+def test_field_algebra():
+    for _, table, _, e in fields():
+        a, b, c = e[:, None, None], e[None, :, None], e[None, None, :]
+        np.testing.assert_array_equal(table[table[a, b], c], table[a, table[b, c]])
+        np.testing.assert_array_equal(table[a, b ^ c], table[a, b] ^ table[a, c])
+
+
+def test_multiplicative_identity():
+    for m, table, _, _ in fields():
+        one = 1 << (m - 1)  # the string "10...0"
+        np.testing.assert_array_equal(table[one], np.arange(1 << m))
+        assert not table[0].any()

@@ -2,9 +2,9 @@
 byte-identical to the SHA-256 goldens recorded in bench/goldens.json.
 
 Every such operation of every workload and input variant runs in-process
-through `cli.main`; `verify --protocol dj --n 8` (about 20 s) is left to
-the benchmark.  Operations come from `bench/workloads.operations` without
-a root, so no table file is written and nothing under bench/ changes.
+through `cli.main`, `verify --protocol dj --n 8` included.  Operations
+come from `bench/workloads.operations` without a root, so no table file
+is written and nothing under bench/ changes.
 """
 
 import hashlib
@@ -16,7 +16,6 @@ from pathlib import Path
 from psqm import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-SLOW = "verify --protocol dj --n 8"
 
 
 def _workloads():
@@ -33,7 +32,7 @@ def golden_operations() -> dict:
     for name in workloads.WORKLOADS:
         for seed in range(workloads.VARIANTS):
             for op in workloads.operations(name, seed, None):
-                if op.golden and op.argv[0] in ("run", "verify") and op.key != SLOW:
+                if op.golden and op.argv[0] in ("run", "verify"):
                     ops[op.key] = op.argv
     return ops
 

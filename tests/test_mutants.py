@@ -37,7 +37,7 @@ def assert_privacy_names_a_leaking_input(proto, privacy):
     worst = tuple(privacy.witnesses(proto)["worst_input"].split(","))
     assert worst in set(proto.input_domain())
     rep = privacy.classes[proto.reference(worst)].representative
-    distance = qsim.matrix_distance(rep, proto.averaged_message(worst))
+    distance = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
     assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
 
 
@@ -154,6 +154,33 @@ def test_sum2_with_a_flipped_decoder_fails_correctness_only():
     proto = FlippedDecodeSum2(4)
     assert_correctness_names_a_wrong_run(proto)
     assert check_messages(proto).privacy.passed
+
+
+class HalvedAverageSum2(Sum2Protocol):
+    """sum2 whose averaged messages carry half their mass: every rho_x is
+    scaled alike, so privacy holds, and the referee's outcomes are
+    untouched, so correctness holds too."""
+
+    def _averaged_matrix(self, inputs):
+        return super()._averaged_matrix(inputs) / 2
+
+
+@pauli_frame_only
+def test_sum2_with_halved_averages_fails_purity_bounds():
+    """The true average is maximally mixed on 4 qubits, purity 1/16, so
+    the halved one has purity 1/64, under the floor 1/dim.  No rho_x is
+    validated during the walk; reading a class representative, like the
+    public averaged_message, still rejects the trace of 1/2."""
+    proto = HalvedAverageSum2(3)
+    assert check_correctness(proto).passed
+    privacy, purity, _ = check_messages(proto)
+    assert privacy.passed
+    assert not purity.passed
+    assert purity.dim == 16 and purity.purity == pytest.approx(1 / 64, abs=1e-15)
+    with pytest.raises(ValueError, match="trace"):
+        privacy.classes[(0, 0)].representative
+    with pytest.raises(ValueError, match="trace"):
+        proto.averaged_message(("00",) * 3)
 
 
 def test_dj_with_a_zero_mask_fails_correctness():

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psqm import gf2m, qsim
+from psqm import qsim
 from psqm.protocols import (
     PROMISE_VIOLATION,
     dj_protocol,
@@ -16,7 +18,7 @@ from psqm.protocols import (
     sum2_reference,
 )
 
-from _oracles import dj_joint_outcome, field_mul, ghz_gate_ops
+from _oracles import dj_joint_outcome, field_mul, ghz_gate_ops, oracle_irreducible
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -143,12 +145,15 @@ def test_sum2_input_validation():
 # ------------------------------------------------------------------- geq
 
 
-def geq_masked_bits(x: str, mask: str) -> str:
+def pack(bits: str) -> int:
+    """Packed field value of a bit string, constant term first."""
+    return sum((c == "1") << i for i, c in enumerate(bits))
+
+
+def geq_masked_bits(x: str, mask: str, modulus=None) -> str:
     """Field product via the oracle arithmetic, constant term first."""
     width = len(mask)
-    xv = sum((x[i] == "1") << i for i in range(width))
-    mv = sum((mask[i] == "1") << i for i in range(width))
-    prod = field_mul(xv, mv, MODULI[width])
+    prod = field_mul(pack(x), pack(mask), modulus or MODULI[width])
     return "".join(str((prod >> i) & 1) for i in range(width))
 
 
@@ -197,23 +202,21 @@ def test_geq_masked_input_matches_oracle():
 
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_geq_masked_input_wider_fields(l):
-    """The product table against the oracle (every pair where the oracle
-    has a modulus) or `gf2m` (a seeded sample at l = 5)."""
+    """The product table against the oracle: every pair where MODULI has
+    the modulus, else a seeded sample under the protocol's modulus, which
+    the factorization oracle confirms irreducible (l = 5)."""
     proto = geq_protocol(2, l)
     strings = bitstrings(2 * l)
     if 2 * l in MODULI:
         pairs = itertools.product(strings[1:], strings)
-        expected = geq_masked_bits
+        modulus = MODULI[2 * l]
     else:
         rng = random.Random(l)
         pairs = [(rng.choice(strings[1:]), rng.choice(strings)) for _ in range(2000)]
-
-        def expected(x, mask):
-            f = proto.field
-            return gf2m.to_bits(gf2m.mul(gf2m.from_bits(mask, f), gf2m.from_bits(x, f)))
-
+        modulus = proto.field.encoding
+        assert modulus.bit_length() == 2 * l + 1 and oracle_irreducible(modulus)
     for mask, x in pairs:
-        assert proto.masked_input(x, mask) == expected(x, mask)
+        assert proto.masked_input(x, mask) == geq_masked_bits(x, mask, modulus)
     for x, mask in [("0" * (2 * l - 1), "1" * 2 * l), ("2" * 2 * l, "1" * 2 * l)]:
         with pytest.raises(ValueError):
             proto.masked_input(x, mask)
@@ -262,6 +265,9 @@ def test_geq_mask_identity_seeded():
         assert geq_mask_identity_check(inputs, mask)
     with pytest.raises(ValueError):
         geq_mask_identity_check(["01", "11"], "00")
+    for inputs, mask in [(["01", "110"], "11"), (["01", "1x"], "11"), (["01"], "1b")]:
+        with pytest.raises(ValueError):
+            geq_mask_identity_check(inputs, mask)
 
 
 # -------------------------------------------------------------------- dj
@@ -300,23 +306,54 @@ def test_dj_reference_promise():
 
 def test_dj_masking_is_a_bijection():
     proto = dj_protocol(4)
-    for randomness in proto.resource.randomness_domain:
-        images = {
-            proto.mask_message(v, randomness) for v in bitstrings(proto.m)
-        }
-        assert len(images) == proto.n
+    masks = proto._masks(proto.resource.randomness_domain)
+    assert masks.shape == (len(proto.resource.randomness_domain), proto.n)
+    for row in masks:
+        assert sorted(row) == list(range(proto.n))
 
 
 def test_dj_messages_agree_iff_outcomes_agree():
     proto = dj_protocol(4)
+    domain = proto.resource.randomness_domain
+    masks = proto._masks(domain)
     rng = random.Random(3)
     for _ in range(50):
-        randomness = rng.choice(proto.resource.randomness_domain)
-        a, b = rng.choice(bitstrings(2)), rng.choice(bitstrings(2))
-        same = proto.mask_message(a, randomness) == proto.mask_message(
-            b, randomness
-        )
-        assert same == (a == b)
+        i = rng.randrange(len(domain))
+        a, b = rng.randrange(proto.n), rng.randrange(proto.n)
+        assert (masks[i, a] == masks[i, b]) == (a == b)
+
+
+@st.composite
+def dj_cases(draw):
+    """(protocol, promise input, randomness index) for n up to the cap."""
+    proto = dj_protocol(draw(st.sampled_from([2, 4, 8, 16])))
+    n = proto.n
+    x = draw(st.text("01", min_size=n, max_size=n))
+    flips = set(draw(st.permutations(range(n)))[: n // 2]) if draw(st.booleans()) else set()
+    y = "".join(str(int(c) ^ (i in flips)) for i, c in enumerate(x))
+    return proto, (x, y), draw(st.integers(0, len(proto.resource.randomness_domain) - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(dj_cases())
+def test_dj_masks_and_laws_match_oracle_property(case):
+    """A mask row is p(r)p(v) + p(r') under the oracle arithmetic, and the
+    message law under that value is the outcome law pushed through it."""
+    proto, inputs, i = case
+    r, rp = proto.resource.randomness_domain[i]
+    (row,) = proto._masks([(r, rp)])
+    m = proto.m
+    expected = [
+        field_mul(pack(r), pack(format(v, f"0{m}b")), MODULI[m]) ^ pack(rp)
+        for v in range(proto.n)
+    ]
+    assert row.tolist() == expected
+    pkl = proto.joint_outcome_distribution(inputs)
+    pushed = np.zeros((proto.n, proto.n))
+    for k in range(proto.n):
+        for l in range(proto.n):
+            pushed[expected[k], expected[l]] += pkl[k, l]
+    np.testing.assert_array_equal(proto._message_laws(inputs, [(r, rp)])[0], pushed)
 
 
 def test_dj_run_message_law_by_hand():

@@ -98,8 +98,8 @@ def test_mix_and_purity():
     one = qsim.StateVector([0, 1])
     rho = qsim.mix([(0.5, zero), (0.5, one)])
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-    assert abs(qsim.purity(rho) - 0.5) < 1e-12
-    assert abs(qsim.purity(qsim.mix([(1.0, zero)])) - 1.0) < 1e-12
+    assert abs(qsim.purity(rho.matrix) - 0.5) < 1e-12
+    assert abs(qsim.purity(qsim.mix([(1.0, zero)]).matrix) - 1.0) < 1e-12
 
 
 def test_matrix_and_projector_distance():

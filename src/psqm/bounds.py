@@ -15,14 +15,17 @@ over distributions is never searched).  Quantities:
 * exact maximum cliques of the two distinguishability graphs.
 * random/exhaustive small-table statistics and the dj promise table.
 
-Everything is exact enumeration; guards keep domains desk-scale
-(alpha: at most 6x6 tables, cliques: at most 20 vertices per side).
+Everything is exact: alpha is an exact pruned search that returns the
+same first witness as visiting every pair would, cliques come from branch
+and bound; guards keep domains desk-scale (alpha: at most 6x6 tables,
+cliques: at most 20 vertices per side).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import statistics
 from dataclasses import dataclass
@@ -90,8 +93,8 @@ class InputDistribution:
         if len(w) != n1 or any(len(r) != n2 for r in w):
             raise ValueError("weight grid does not match the table")
         flat = [v for row in w for v in row]
-        if min(flat) < 0 or abs(sum(flat) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not all(map(math.isfinite, flat)) or min(flat) < 0 or abs(sum(flat) - 1.0) > 1e-12:
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         self.table = table
         self.weights = w
 
@@ -183,85 +186,6 @@ def _check_same_shape(table, mu):
         raise ValueError("distribution does not match the table")
 
 
-def _pairs_indexed(table: FunctionTable, mu: InputDistribution, size_cap=None):
-    """Yield (min_weight, cells, S, T, sigma, tau) index tuples for every
-    pair of similar disjoint rectangles.
-
-    Canonical form: the first rectangle's rows S and columns T are
-    sorted; sigma and tau are the position-wise images forming the
-    second rectangle, so every ordered pair is covered up to the shared
-    reindexing that leaves weights, similarity and disjointness alone.
-    Undefined entries compare as a plain marker.
-    """
-    n1, n2 = table.shape
-    if n1 > ALPHA_DOMAIN_CAP or n2 > ALPHA_DOMAIN_CAP:
-        raise ValueError(
-            f"rectangle enumeration capped at {ALPHA_DOMAIN_CAP}x{ALPHA_DOMAIN_CAP} tables"
-        )
-    if size_cap is not None and size_cap < 1:
-        raise ValueError("size cap must be at least 1")
-    cap_rows = min(size_cap, n1) if size_cap is not None else n1
-    cap_cols = min(size_cap, n2) if size_cap is not None else n2
-    e = table.entries
-    w = mu.weights
-    # compatibility bitmask over column pairs (y, y') for each row pair
-    pair_bit = {(y, yp): 1 << (y * n2 + yp) for y in range(n2) for yp in range(n2)}
-    row_mask = [[0] * n1 for _ in range(n1)]
-    for x in range(n1):
-        for xp in range(n1):
-            m = 0
-            for (y, yp), bit in pair_bit.items():
-                if e[x][y] == e[xp][yp]:
-                    m |= bit
-            row_mask[x][xp] = m
-    full = (1 << (n2 * n2)) - 1
-
-    for a in range(1, cap_rows + 1):
-        for S in itertools.combinations(range(n1), a):
-            for sigma in itertools.permutations(range(n1), a):
-                mask = full
-                for s, t in zip(S, sigma):
-                    mask &= row_mask[s][t]
-                    if not mask:
-                        break
-                if not mask:
-                    continue
-                row_disjoint = all(s != t for s, t in zip(S, sigma))
-                stack_t: list[int] = []
-                stack_tau: list[int] = []
-
-                def recurse(start, used, all_moved, w_first, w_second):
-                    for y in range(start, n2):
-                        col_w1 = None
-                        for yp in range(n2):
-                            if used & (1 << yp) or not mask & pair_bit[(y, yp)]:
-                                continue
-                            if col_w1 is None:
-                                col_w1 = sum(w[s][y] for s in S)
-                            stack_t.append(y)
-                            stack_tau.append(yp)
-                            moved = all_moved and y != yp
-                            nw1 = w_first + col_w1
-                            nw2 = w_second + sum(w[t][yp] for t in sigma)
-                            if row_disjoint or moved:
-                                yield (
-                                    min(nw1, nw2),
-                                    a * len(stack_t),
-                                    S,
-                                    tuple(stack_t),
-                                    sigma,
-                                    tuple(stack_tau),
-                                )
-                            if len(stack_t) < cap_cols:
-                                yield from recurse(
-                                    y + 1, used | (1 << yp), moved, nw1, nw2
-                                )
-                            stack_t.pop()
-                            stack_tau.pop()
-
-                yield from recurse(0, 0, True, 0.0, 0.0)
-
-
 def _labeled(table: FunctionTable, S, T, sigma, tau) -> tuple[Rectangle, Rectangle]:
     first = Rectangle(
         tuple(table.rows[i] for i in S), tuple(table.cols[j] for j in T)
@@ -272,19 +196,131 @@ def _labeled(table: FunctionTable, S, T, sigma, tau) -> tuple[Rectangle, Rectang
     return first, second
 
 
+def _exact_sums(weights) -> bool:
+    """Whether every float sum of distinct weights is exact, in any order:
+    true when all weights are multiples of one power of two 2^-L whose
+    total is below 2^53 such units, so every partial sum is a float."""
+    ratios = [v.as_integer_ratio() for row in weights for v in row]
+    unit = max(q for _, q in ratios)  # every q is a power of two
+    return sum(p * (unit // q) for p, q in ratios) < 1 << 53
+
+
 def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaResult:
     """Maximum min-weight over similar disjoint rectangle pairs (0 and
-    no witness when none exists)."""
-    best = 0.0
-    witness_idx = None
-    max_cells = 0
-    for value, cells, S, T, sigma, tau in _pairs_indexed(table, mu, size_cap):
-        if cells > max_cells:
-            max_cells = cells
-        if value > best:
-            best, witness_idx = value, (S, T, sigma, tau)
-    witness = _labeled(table, *witness_idx) if witness_idx else None
-    return AlphaResult(best, witness, max_cells)
+    no witness when none exists), with the largest pair's cell count.
+
+    Canonical form: the first rectangle's rows S and columns T are
+    sorted; sigma and tau are the position-wise images forming the
+    second rectangle, so every ordered pair is covered up to the shared
+    reindexing that leaves weights, similarity and disjointness alone.
+    Undefined entries compare as a plain marker.
+
+    One depth-first search visits (S, sigma) by row count, then the
+    columns of T in increasing order, each with its image in tau.  A
+    branch is cut only when it can beat neither running best: not
+    `max_cells`, by a times the columns it could still add, and not
+    `best`, by the weight already chosen plus the column weights still
+    reachable on each side.  Both bests change only on a strict gain, so
+    the first maximal pair in visit order stays the witness.  The weight
+    bound adds in another order than a path does, so unless every sum is
+    exact (`_exact_sums`) it is widened by a float slack.
+    """
+    n1, n2 = table.shape
+    if n1 > ALPHA_DOMAIN_CAP or n2 > ALPHA_DOMAIN_CAP:
+        raise ValueError(
+            f"rectangle enumeration capped at {ALPHA_DOMAIN_CAP}x{ALPHA_DOMAIN_CAP} tables"
+        )
+    if size_cap is not None and size_cap < 1:
+        raise ValueError("size cap must be at least 1")
+    cap_rows = min(size_cap, n1) if size_cap is not None else n1
+    cap_cols = min(size_cap, n2) if size_cap is not None else n2
+    w = mu.weights
+    slack = 1.0 if _exact_sums(w) else 1.0 + 4 * (n1 * n2 + 2) * 2.0**-52
+    e = table.entries
+    # bit y' of images[x][x'][y] is set when e[x][y] == e[x'][y']
+    images = [
+        [
+            [sum(1 << yp for yp in range(n2) if e[x][y] == e[xp][yp]) for y in range(n2)]
+            for xp in range(n1)
+        ]
+        for x in range(n1)
+    ]
+    popcount = [bin(v).count("1") for v in range(1 << n2)]
+    best, max_cells, witness = 0.0, 0, None
+    stack_t: list[int] = []
+    stack_tau: list[int] = []
+
+    def search(start, used, all_moved, w_first, w_second):
+        """Extend T by columns y >= start, tau by images outside `used`;
+        reads a, S, sigma and their column data from the loops below."""
+        nonlocal best, max_cells, witness
+        depth = len(stack_t)
+        free = [rows[y] & ~used for y in range(start, n2)]
+        live = [y for y, row in zip(range(start, n2), free) if row]
+        hit = 0
+        for row in free:
+            hit |= row
+        left1 = list(itertools.accumulate((colw1[y] for y in reversed(live)), initial=0.0))
+        left2 = list(itertools.accumulate((colw2[c] for c in order2 if hit >> c & 1), initial=0.0))
+        room = min(cap_cols - depth, len(left2) - 1)
+        for i, y in enumerate(live):
+            reach = min(room, len(live) - i)
+            if (
+                a * (depth + reach) <= max_cells
+                and min(w_first + left1[len(live) - i], w_second + left2[reach]) * slack <= best
+            ):
+                return
+            nw1 = w_first + colw1[y]
+            cand = free[y - start]
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                yp = bit.bit_length() - 1
+                stack_t.append(y)
+                stack_tau.append(yp)
+                moved = all_moved and y != yp
+                nw2 = w_second + colw2[yp]
+                if row_disjoint or moved:
+                    if a * (depth + 1) > max_cells:
+                        max_cells = a * (depth + 1)
+                    if min(nw1, nw2) > best:
+                        best = min(nw1, nw2)
+                        witness = (S, tuple(stack_t), sigma, tuple(stack_tau))
+                if depth + 1 < cap_cols:
+                    search(y + 1, used | bit, moved, nw1, nw2)
+                stack_t.pop()
+                stack_tau.pop()
+
+    col_weights = {(): [0.0] * n2}  # per row tuple, each column's weight added row by row
+    for a in range(1, cap_rows + 1):
+        sigmas = list(itertools.permutations(range(n1), a))
+        col_weights = {
+            sigma: [c + v for c, v in zip(col_weights[sigma[:-1]], w[sigma[-1]])]
+            for sigma in sigmas
+        }
+        for S in itertools.combinations(range(n1), a):
+            colw1 = col_weights[S]
+            for sigma in sigmas:
+                # images every row pair (S[i], sigma[i]) allows, per column y
+                rows = images[S[0]][sigma[0]]
+                for s, t in zip(S[1:], sigma[1:]):
+                    rows = list(map(operator.and_, rows, images[s][t]))
+                # the first test of `search`, looser and inline: most pairs stop here
+                hit, live, bound1 = 0, 0, 0.0
+                for row, weight in zip(rows, colw1):
+                    if row:
+                        hit, live, bound1 = hit | row, live + 1, bound1 + weight
+                colw2 = col_weights[sigma]
+                if (
+                    a * min(cap_cols, live, popcount[hit]) <= max_cells
+                    and min(bound1, sum(colw2[y] for y in range(n2) if hit >> y & 1)) * slack
+                    <= best
+                ):
+                    continue
+                order2 = sorted(range(n2), key=colw2.__getitem__, reverse=True)
+                row_disjoint = all(s != t for s, t in zip(S, sigma))
+                search(0, 0, True, 0.0, 0.0)
+    return AlphaResult(best, _labeled(table, *witness) if witness else None, max_cells)
 
 
 def beta(table: FunctionTable, mu: InputDistribution) -> float:
@@ -330,11 +366,14 @@ def psqm_lower_bound(table: FunctionTable, mu: InputDistribution) -> BoundResult
     """
     if not is_non_degenerate(table, mu):
         raise ValueError("table is degenerate under mu")
-    a = alpha(table, mu)
-    b = beta(table, mu)
+    return _lower_bound(alpha(table, mu), beta(table, mu), min_entropy(mu))
+
+
+def _lower_bound(a: AlphaResult, b: float, h: float) -> BoundResult:
+    """The composed bound from alpha, beta and Hmin(mu) already computed
+    for one table; raises when beta is zero."""
     if b <= 0:
         raise ValueError("beta is zero; bound undefined")
-    h = min_entropy(mu)
     if a.value == 0:
         # defensive: beta > 0 forces two support cells in some class,
         # which already form a one-cell similar disjoint pair
@@ -463,7 +502,7 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
             continue
         nondeg += 1
         try:
-            bound_values.append(psqm_lower_bound(table, mu).value)
+            bound_values.append(_lower_bound(a, beta(table, mu), min_entropy(mu)).value)
         except ValueError:
             beta_zero += 1
     summary = {

@@ -265,10 +265,11 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
 
     beta_value = bounds.beta(table, mu)
     checks.append(_record("beta", True, {"value": beta_value}))
-    checks.append(_record("min_entropy", True, {"value": bounds.min_entropy(mu)}))
+    hmin = bounds.min_entropy(mu)
+    checks.append(_record("min_entropy", True, {"value": hmin}))
 
     if nondeg and alpha_result is not None and beta_value > 0:
-        result = bounds.psqm_lower_bound(table, mu)
+        result = bounds._lower_bound(alpha_result, beta_value, hmin)
         checks.append(_record("lower_bound", True, {"value": result.value}))
     else:
         reason = (

@@ -103,6 +103,13 @@ class ProtocolInstance:
         raise NotImplementedError
 
     def reference(self, inputs):
+        """The reference function's value, or PROMISE_VIOLATION."""
+        self._check_inputs(inputs)
+        return self._reference(inputs)
+
+    def _reference(self, inputs):
+        """`reference` on inputs already known to be well formed, such as
+        those of `input_domain` and `sample_input`."""
         raise NotImplementedError
 
     def input_domain(self):
@@ -130,15 +137,22 @@ class ProtocolInstance:
     def output_masses(self, inputs) -> np.ndarray:
         """Exact output law under every randomness value: row i is for
         randomness_domain[i], column j the mass on output_domain[j]."""
+        self._check_inputs(inputs)
+        return self._output_masses(inputs)
+
+    def _output_masses(self, inputs) -> np.ndarray:
+        """`output_masses` on well-formed inputs."""
         raise NotImplementedError
 
     def _averaged_matrix(self, inputs) -> np.ndarray:
-        """Randomness-averaged message as a complex matrix, unvalidated:
-        it is a convex combination of states, so PSD by construction."""
+        """Randomness-averaged message of well-formed inputs as a complex
+        matrix, unvalidated: it is a convex combination of states, so PSD
+        by construction."""
         raise NotImplementedError
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         """The randomness-averaged message, validated."""
+        self._check_inputs(inputs)
         return qsim.DensityMatrix(self._averaged_matrix(inputs))
 
     def party_message_state(self, party: int, own_input: str, randomness) -> qsim.StateVector:
@@ -287,13 +301,11 @@ class _GhzMaskProtocol(ProtocolInstance):
             message_state=state,
         )
 
-    def output_masses(self, inputs) -> np.ndarray:
-        self._check_inputs(inputs)
+    def _output_masses(self, inputs) -> np.ndarray:
         outcomes = self._outcomes(inputs, self._domain_ints)
         return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
     def _averaged_matrix(self, inputs) -> np.ndarray:
-        self._check_inputs(inputs)
         states = self._message_amplitudes(inputs, self._domain_ints)
         w = np.full(len(states), 1.0 / len(states))
         return (states.T * w) @ states.conj()
@@ -359,8 +371,7 @@ class Sum2Protocol(_GhzMaskProtocol):
     def cost(self):
         return (self._parties, "qubits")
 
-    def reference(self, inputs):
-        self._check_inputs(inputs)
+    def _reference(self, inputs):
         return sum2_reference(inputs)
 
     def _randomness_ints(self, randomness_values):
@@ -407,8 +418,7 @@ class GeqProtocol(_GhzMaskProtocol):
     def cost(self):
         return (self._parties * self.l, "qubits")
 
-    def reference(self, inputs):
-        self._check_inputs(inputs)
+    def _reference(self, inputs):
         return geq_reference(inputs)
 
     def masked_input(self, own_input: str, mask: str) -> str:
@@ -504,8 +514,7 @@ class DJProtocol(ProtocolInstance):
     def cost(self):
         return (2 * self.m, "bits")
 
-    def reference(self, inputs):
-        self._check_inputs(inputs)
+    def _reference(self, inputs):
         return dj_reference(inputs[0], inputs[1])
 
     def input_domain(self):
@@ -545,6 +554,9 @@ class DJProtocol(ProtocolInstance):
     def joint_outcome_distribution(self, inputs) -> np.ndarray:
         """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
         self._check_inputs(inputs)
+        return self._outcome_law(inputs)
+
+    def _outcome_law(self, inputs) -> np.ndarray:
         state = qsim.apply_phase_oracle(
             self.resource.entangled_state, self._phase_signs(*inputs)
         )
@@ -569,7 +581,7 @@ class DJProtocol(ProtocolInstance):
         """Joint law of the field-encoded message pair under each randomness
         value, an (R, n, n) array: the outcome law pushed through that
         value's masks, with the masses of colliding outcomes added."""
-        pkl = self.joint_outcome_distribution(inputs)
+        pkl = self._outcome_law(inputs)
         masks = self._masks(randomness_values)
         laws = np.zeros((len(masks), self.n, self.n))
         rows = np.arange(len(masks))[:, None, None]
@@ -577,6 +589,7 @@ class DJProtocol(ProtocolInstance):
         return laws
 
     def run(self, inputs, randomness) -> TranscriptRecord:
+        self._check_inputs(inputs)
         (law,) = self._message_laws(inputs, [randomness])
         bits = self._message_bits
         msg_dist = {
@@ -592,7 +605,6 @@ class DJProtocol(ProtocolInstance):
     def _domain_laws(self, inputs) -> tuple[np.ndarray, np.ndarray]:
         """(output masses, averaged message law), computed once per x XOR y,
         the only thing about the inputs that they depend on."""
-        self._check_inputs(inputs)
         w = _xor_strings(inputs)
         if w not in self._law_cache:
             domain = self.resource.randomness_domain
@@ -603,7 +615,7 @@ class DJProtocol(ProtocolInstance):
             self._law_cache[w] = masses, laws.sum(axis=0) / len(domain)
         return self._law_cache[w]
 
-    def output_masses(self, inputs) -> np.ndarray:
+    def _output_masses(self, inputs) -> np.ndarray:
         return self._domain_laws(inputs)[0]
 
     def _averaged_matrix(self, inputs) -> np.ndarray:

@@ -14,6 +14,8 @@ construction, so no rho_x is validated on the way.  Validation stays at
 the API edge: the public `averaged_message`, and each class
 representative of the privacy report when it is read, are
 `qsim.DensityMatrix` objects, and the purity bounds gate the average.
+Inputs are checked at the edge too: the sweep walks the protocol's own
+input domain, so only the keys of a supplied mu are checked, once each.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -65,7 +67,7 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
         x = protocol.sample_input(rng)
         if x in seen:
             continue
-        y = protocol.reference(x)
+        y = protocol._reference(x)
         if y is PROMISE_VIOLATION:
             continue
         seen.add(x)
@@ -114,7 +116,7 @@ def _kary_nondegenerate(protocol: ProtocolInstance):
             for rest in others:
                 full_a = rest[:party] + (a,) + rest[party:]
                 full_b = rest[:party] + (b,) + rest[party:]
-                ya, yb = protocol.reference(full_a), protocol.reference(full_b)
+                ya, yb = protocol._reference(full_a), protocol._reference(full_b)
                 if ya is PROMISE_VIOLATION or yb is PROMISE_VIOLATION:
                     continue
                 if ya != yb:
@@ -165,7 +167,7 @@ def check_correctness(
 ) -> CorrectnessReport:
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
-    reference = reference or protocol.reference
+    reference = reference or protocol._reference
     inputs, coverage = _sweep(protocol, budget, seed)
     domain = protocol.resource.randomness_domain
     min_mass, worst_x, worst_r = float("inf"), None, None
@@ -174,7 +176,7 @@ def check_correctness(
         target = reference(x)
         if target is PROMISE_VIOLATION:
             continue
-        masses = protocol.output_masses(x)
+        masses = protocol._output_masses(x)
         if target in protocol.output_domain:
             masses = masses[:, protocol.output_domain.index(target)]
         else:  # a reference value the referee never outputs
@@ -379,7 +381,7 @@ def check_messages(
     rho_bar = None
     self_terms = 0.0
     for x, w in zip(inputs, weights):  # _distribution holds promise inputs only
-        y = protocol.reference(x)
+        y = protocol._reference(x)
         rho = protocol._averaged_matrix(x)
         rho_bar = w * rho if rho_bar is None else rho_bar + w * rho
         purity = qsim.purity(rho)

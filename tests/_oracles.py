@@ -4,12 +4,16 @@ Everything here is written from the definitions with the dumbest
 possible loops, sharing no code with the package: polynomial arithmetic
 works on coefficient lists, rectangle search enumerates ordered tuples
 directly via itertools.permutations, cliques come from a full subset
-scan.  Slow on purpose; only used at tiny sizes.
+scan.  `enumerated_alpha` borrows only the package's result containers,
+so that its answer compares with `bounds.alpha` by repr.  Slow on
+purpose; only used at small sizes.
 """
 
 import itertools
 
 import numpy as np
+
+from psqm.bounds import AlphaResult, Rectangle
 
 
 # ---------------------------------------------------------------- GF(2)[a]
@@ -89,6 +93,74 @@ def oracle_alpha(entries, weights) -> float:
                             w2 = rect_weight(weights, S2, T2)
                             best = max(best, min(w1, w2))
     return best
+
+
+def enumerated_pairs(table, mu, size_cap=None):
+    """Yield (min_weight, cells, S, T, sigma, tau) index tuples for every
+    pair of similar disjoint rectangles, in `bounds.alpha`'s visit order.
+
+    Canonical form: the first rectangle's rows S and columns T are
+    sorted; sigma and tau are the position-wise images forming the
+    second rectangle.  Weights are summed as a path of that search sums
+    them: column by column, each column's weight row by row.
+    """
+    n1, n2 = len(table.entries), len(table.entries[0])
+    cap_rows = min(size_cap, n1) if size_cap is not None else n1
+    cap_cols = min(size_cap, n2) if size_cap is not None else n2
+    e, w = table.entries, mu.weights
+    # bit y * n2 + y' of row_mask[x][x'] is set when e[x][y] == e[x'][y']
+    row_mask = [
+        [
+            sum(1 << (y * n2 + yp) for y in range(n2) for yp in range(n2) if e[x][y] == e[xp][yp])
+            for xp in range(n1)
+        ]
+        for x in range(n1)
+    ]
+
+    def extend(S, sigma, mask, row_disjoint, start, T, tau, w_first, w_second):
+        for y in range(start, n2):
+            for yp in range(n2):
+                if yp in tau or not mask >> (y * n2 + yp) & 1:
+                    continue
+                T2, tau2 = T + (y,), tau + (yp,)
+                nw1 = w_first + sum(w[s][y] for s in S)
+                nw2 = w_second + sum(w[t][yp] for t in sigma)
+                if row_disjoint or all(j != jp for j, jp in zip(T2, tau2)):
+                    yield min(nw1, nw2), len(S) * len(T2), S, T2, sigma, tau2
+                if len(T2) < cap_cols:
+                    yield from extend(S, sigma, mask, row_disjoint, y + 1, T2, tau2, nw1, nw2)
+
+    for a in range(1, cap_rows + 1):
+        for S in itertools.combinations(range(n1), a):
+            for sigma in itertools.permutations(range(n1), a):
+                mask = (1 << (n2 * n2)) - 1
+                for s, t in zip(S, sigma):
+                    mask &= row_mask[s][t]
+                if mask:
+                    row_disjoint = all(s != t for s, t in zip(S, sigma))
+                    yield from extend(S, sigma, mask, row_disjoint, 0, (), (), 0.0, 0.0)
+
+
+def enumerated_alpha(table, mu, size_cap=None) -> AlphaResult:
+    """alpha by visiting every pair: the first pair of largest min-weight
+    is the witness, and max_cells is the largest pair's cell count."""
+    best, witness, max_cells = 0.0, None, 0
+    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu, size_cap):
+        max_cells = max(max_cells, cells)
+        if value > best:
+            best, witness = value, (S, T, sigma, tau)
+    if witness is None:
+        return AlphaResult(best, None, max_cells)
+    S, T, sigma, tau = witness
+    rows, cols = table.rows, table.cols
+    return AlphaResult(
+        best,
+        (
+            Rectangle(tuple(rows[i] for i in S), tuple(cols[j] for j in T)),
+            Rectangle(tuple(rows[i] for i in sigma), tuple(cols[j] for j in tau)),
+        ),
+        max_cells,
+    )
 
 
 def oracle_beta(entries, weights) -> float:

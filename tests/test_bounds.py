@@ -3,8 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from psqm import bounds
+from psqm import bounds, cli
 from psqm.bounds import (
     FunctionTable,
     InputDistribution,
@@ -20,6 +22,8 @@ from psqm.bounds import (
 )
 
 from _oracles import (
+    enumerated_alpha,
+    enumerated_pairs,
     oracle_alpha,
     oracle_beta,
     oracle_bound,
@@ -47,7 +51,7 @@ def random_table(rng, n1, n2, partial=False):
 
 def similar_disjoint_pairs(table, mu, size_cap=None):
     """Yield (min_weight, cells, (R, R')) with labeled rectangles."""
-    for value, cells, S, T, sigma, tau in bounds._pairs_indexed(table, mu, size_cap):
+    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu, size_cap):
         yield value, cells, bounds._labeled(table, S, T, sigma, tau)
 
 
@@ -157,6 +161,87 @@ def test_alpha_domain_cap():
     with pytest.raises(ValueError):
         alpha(table, InputDistribution.uniform(table))
     assert bounds.ALPHA_DOMAIN_CAP == 6
+
+
+def normalized(raw):
+    total = sum(map(sum, raw))
+    return [[v / total for v in row] for row in raw]
+
+
+def distribution(table, kind, raw=None):
+    if kind == "uniform":
+        return InputDistribution.uniform(table)
+    if kind == "uniform-defined":
+        return InputDistribution.uniform_defined(table)
+    return InputDistribution(table, normalized(raw))
+
+
+@st.composite
+def alpha_cases(draw):
+    """(table, mu, size_cap): 1x1 to 5x5, partial or total, with uniform,
+    uniform-defined or random positive weights."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.sampled_from([0, 1, None] if draw(st.booleans()) else [0, 1])
+    entries = draw(st.lists(st.lists(values, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
+    table = table_of(entries)
+    kind = draw(st.sampled_from(["uniform", "uniform-defined", "random"]))
+    assume(kind != "uniform-defined" or any(v is not None for row in entries for v in row))
+    cell = st.integers(1, 1000)
+    raw = draw(st.lists(st.lists(cell, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
+    return table, distribution(table, kind, raw), draw(st.sampled_from([None, 1, 2, 3, 4]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(alpha_cases())
+def test_alpha_matches_enumeration_property(case):
+    """The pruned search gives the enumeration's value bits, witness and
+    max_cells; random weights make the float slack matter."""
+    table, mu, size_cap = case
+    assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
+
+
+@pytest.mark.parametrize("seed,kind", [(1, "uniform"), (2, "uniform-defined"), (3, "random")])
+def test_alpha_matches_enumeration_on_6x6(seed, kind):
+    rng = random.Random(seed)
+    table = random_table(rng, 6, 6, partial=kind == "uniform-defined")
+    mu = distribution(table, kind, [[rng.random() for _ in range(6)] for _ in range(6)])
+    assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
+
+
+def test_exact_sums_only_for_short_dyadic_weights():
+    assert bounds._exact_sums([[1 / 16] * 4] * 4)
+    assert bounds._exact_sums([[0.5, 0.25, 0.25, 0.0]])
+    assert not bounds._exact_sums([[1 / 3] * 3])
+    assert not bounds._exact_sums([[1.0, 2.0**-60]])
+
+
+def counting_alpha(monkeypatch) -> list:
+    calls = []
+    real = bounds.alpha
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "alpha", counted)
+    return calls
+
+
+def test_stats_computes_alpha_once_per_table(monkeypatch):
+    calls = counting_alpha(monkeypatch)
+    summary = random_function_stats(2, 20, seed=5)
+    assert summary["bounds"]["count"] > 0  # some tables reach the composed bound
+    assert len(calls) == 20
+
+
+def test_bound_command_computes_alpha_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(EQ1.to_json()))
+    calls = counting_alpha(monkeypatch)
+    assert cli.main(["bound", "--table", str(path)]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["lower_bound"]["witnesses"]["value"] == 0.0
+    assert len(calls) == 1
 
 
 def test_similar_disjoint_stream_is_valid():
@@ -393,6 +478,8 @@ def test_input_distribution_validation():
         InputDistribution(table, [[0.7, 0.4], [0.0, 0.0]])
     with pytest.raises(ValueError):
         InputDistribution(table, [[-0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        InputDistribution(table, [[float("nan"), 0.5], [0.25, 0.25]])
     empty = table_of([[None, None]])
     with pytest.raises(ValueError):
         InputDistribution.uniform_defined(empty)

@@ -110,7 +110,7 @@ def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, caps
     masses over the whole randomness domain in one call."""
     calls, runs = [], []
     for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
-        def counted(self, inputs, _original=cls.output_masses):
+        def counted(self, inputs, _original=cls._output_masses):
             calls.append(tuple(inputs))
             return _original(self, inputs)
 
@@ -118,7 +118,7 @@ def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, caps
             runs.append((tuple(inputs), randomness))
             return _original(self, inputs, randomness)
 
-        monkeypatch.setattr(cls, "output_masses", counted)
+        monkeypatch.setattr(cls, "_output_masses", counted)
         monkeypatch.setattr(cls, "run", run)
     code, _, _ = run_main(argv, capsys)
     assert code == 0

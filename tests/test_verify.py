@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from psqm import qsim, verify
+from psqm import cli, protocols, qsim, verify
 from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
 from psqm.verify import (
     _kary_nondegenerate,
@@ -293,6 +294,34 @@ def test_purity_with_supplied_mu():
         check_messages(proto, mu={("00", "00"): 0.7})
     with pytest.raises(ValueError):
         check_messages(dj_protocol(2), mu={("00", "11"): 1.0})  # promise violation
+
+
+def counting_input_checks(monkeypatch) -> collections.Counter:
+    seen = collections.Counter()
+    real = protocols.ProtocolInstance._check_inputs
+
+    def counted(self, inputs):
+        seen[tuple(inputs)] += 1
+        return real(self, inputs)
+
+    monkeypatch.setattr(protocols.ProtocolInstance, "_check_inputs", counted)
+    return seen
+
+
+def test_verify_validates_inputs_only_at_the_edge(monkeypatch, capsys):
+    """The sweep walks the protocol's own input domain, so no check of a
+    `verify` re-validates its inputs; keys of a supplied mu come from the
+    caller and are validated once each."""
+    seen = counting_input_checks(monkeypatch)
+    assert cli.main(["verify", "--protocol", "dj", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert sum(seen.values()) == 0
+    proto = sum2_protocol(2)
+    mu = {x: 1.0 / 16 for x in proto.input_domain()}
+    check_messages(proto, mu=mu)
+    assert seen == collections.Counter(mu.keys())
+    with pytest.raises(ValueError, match="bad 2-bit input"):
+        check_messages(proto, mu={("0", "00"): 1.0})
 
 
 @pytest.mark.parametrize(

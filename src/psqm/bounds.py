@@ -47,6 +47,8 @@ class FunctionTable:
     def __post_init__(self):
         if not self.rows or not self.cols:
             raise ValueError("table needs at least one row and one column")
+        if not all(isinstance(label, str) for label in self.rows + self.cols):
+            raise ValueError("row and column labels must be strings")
         if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
             raise ValueError("row and column labels must be unique")
         if len(self.entries) != len(self.rows) or any(
@@ -55,7 +57,8 @@ class FunctionTable:
             raise ValueError("entry grid does not match the labels")
         for row in self.entries:
             for v in row:
-                if v not in (0, 1, None):
+                # exact types: True and 0.0 compare equal to 1 and 0
+                if v is not None and not (type(v) is int and v in (0, 1)):
                     raise ValueError(f"entry {v!r} is not 0, 1 or undefined")
 
     @classmethod
@@ -65,6 +68,8 @@ class FunctionTable:
     @classmethod
     def from_json(cls, obj) -> "FunctionTable":
         try:
+            if not all(isinstance(obj[key], list) for key in ("rows", "cols", "entries")):
+                raise TypeError("rows, cols and entries must be lists")
             return cls.build(obj["rows"], obj["cols"], obj["entries"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed function table: {exc}") from exc
@@ -479,22 +484,25 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
     if exhaustive:
         if n != 1:
             raise ValueError("exhaustive enumeration is only desk-scale for n=1")
-        tables = [table_from_bits(b) for b in range(1 << cells)]
-        coverage = f"exhaustive:{len(tables)}"
+        count = 1 << cells
+        patterns = range(count)
+        coverage = f"exhaustive:{count}"
     else:
         if trials < 0:
             raise ValueError("trials must be nonnegative")
         if seed is None and trials > 0:
             raise ValueError("seed required for sampled tables")
         rng = random.Random(seed)
-        tables = [table_from_bits(rng.getrandbits(cells)) for _ in range(trials)]
-        coverage = f"sampled:{len(tables)}"
+        count = trials
+        patterns = (rng.getrandbits(cells) for _ in range(trials))
+        coverage = f"sampled:{count}"
 
     nondeg = 0
     beta_zero = 0
     bound_values = []
     max_cells_seen = 0
-    for table in tables:
+    for bits in patterns:  # one table alive at a time, so memory stays flat in the count
+        table = table_from_bits(bits)
         mu = InputDistribution.uniform(table)
         a = alpha(table, mu)
         max_cells_seen = max(max_cells_seen, a.max_cells)
@@ -508,8 +516,8 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
     summary = {
         "n": n,
         "coverage": coverage,
-        "tables": len(tables),
-        "fraction_nondegenerate": (nondeg / len(tables)) if tables else None,
+        "tables": count,
+        "fraction_nondegenerate": (nondeg / count) if count else None,
         "beta_zero": beta_zero,
         "bounds": {
             "count": len(bound_values),

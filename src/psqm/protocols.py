@@ -43,6 +43,7 @@ _MAX_PROTOCOL_QUBITS = 10  # density matrices over the full message space stay d
 _MAX_DJ_QUBITS = 8
 # parities of every index within the cap; np.bitwise_count needs numpy 2
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _MAX_PROTOCOL_QUBITS)])
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _bitstrings(length: int):
@@ -96,7 +97,6 @@ class ProtocolInstance:
     input_lengths: tuple[int, ...]
     output_domain: tuple
     resource: SharedResource
-    message_kind: str  # "qubits" or "bits"
     reference_total: bool
 
     def cost(self) -> tuple[int, str]:
@@ -216,8 +216,22 @@ def _outcome_tables(width: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ghz_blocks(width: int, blocks: int) -> np.ndarray:
-    """Amplitudes of `blocks` GHZ states of `width` qubits each."""
-    return functools.reduce(np.kron, [qsim.ghz(width).amplitudes] * blocks)
+    """Amplitudes of `blocks` GHZ states (|0..0> + |1..1>)/sqrt(2) of
+    `width` qubits each."""
+    ghz = np.zeros(1 << width, dtype=complex)
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    return functools.reduce(np.kron, [ghz] * blocks)
+
+
+def _hadamards(amps: np.ndarray, qubits) -> np.ndarray:
+    """Big-endian amplitudes with H applied to each of `qubits` in turn, by
+    the same tensordot per qubit as a dense gate simulator: the float
+    rounding of this fold shows in dj's reports."""
+    shape = [2] * (amps.size.bit_length() - 1)
+    for q in qubits:
+        tensor = np.tensordot(_H, amps.reshape(shape), axes=([1], [q]))
+        amps = np.moveaxis(tensor, 0, q).reshape(-1)
+    return amps
 
 
 class _GhzMaskProtocol(ProtocolInstance):
@@ -239,8 +253,6 @@ class _GhzMaskProtocol(ProtocolInstance):
 
     blocks: int
     _parties: int  # internal party count, always even
-
-    message_kind = "qubits"
 
     def _setup(self, k: int, blocks: int):
         if k < 2:
@@ -482,7 +494,6 @@ class DJProtocol(ProtocolInstance):
     """
 
     name = "dj"
-    message_kind = "bits"
     reference_total = False
 
     def __init__(self, n: int):
@@ -557,12 +568,9 @@ class DJProtocol(ProtocolInstance):
         return self._outcome_law(inputs)
 
     def _outcome_law(self, inputs) -> np.ndarray:
-        state = qsim.apply_phase_oracle(
-            self.resource.entangled_state, self._phase_signs(*inputs)
-        )
-        for q in range(2 * self.m):
-            state = qsim.apply_gate(state, "H", q)
-        return (np.abs(state.amplitudes) ** 2).reshape(self.n, self.n)
+        amps = self.resource.entangled_state.amplitudes * self._phase_signs(*inputs)
+        amps = _hadamards(amps, range(2 * self.m))
+        return (np.abs(amps) ** 2).reshape(self.n, self.n)
 
     @functools.cached_property
     def _message_bits(self) -> list[str]:
@@ -629,12 +637,9 @@ class DJProtocol(ProtocolInstance):
         m = self.m
         zeros = "0" * self.n
         inputs = (own_input, zeros) if party == 0 else (zeros, own_input)
-        signs = self._phase_signs(*inputs)
-        state = qsim.apply_phase_oracle(self.resource.entangled_state, signs)
+        amps = self.resource.entangled_state.amplitudes * self._phase_signs(*inputs)
         first = 0 if party == 0 else m
-        for q in range(first, first + m):
-            state = qsim.apply_gate(state, "H", q)
-        return state
+        return qsim.StateVector(_hadamards(amps, range(first, first + m)))
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards

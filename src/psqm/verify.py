@@ -160,27 +160,21 @@ class CorrectnessReport:
 
 def check_correctness(
     protocol: ProtocolInstance,
-    reference=None,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     seed=None,
 ) -> CorrectnessReport:
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
-    reference = reference or protocol._reference
     inputs, coverage = _sweep(protocol, budget, seed)
     domain = protocol.resource.randomness_domain
     min_mass, worst_x, worst_r = float("inf"), None, None
     cases = 0
     for x in inputs:
-        target = reference(x)
+        target = protocol._reference(x)
         if target is PROMISE_VIOLATION:
             continue
-        masses = protocol._output_masses(x)
-        if target in protocol.output_domain:
-            masses = masses[:, protocol.output_domain.index(target)]
-        else:  # a reference value the referee never outputs
-            masses = np.zeros(len(domain))
+        masses = protocol._output_masses(x)[:, protocol.output_domain.index(target)]
         cases += len(masses)
         i = int(np.argmin(masses))  # the first minimum, so the witness is the first worst pair
         if masses[i] < min_mass:

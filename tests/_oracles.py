@@ -4,9 +4,12 @@ Everything here is written from the definitions with the dumbest
 possible loops, sharing no code with the package: polynomial arithmetic
 works on coefficient lists, rectangle search enumerates ordered tuples
 directly via itertools.permutations, cliques come from a full subset
-scan.  `enumerated_alpha` borrows only the package's result containers,
-so that its answer compares with `bounds.alpha` by repr.  Slow on
-purpose; only used at small sizes.
+scan, and quantum states come from a dense gate simulator that applies
+one named gate at a time.  `enumerated_alpha` borrows only the package's
+result containers, so that its answer compares with `bounds.alpha` by
+repr, and the simulator only the validated `StateVector` and
+`DensityMatrix` containers of `psqm.qsim`.  Slow on purpose; only used
+at small sizes.
 """
 
 import itertools
@@ -14,6 +17,7 @@ import itertools
 import numpy as np
 
 from psqm.bounds import AlphaResult, Rectangle
+from psqm.qsim import CONSTRUCTION_TOL, DensityMatrix, StateVector
 
 
 # ---------------------------------------------------------------- GF(2)[a]
@@ -57,6 +61,79 @@ def oracle_irreducible(poly: int) -> bool:
 
 def field_mul(a: int, b: int, modulus: int) -> int:
     return poly_rem(poly_mul(a, b), modulus)
+
+
+# ------------------------------------------------ dense gate simulator
+
+
+_GATES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+}
+
+
+def ghz(k: int) -> StateVector:
+    """(|0..0> + |1..1>)/sqrt(2) on k qubits."""
+    if k < 1:
+        raise ValueError("need at least one qubit")
+    amps = np.zeros(1 << k, dtype=complex)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return StateVector(amps)
+
+
+def apply_gate(state: StateVector, gate: str, qubit: int) -> StateVector:
+    """Apply a named single-qubit gate (X, Z or H) to one qubit."""
+    if gate not in _GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    q = state.qubit_count
+    if not 0 <= qubit < q:
+        raise ValueError(f"qubit {qubit} out of range for {q} qubits")
+    tensor = state.amplitudes.reshape([2] * q)
+    tensor = np.moveaxis(np.tensordot(_GATES[gate], tensor, axes=([1], [qubit])), 0, qubit)
+    return StateVector(tensor.reshape(-1))
+
+
+def apply_phase_oracle(state: StateVector, signs) -> StateVector:
+    """Multiply each computational amplitude by the matching +/-1 sign."""
+    signs = np.asarray(signs)
+    if signs.shape != (state.dim,):
+        raise ValueError("sign vector length must match the state dimension")
+    if not np.all(np.abs(signs * signs - 1) == 0):
+        raise ValueError("signs must be +1 or -1")
+    return StateVector(state.amplitudes * signs)
+
+
+def phi_basis(k: int) -> np.ndarray:
+    """GHZ-type basis {(|y,0> + (-1)^z |~y,1>)/sqrt(2)} on k qubits, as the
+    unitary matrix whose row i is basis vector i.
+
+    Basis vector index is the integer with bits y_1..y_{k-1} z, so y is
+    carried by the first k-1 qubits and the last qubit separates the
+    two branches.  The protocols read their outcomes off Pauli frames;
+    this matrix is the tests' dense oracle for them.
+    """
+    if k < 2:
+        raise ValueError("basis needs at least two qubits")
+    rows = np.arange(1 << k)
+    y0 = rows & ~1  # |y,0>; its complement |~y,1> is y0 ^ (2^k - 1)
+    root = 1 / np.sqrt(2)
+    mat = np.zeros((rows.size, rows.size), dtype=complex)
+    mat[rows, y0] = root
+    mat[rows, y0 ^ (rows.size - 1)] = np.where(rows & 1, -root, root)
+    return mat
+
+
+def mix(ensemble) -> DensityMatrix:
+    """Density matrix sum_i w_i |psi_i><psi_i| of a weighted ensemble."""
+    ensemble = list(ensemble)
+    if not ensemble:
+        raise ValueError("empty ensemble")
+    weights = np.array([w for w, _ in ensemble], dtype=float)
+    if weights.min() < 0 or abs(weights.sum() - 1.0) > CONSTRUCTION_TOL:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    states = np.array([s.amplitudes for _, s in ensemble])
+    return DensityMatrix((states.T * weights) @ states.conj())
 
 
 # --------------------------------------------------- rectangle quantities

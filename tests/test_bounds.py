@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -232,6 +233,23 @@ def test_stats_computes_alpha_once_per_table(monkeypatch):
     summary = random_function_stats(2, 20, seed=5)
     assert summary["bounds"]["count"] > 0  # some tables reach the composed bound
     assert len(calls) == 20
+
+
+def test_stats_keeps_one_sampled_table_alive(monkeypatch):
+    """Each table is drawn inside the loop, so `stats` memory stays flat in
+    the trial count: while alpha runs, no earlier table is still held."""
+    real, tables, most_alive = bounds.alpha, [], 0
+
+    def tracking(table, *args, **kwargs):
+        nonlocal most_alive
+        tables.append(weakref.ref(table))
+        most_alive = max(most_alive, sum(ref() is not None for ref in tables))
+        return real(table, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "alpha", tracking)
+    random_function_stats(1, 30, seed=2)
+    assert len(tables) == 30
+    assert most_alive == 1
 
 
 def test_bound_command_computes_alpha_once(tmp_path, monkeypatch, capsys):
@@ -468,6 +486,14 @@ def test_function_table_validation():
         FunctionTable.from_json({"rows": ["a"]})
     with pytest.raises(ValueError, match="malformed"):
         FunctionTable.from_json(None)
+    good = {"rows": ["a", "b"], "cols": ["c"], "entries": [[1], [None]]}
+    assert FunctionTable.from_json(good).entries == ((1,), (None,))
+    for key, value in [("rows", "ab"), ("cols", "c"), ("rows", ["a", 2]), ("entries", "10")]:
+        with pytest.raises(ValueError):
+            FunctionTable.from_json({**good, key: value})
+    for entry in [True, False, 0.0, 1.0, "1"]:
+        with pytest.raises(ValueError, match="not 0, 1 or undefined"):
+            FunctionTable.from_json({**good, "entries": [[1], [entry]]})
 
 
 def test_input_distribution_validation():

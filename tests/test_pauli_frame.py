@@ -3,7 +3,7 @@
 sum2 and geq build message states by index arithmetic (an XOR mask and
 a parity sign), never by simulating gates.  For every configuration
 within the message-qubit cap, this file compares that path with a dense
-fold of `qsim.apply_gate` over the oracle gate lists of
+fold of `_oracles.apply_gate` over the oracle gate lists of
 `_oracles.ghz_gate_ops`, which share no code with the protocols, on the
 all-zero input and three seeded inputs: message amplitudes, referee
 outcome laws (against the full basis matrix), output masses (that law
@@ -14,9 +14,10 @@ qubits); above that, a seeded sample of 512.  Party message states,
 which depend only on (party, own input, randomness), are compared once
 per such triple, over at most 512 seeded randomness values.  Where every
 randomness value is covered and R * 4^q <= 2^25, averaged messages are
-compared with `qsim.mix` too.  A hypothesis property draws further
+compared with `_oracles.mix` too.  A hypothesis property draws further
 (configuration, input, randomness) triples.  dj's output masses are
-checked against its transcripts, exactly.
+checked against its transcripts, exactly, and its outcome law and party
+message states against the dense Hadamard fold, bit for bit.
 """
 
 import functools
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from psqm import qsim
 from psqm.protocols import _MAX_PROTOCOL_QUBITS, DJProtocol, GeqProtocol, Sum2Protocol
 
-from _oracles import ghz_gate_ops
+from _oracles import apply_gate, apply_phase_oracle, ghz, ghz_gate_ops, mix, phi_basis
 
 TOL = 1e-12
 FULL_COVER_CAP = 1 << 20
@@ -66,7 +67,7 @@ def message_operations(proto, inputs, r) -> tuple:
 def dense_message(proto, ops) -> np.ndarray:
     state = proto.resource.entangled_state
     for gate, qubit in ops:
-        state = qsim.apply_gate(state, gate, qubit)
+        state = apply_gate(state, gate, qubit)
     return state.amplitudes
 
 
@@ -82,18 +83,18 @@ def dense_party_message(proto, party, ops, blocks) -> np.ndarray:
     state = _reference_ghz(share + 1, blocks)
     for gate, q in ops:
         i = owned.index(q)
-        state = qsim.apply_gate(state, gate, i + i // share + 1)
+        state = apply_gate(state, gate, i + i // share + 1)
     return state.amplitudes
 
 
 @functools.cache
 def _reference_ghz(width, blocks) -> qsim.StateVector:
-    amps = functools.reduce(np.kron, [qsim.ghz(width).amplitudes] * blocks)
+    amps = functools.reduce(np.kron, [ghz(width).amplitudes] * blocks)
     return qsim.StateVector(amps)
 
 
 def joint_basis(proto, blocks) -> np.ndarray:
-    per_block = qsim.phi_basis(len(proto.resource.qubit_owner) // blocks)
+    per_block = phi_basis(len(proto.resource.qubit_owner) // blocks)
     return functools.reduce(np.kron, [per_block] * blocks)
 
 
@@ -155,7 +156,7 @@ def check_against_dense(proto, blocks, seed):
         )
         if full and len(randomness) * dim * dim <= MIX_CAP:
             w = 1.0 / len(randomness)
-            mixed = qsim.mix([(w, qsim.StateVector(s)) for s in dense_states])
+            mixed = mix([(w, qsim.StateVector(s)) for s in dense_states])
             assert_close([proto.averaged_message(x).matrix], [mixed.matrix])
     folded = None
     for party, ops, own, r in sorted(party_cases):  # equal operations fold once
@@ -202,3 +203,36 @@ def test_dj_output_masses_match_run(n):
         laws = [proto.run(x, r).output_distribution for r in domain]
         expected = [[law[y] for y in proto.output_domain] for law in laws]
         assert proto.output_masses(x).tolist() == expected, x
+
+
+def dense_dj_fold(proto, inputs, qubits) -> np.ndarray:
+    """dj's shared state phased by both inputs, then H on each of `qubits`."""
+    state = apply_phase_oracle(proto.resource.entangled_state, proto._phase_signs(*inputs))
+    for qubit in qubits:
+        state = apply_gate(state, "H", qubit)
+    return state.amplitudes
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_dj_law_is_the_dense_hadamard_fold(n):
+    """dj's outcome law and party message states equal the dense fold bit
+    for bit, over every x XOR y up to n = 8 and a seeded 64 at n = 16.
+    The fold's float noise reaches reports (`verify --protocol dj --n 4`
+    prints `max_distance` 5.28699740953e-34), so a transform that rounds
+    differently, such as a fast Walsh-Hadamard, would change their bytes."""
+    proto = DJProtocol(n)
+    m, zeros = proto.m, "0" * n
+    rng = random.Random(n)
+    if n <= 8:
+        patterns = range(1 << n)
+    else:
+        patterns = [rng.getrandbits(n) for _ in range(64)]
+    for w in patterns:
+        x = rng.getrandbits(n)
+        inputs = (format(x, f"0{n}b"), format(x ^ w, f"0{n}b"))
+        law = np.abs(dense_dj_fold(proto, inputs, range(2 * m))) ** 2
+        assert proto._outcome_law(inputs).tobytes() == law.reshape(n, n).tobytes(), inputs
+        for party, qubits in ((0, range(m)), (1, range(m, 2 * m))):
+            own = (inputs[party], zeros) if party == 0 else (zeros, inputs[party])
+            fast = proto.party_message_state(party, inputs[party], None).amplitudes
+            assert fast.tobytes() == dense_dj_fold(proto, own, qubits).tobytes(), (party, own)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqm import qsim
 from psqm.protocols import (
     PROMISE_VIOLATION,
     dj_protocol,
@@ -18,7 +17,7 @@ from psqm.protocols import (
     sum2_reference,
 )
 
-from _oracles import dj_joint_outcome, field_mul, ghz_gate_ops, oracle_irreducible
+from _oracles import apply_gate, dj_joint_outcome, field_mul, ghz_gate_ops, oracle_irreducible
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -120,7 +119,7 @@ def test_local_operations_compose_to_message_state():
         state = proto.resource.entangled_state
         for party in range(3):
             for gate, qubit in ghz_gate_ops(proto, party, inputs[party], r):
-                state = qsim.apply_gate(state, gate, qubit)
+                state = apply_gate(state, gate, qubit)
         np.testing.assert_allclose(
             state.amplitudes,
             proto.message_state(inputs, r).amplitudes,

@@ -1,3 +1,6 @@
+"""The `qsim` containers and metrics, and the dense gate simulator of
+`tests/_oracles.py` that the differential tests fold gates with."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +8,15 @@ from hypothesis import strategies as st
 
 from psqm import qsim
 
-from _oracles import projector_distance
+from _oracles import apply_gate, apply_phase_oracle, ghz, mix, phi_basis, projector_distance
 
 RT2 = 1 / np.sqrt(2)
 
 
 def test_ghz_amplitudes():
-    got = qsim.ghz(2).amplitudes
+    got = ghz(2).amplitudes
     np.testing.assert_allclose(got, [RT2, 0, 0, RT2])
-    got = qsim.ghz(3).amplitudes
+    got = ghz(3).amplitudes
     np.testing.assert_allclose(got, [RT2, 0, 0, 0, 0, 0, 0, RT2])
 
 
@@ -29,35 +32,35 @@ def test_statevector_validation():
 def test_apply_gate_big_endian():
     # qubit 0 is the leftmost factor: X there flips the high bit
     state = qsim.StateVector([1, 0, 0, 0])
-    flipped = qsim.apply_gate(state, "X", 0)
+    flipped = apply_gate(state, "X", 0)
     np.testing.assert_allclose(flipped.amplitudes, [0, 0, 1, 0])
-    flipped = qsim.apply_gate(state, "X", 1)
+    flipped = apply_gate(state, "X", 1)
     np.testing.assert_allclose(flipped.amplitudes, [0, 1, 0, 0])
 
 
 def test_apply_gate_z_and_h():
-    minus = qsim.apply_gate(qsim.StateVector([0, 1]), "Z", 0)
+    minus = apply_gate(qsim.StateVector([0, 1]), "Z", 0)
     np.testing.assert_allclose(minus.amplitudes, [0, -1])
-    plus = qsim.apply_gate(qsim.StateVector([1, 0]), "H", 0)
+    plus = apply_gate(qsim.StateVector([1, 0]), "H", 0)
     np.testing.assert_allclose(plus.amplitudes, [RT2, RT2])
     with pytest.raises(ValueError):
-        qsim.apply_gate(plus, "Y", 0)
+        apply_gate(plus, "Y", 0)
     with pytest.raises(ValueError):
-        qsim.apply_gate(plus, "X", 1)
+        apply_gate(plus, "X", 1)
 
 
 def test_phase_oracle():
     state = qsim.StateVector([0.5, 0.5, 0.5, 0.5])
-    phased = qsim.apply_phase_oracle(state, (1, -1, -1, 1))
+    phased = apply_phase_oracle(state, (1, -1, -1, 1))
     np.testing.assert_allclose(phased.amplitudes, [0.5, -0.5, -0.5, 0.5])
     with pytest.raises(ValueError):
-        qsim.apply_phase_oracle(state, (1, -1, 2, 1))
+        apply_phase_oracle(state, (1, -1, 2, 1))
     with pytest.raises(ValueError):
-        qsim.apply_phase_oracle(state, (1, -1))
+        apply_phase_oracle(state, (1, -1))
 
 
 def test_phi_basis_two_qubits():
-    basis = qsim.phi_basis(2)
+    basis = phi_basis(2)
     expected = {
         0: [RT2, 0, 0, RT2],  # y=0, z=0
         1: [RT2, 0, 0, -RT2],  # y=0, z=1
@@ -70,18 +73,18 @@ def test_phi_basis_two_qubits():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_phi_basis_orthonormal(k):
-    basis = qsim.phi_basis(k)
+    basis = phi_basis(k)
     gram = basis.conj() @ basis.T
     np.testing.assert_allclose(gram, np.eye(1 << k), atol=1e-12)
 
 
 def phi_outcome_law(state, k):
     """Outcome probabilities of measuring `state` in the phi basis."""
-    return np.abs(qsim.phi_basis(k).conj() @ state.amplitudes) ** 2
+    return np.abs(phi_basis(k).conj() @ state.amplitudes) ** 2
 
 
 def test_measure_deterministic_phi_outcome():
-    state = qsim.apply_gate(qsim.ghz(2), "Z", 0)
+    state = apply_gate(ghz(2), "Z", 0)
     np.testing.assert_allclose(phi_outcome_law(state, 2), [0, 1, 0, 0], atol=1e-12)
 
 
@@ -96,10 +99,10 @@ def test_measure_probabilities_sum():
 def test_mix_and_purity():
     zero = qsim.StateVector([1, 0])
     one = qsim.StateVector([0, 1])
-    rho = qsim.mix([(0.5, zero), (0.5, one)])
+    rho = mix([(0.5, zero), (0.5, one)])
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
     assert abs(qsim.purity(rho.matrix) - 0.5) < 1e-12
-    assert abs(qsim.purity(qsim.mix([(1.0, zero)]).matrix) - 1.0) < 1e-12
+    assert abs(qsim.purity(mix([(1.0, zero)]).matrix) - 1.0) < 1e-12
 
 
 def test_matrix_and_projector_distance():
@@ -126,7 +129,7 @@ def test_density_matrix_validation():
 
 def test_phi_basis_needs_two_qubits():
     with pytest.raises(ValueError):
-        qsim.phi_basis(1)
+        phi_basis(1)
 
 
 @st.composite
@@ -144,7 +147,7 @@ def random_state(draw):
 @given(random_state(), st.sampled_from(["X", "Z", "H"]))
 def test_gates_preserve_norm(state_qubit, gate):
     state, qubit = state_qubit
-    out = qsim.apply_gate(state, gate, qubit)
+    out = apply_gate(state, gate, qubit)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -152,5 +155,5 @@ def test_gates_preserve_norm(state_qubit, gate):
 @given(random_state(), st.sampled_from(["X", "Z", "H"]))
 def test_gates_are_involutions(state_qubit, gate):
     state, qubit = state_qubit
-    twice = qsim.apply_gate(qsim.apply_gate(state, gate, qubit), gate, qubit)
+    twice = apply_gate(apply_gate(state, gate, qubit), gate, qubit)
     np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)

@@ -1,29 +1,48 @@
 """Simulation and machine verification of small private simultaneous-message
 protocols, plus brute-force evaluation of the matching combinatorial lower
-bounds."""
+bounds.
+
+The re-exported names below resolve on first use (PEP 562), so that
+`import psqm` loads only the modules a caller touches: the pure-Python
+`bounds` needs no numpy, while `protocols` and `verify` load it."""
+
+import importlib
 
 __version__ = "0.1.0"
+DEFAULT_BUDGET = 1 << 16  # inputs an exhaustive sweep may visit; --budget's default
 
-from .protocols import (  # noqa: F401
-    PROMISE_VIOLATION,
-    dj_protocol,
-    geq_protocol,
-    sum2_protocol,
-)
-from .verify import (  # noqa: F401
-    check_correctness,
-    check_messages,
-    check_weight_sums,
-)
-from .bounds import (  # noqa: F401
-    FunctionTable,
-    InputDistribution,
-    alpha,
-    beta,
-    dj_table,
-    exact_smp_clique_sizes,
-    is_non_degenerate,
-    min_entropy,
-    psqm_lower_bound,
-    random_function_stats,
-)
+_EXPORTS = {
+    "PROMISE_VIOLATION": "protocols",
+    "dj_protocol": "protocols",
+    "geq_protocol": "protocols",
+    "sum2_protocol": "protocols",
+    "check_correctness": "verify",
+    "check_messages": "verify",
+    "check_weight_sums": "verify",
+    "FunctionTable": "bounds",
+    "InputDistribution": "bounds",
+    "alpha": "bounds",
+    "beta": "bounds",
+    "dj_table": "bounds",
+    "exact_smp_clique_sizes": "bounds",
+    "is_non_degenerate": "bounds",
+    "min_entropy": "bounds",
+    "psqm_lower_bound": "bounds",
+    "random_function_stats": "bounds",
+}
+# submodules that `import psqm` used to load, still reachable as attributes
+_SUBMODULES = frozenset({"bounds", "gf2m", "protocols", "qsim", "verify"})
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -19,10 +19,10 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, bounds, verify
-from .protocols import PROMISE_VIOLATION, dj_protocol, geq_protocol, sum2_protocol
+# `bound` and `stats` need only the pure-Python bounds module; `run` and
+# `verify` import the numpy-backed modules when they start (see
+# _build_protocol).
+from . import DEFAULT_BUDGET, __version__, bounds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="input length (dj) or table size (stats)")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p_run = sub.add_parser("run", help="execute one protocol")
@@ -68,7 +68,8 @@ def _canon(value):
         if math.isfinite(value):
             return float(f"{value:.12g}")
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy scalar implies numpy is loaded
+    if np is not None and isinstance(value, (np.floating, np.integer)):
         return _canon(value.item())
     if isinstance(value, dict):
         return {str(k): _canon(v) for k, v in value.items()}
@@ -97,19 +98,23 @@ def _emit(report: dict, out_path, checks, elapsed_ms: float):
 
 
 def _build_protocol(args):
+    # Import protocols before verify or numpy: the order in which the
+    # modules are compiled and loaded shows in the process's peak RSS.
+    from . import protocols
+
     if not args.protocol:
         raise ValueError("--protocol is required")
     if args.protocol == "sum2":
         if args.k is None:
             raise ValueError("sum2 needs --k")
-        return sum2_protocol(args.k)
+        return protocols.sum2_protocol(args.k)
     if args.protocol == "geq":
         if args.k is None or args.l is None:
             raise ValueError("geq needs --k and --l")
-        return geq_protocol(args.k, args.l)
+        return protocols.geq_protocol(args.k, args.l)
     if args.n is None:
         raise ValueError("dj needs --n")
-    return dj_protocol(args.n)
+    return protocols.dj_protocol(args.n)
 
 
 def _config_echo(args, keys) -> dict:
@@ -146,6 +151,10 @@ def _transcript(protocol, inputs, randomness) -> dict:
 
 def cmd_run(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
+    import numpy as np
+
+    from .protocols import PROMISE_VIOLATION
+
     if args.inputs is not None:
         requested = [tuple(args.inputs.split(","))]
         detailed = True
@@ -192,6 +201,8 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
 
 def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
+    from . import verify
+
     kwargs = dict(budget=args.budget, seed=args.seed)
     checks = []
 

@@ -38,12 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds, qsim
+from . import DEFAULT_BUDGET, bounds, qsim
 from .protocols import PROMISE_VIOLATION, ProtocolInstance
 
 DEFAULT_TOL = 1e-9
 PURITY_TOL = 1e-10
-DEFAULT_BUDGET = 1 << 16
 _GRAM_INPUT_CAP = 256  # inputs in the informational witness of a skipped weight-sum check
 _SAMPLES_PER_CLASS = 64
 _NONDEGENERACY_ENUM_CAP = 1 << 20

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from psqm import cli, protocols, qsim, verify
@@ -25,6 +26,15 @@ def test_canonical_json_rounding_and_order():
     assert cli.canonical_json({"x": float("-inf")}) == '{"x":"-inf"}'
     with pytest.raises(TypeError):
         cli.canonical_json({"x": object()})
+
+
+def test_canonical_json_numpy_scalars():
+    assert cli.canonical_json([np.float32(0.1)]) == "[0.10000000149]"
+    assert cli.canonical_json([np.float64(1 / 3)]) == "[0.333333333333]"
+    assert cli.canonical_json([np.int64(3)]) == "[3]"
+    for value in (np.bool_(True), object()):
+        with pytest.raises(TypeError):
+            cli.canonical_json({"x": value})
 
 
 def test_canonical_json_nested_key_sort():

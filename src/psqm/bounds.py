@@ -166,7 +166,8 @@ class CliqueResult(NamedTuple):
 
 def is_non_degenerate(table: FunctionTable, mu: InputDistribution) -> bool:
     """Every pair of support rows is split by some support column, and
-    symmetrically.  Undefined entries inside the support rectangle are
+    symmetrically: the support rows are pairwise distinct, and so are the
+    support columns.  Undefined entries inside the support rectangle are
     an error: the notion only makes sense for tables total there."""
     if mu.table is not table:
         _check_same_shape(table, mu)
@@ -177,13 +178,9 @@ def is_non_degenerate(table: FunctionTable, mu: InputDistribution) -> bool:
                 raise ValueError(
                     f"undefined entry inside the support at ({table.rows[i]}, {table.cols[j]})"
                 )
-    for a, b in itertools.combinations(supp1, 2):
-        if all(table.entries[a][j] == table.entries[b][j] for j in supp2):
-            return False
-    for a, b in itertools.combinations(supp2, 2):
-        if all(table.entries[i][a] == table.entries[i][b] for i in supp1):
-            return False
-    return True
+    rows = {tuple(table.entries[i][j] for j in supp2) for i in supp1}
+    cols = {tuple(table.entries[i][j] for i in supp1) for j in supp2}
+    return len(rows) == len(supp1) and len(cols) == len(supp2)
 
 
 def _check_same_shape(table, mu):

@@ -22,7 +22,7 @@ import time
 # `bound` and `stats` need only the pure-Python bounds module; `run` and
 # `verify` import the numpy-backed modules when they start (see
 # _build_protocol).
-from . import DEFAULT_BUDGET, __version__, bounds
+from . import DEFAULT_BUDGET, DEFAULT_TOL, __version__, bounds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="number of parties (sum2, geq)")
         p.add_argument("--l", type=int, help="number of blocks (geq)")
         p.add_argument("--n", type=int, help="input length (dj) or table size (stats)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", help="write the JSON report here instead of stdout")

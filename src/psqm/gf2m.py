@@ -5,7 +5,7 @@ coefficient of a^i.  A bit string "x1 x2 ... xm" encodes the element
 x1 + x2*a + ... + xm*a^(m-1), i.e. the FIRST character is the constant
 term.  Addition is XOR; multiplication is a carry-less product reduced
 modulo the modulus polynomial.  Every product comes from one table per
-field (`product_table`), so its degree is capped at MAX_TABLE_DEGREE,
+field (`product_table`), so every degree is capped at MAX_TABLE_DEGREE,
 the widest field a protocol uses.  No inversion is provided or needed.
 """
 
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DEGREE = 32
-MAX_TABLE_DEGREE = 10  # 4^m entries: geq masks 2l <= 10 bits
+MAX_TABLE_DEGREE = 10  # a product table has 4^m entries; geq masks 2l <= 10 bits
 
 
 def degree(poly: int) -> int:
@@ -56,8 +55,8 @@ class Modulus:
     encoding: int
 
     def __post_init__(self):
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"modulus degree {self.degree} outside 1..{MAX_DEGREE}")
+        if not 1 <= self.degree <= MAX_TABLE_DEGREE:
+            raise ValueError(f"modulus degree {self.degree} outside 1..{MAX_TABLE_DEGREE}")
         if degree(self.encoding) != self.degree:
             raise ValueError("encoding degree does not match the declared degree")
         if not is_irreducible(self.encoding):
@@ -66,8 +65,8 @@ class Modulus:
 
 def find_irreducible(m: int) -> Modulus:
     """Smallest-integer-encoding monic irreducible polynomial of degree m."""
-    if not 1 <= m <= MAX_DEGREE:
-        raise ValueError(f"degree {m} outside 1..{MAX_DEGREE}")
+    if not 1 <= m <= MAX_TABLE_DEGREE:
+        raise ValueError(f"degree {m} outside 1..{MAX_TABLE_DEGREE}")
     for cand in range(1 << m, 1 << (m + 1)):
         if is_irreducible(cand):
             return Modulus(m, cand)
@@ -80,8 +79,6 @@ def product_table(modulus: Modulus) -> np.ndarray:
     big-endian integers: entry [int(a, 2), int(b, 2)] is int(c, 2) for the
     field product c of a and b.  Read-only, shared by every caller."""
     m = modulus.degree
-    if m > MAX_TABLE_DEGREE:
-        raise ValueError(f"a product table of degree {m} exceeds {MAX_TABLE_DEGREE}")
     rev = np.array([int(format(v, f"0{m}b")[::-1], 2) for v in range(1 << m)])
     prod = np.zeros((rev.size, rev.size), dtype=np.int32)
     for i in range(m):  # carry-less product of the packed field elements

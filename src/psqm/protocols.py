@@ -41,6 +41,7 @@ PROMISE_VIOLATION = _PromiseViolation()
 
 _MAX_PROTOCOL_QUBITS = 10  # density matrices over the full message space stay desk-scale
 _MAX_DJ_QUBITS = 8
+_KEY_CHUNK = 1 << 21  # (input, randomness) keys that weight_sum_maxima holds at once
 # parities of every index within the cap; np.bitwise_count needs numpy 2
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _MAX_PROTOCOL_QUBITS)])
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -354,17 +355,29 @@ class _GhzMaskProtocol(ProtocolInstance):
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Up to sign, a party state is the phi-basis vector of its local
         outcome (key), so two overlap with modulus 1 if their keys agree and
-        0 otherwise: the sum over z counts the z whose key under r' is x's."""
-        randomness = self._randomness_ints(randomness_values)
-        width, xmasks, zmasks = self._party_frames(party, own_inputs, randomness)
-        ys, zs = _outcome_tables(width, self.blocks)
-        keys = (ys[xmasks] | zs[zmasks]).T  # one row per randomness value
-        max_excl = max_incl = 0
-        for row in keys:  # r'
-            incl = np.bincount(row, minlength=ys.size)[keys]
-            max_incl = max(max_incl, int(incl.max()))
-            max_excl = max(max_excl, int((incl - (keys == row)).max()))
-        return float(max_excl), float(max_incl)
+        0 otherwise: the sum over z counts the z whose key under r' is x's.
+
+        So the sum over all z peaks at M, the largest count of one key under
+        one r'.  Without z = x it reaches M only when such a key is also the
+        key, under some r, of an input beyond those M; otherwise it peaks at
+        M - 1.  One pass over r, in chunks of at most _KEY_CHUNK keys, finds
+        both from each key's largest count and the inputs that reach it."""
+        chunk = max(1, _KEY_CHUNK // len(own_inputs))
+        reach = best = None
+        for start in range(0, len(randomness_values), chunk):
+            randomness = self._randomness_ints(randomness_values[start : start + chunk])
+            width, xmasks, zmasks = self._party_frames(party, own_inputs, randomness)
+            ys, zs = _outcome_tables(width, self.blocks)
+            keys = ys[xmasks] | zs[zmasks]  # one row per own input, one column per r
+            if reach is None:
+                reach = np.zeros((len(own_inputs), ys.size), dtype=bool)
+                best = np.zeros(ys.size, dtype=np.int64)
+            reach[np.arange(len(own_inputs))[:, None], keys] = True
+            for row in keys.T:  # r'
+                np.maximum(best, np.bincount(row, minlength=ys.size), out=best)
+        top = int(best.max())
+        beyond = (reach.sum(axis=0)[best == top] > top).any()
+        return float(top if beyond else top - 1), float(top)
 
 
 class Sum2Protocol(_GhzMaskProtocol):

@@ -23,29 +23,33 @@ and dj's party states overlap in closed form (`weight_sum_maxima`).
 
 Two checks mirror inequalities whose hypotheses (a total, non-degenerate
 reference function) do not hold for every protocol: the per-party weight
-sums and the collision bound on averaged purity.  When the hypothesis
-fails (dj's promise reference is partial) the check is vacuous and is
-reported as skipped, with informational witnesses still attached.
+sums and the collision bound on averaged purity.  The hypothesis is
+decided exactly, with no size cap: a total reference is non-degenerate
+when, for every party, the rows of its own-input x other-inputs table are
+pairwise distinct, so one pass over the input domain decides it.  When
+the hypothesis fails (dj's promise reference is partial) the check is
+vacuous and is reported as skipped, with informational witnesses still
+attached; no check is skipped for size.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BUDGET, bounds, qsim
+from . import DEFAULT_BUDGET, DEFAULT_TOL, bounds, qsim
 from .protocols import PROMISE_VIOLATION, ProtocolInstance
 
-DEFAULT_TOL = 1e-9
 PURITY_TOL = 1e-10
 _GRAM_INPUT_CAP = 256  # inputs in the informational witness of a skipped weight-sum check
 _SAMPLES_PER_CLASS = 64
-_NONDEGENERACY_ENUM_CAP = 1 << 20
+_VACUOUS = "reference is partial or degenerate; bound is vacuous"
 
 
 def _sweep(protocol: ProtocolInstance, budget: int, seed):
@@ -78,10 +82,13 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
 def _distribution(protocol, mu, budget, seed):
     """(inputs, weights, coverage); uniform over the sweep when mu is None."""
     if mu is not None:
+        if not mu:
+            raise ValueError("mu is empty")
         inputs = list(mu.keys())
         weights = np.array([mu[x] for x in inputs], dtype=float)
-        if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mu must be a probability distribution")
+        finite = all(map(math.isfinite, weights))
+        if not finite or weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError("mu must be finite, nonnegative and sum to 1")
         for x in inputs:
             if protocol.reference(x) is PROMISE_VIOLATION:
                 raise ValueError(f"mu puts weight on promise-violating input {x}")
@@ -92,48 +99,25 @@ def _distribution(protocol, mu, budget, seed):
 
 
 @functools.lru_cache(maxsize=1)  # one verify asks once per weight-sum party and once more
-def _kary_nondegenerate(protocol: ProtocolInstance):
-    """Every pair of one party's inputs must be distinguished by some
-    assignment of the other parties, with both outputs defined.  Returns
-    True/False, or None when the enumeration would exceed the cap."""
+def _kary_nondegenerate(protocol: ProtocolInstance) -> bool:
+    """Whether the reference is total and every pair of one party's inputs
+    is distinguished by some assignment of the other parties: for a total
+    reference, whether each party's rows of the own x rest output table
+    are pairwise distinct.  One pass over the input domain, which
+    enumerates each party's inputs in `party_inputs` order."""
     if not protocol.reference_total:
         return False
-    k = protocol.party_count
-    for party in range(k):
-        own = protocol.party_inputs(party)
-        other_domains = [
-            protocol.party_inputs(j) for j in range(k) if j != party
-        ]
-        combos = 1
-        for d in other_domains:
-            combos *= len(d)
-        if combos * len(own) ** 2 > _NONDEGENERACY_ENUM_CAP:
-            return None
-        others = list(itertools.product(*other_domains))
-        for a, b in itertools.combinations(own, 2):
-            hit = False
-            for rest in others:
-                full_a = rest[:party] + (a,) + rest[party:]
-                full_b = rest[:party] + (b,) + rest[party:]
-                ya, yb = protocol._reference(full_a), protocol._reference(full_b)
-                if ya is PROMISE_VIOLATION or yb is PROMISE_VIOLATION:
-                    continue
-                if ya != yb:
-                    hit = True
-                    break
-            if not hit:
-                return False
+    codes = {}
+    table = np.fromiter(
+        (codes.setdefault(protocol._reference(x), len(codes)) for x in protocol.input_domain()),
+        dtype=np.int32,
+        count=protocol.domain_size(),
+    ).reshape([len(protocol.party_inputs(j)) for j in range(protocol.party_count)])
+    for party in range(protocol.party_count):
+        rows = np.moveaxis(table, party, 0).reshape(table.shape[party], -1)
+        if len({row.tobytes() for row in rows}) < len(rows):
+            return False
     return True
-
-
-def _vacuous_reason(hypothesis):
-    """Why a bound that needs a total, non-degenerate reference is
-    vacuous, given _kary_nondegenerate's answer; None when it holds."""
-    if hypothesis is True:
-        return None
-    if hypothesis is False:
-        return "reference is partial or degenerate; bound is vacuous"
-    return "non-degeneracy enumeration exceeds the cap"
 
 
 @dataclass
@@ -277,7 +261,7 @@ def check_weight_sums(
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
-    reason = _vacuous_reason(_kary_nondegenerate(protocol))
+    reason = None if _kary_nondegenerate(protocol) else _VACUOUS
     domain = protocol.resource.randomness_domain
     own = protocol.party_inputs(party)
     full = reason is None
@@ -430,11 +414,10 @@ def check_messages(
         coverage=coverage,
     )
 
-    reason = _vacuous_reason(_kary_nondegenerate(protocol))
-    if reason is not None:
+    if not _kary_nondegenerate(protocol):
         collision = CollisionBoundReport(
             passed=True, lhs=0.0, rhs=0.0, beta=0.0, cross_terms=0.0,
-            coverage="none", skipped=True, reason=reason,
+            coverage="none", skipped=True, reason=_VACUOUS,
         )
     else:
         beta = bounds.collision_beta(masses_by_class)

@@ -8,8 +8,10 @@ scan, and quantum states come from a dense gate simulator that applies
 one named gate at a time.  `enumerated_alpha` borrows only the package's
 result containers, so that its answer compares with `bounds.alpha` by
 repr, and the simulator only the validated `StateVector` and
-`DensityMatrix` containers of `psqm.qsim`.  Slow on purpose; only used
-at small sizes.
+`DensityMatrix` containers of `psqm.qsim`.  `key_count_weight_sum_maxima`
+reads the keys off the protocol's own frames: it is the reference for
+how the package combines them.  Slow on purpose; only used at small
+sizes.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import itertools
 import numpy as np
 
 from psqm.bounds import AlphaResult, Rectangle
+from psqm.protocols import _outcome_tables
 from psqm.qsim import CONSTRUCTION_TOL, DensityMatrix, StateVector
 
 
@@ -395,3 +398,41 @@ def weight_sum_maxima(protocol, party, own=None, domain=None) -> tuple:
             max_excl = max(max_excl, float(excl.max()))
             max_incl = max(max_incl, float(incl.max()))
     return max_excl, max_incl
+
+
+def pairwise_nondegenerate(protocol) -> bool:
+    """k-ary non-degeneracy by enumerating input pairs: every pair of one
+    party's inputs is split by some assignment of the other parties, with
+    both outputs defined.  |own|^2 * |rest| evaluations per party."""
+    if not protocol.reference_total:
+        return False
+    k = protocol.party_count
+    for party in range(k):
+        others = list(
+            itertools.product(*(protocol.party_inputs(j) for j in range(k) if j != party))
+        )
+        for a, b in itertools.combinations(protocol.party_inputs(party), 2):
+            if not any(
+                protocol.reference(rest[:party] + (a,) + rest[party:])
+                != protocol.reference(rest[:party] + (b,) + rest[party:])
+                for rest in others
+            ):
+                return False
+    return True
+
+
+def key_count_weight_sum_maxima(protocol, party, own, domain) -> tuple:
+    """sum2/geq weight-sum maxima by counting equal local outcomes (keys)
+    for every randomness pair (r, r'): for each r' a histogram of the keys
+    under r', read at every input's key under every r.  R^2 * |own| reads;
+    the protocol's own frames and outcome tables give the keys."""
+    randomness = protocol._randomness_ints(domain)
+    width, xmasks, zmasks = protocol._party_frames(party, own, randomness)
+    ys, zs = _outcome_tables(width, protocol.blocks)
+    keys = (ys[xmasks] | zs[zmasks]).T  # one row per randomness value
+    max_excl = max_incl = 0
+    for row in keys:  # r'
+        incl = np.bincount(row, minlength=ys.size)[keys]
+        max_incl = max(max_incl, int(incl.max()))
+        max_excl = max(max_excl, int((incl - (keys == row)).max()))
+    return float(max_excl), float(max_incl)

@@ -53,7 +53,12 @@ def test_modulus_validation():
     with pytest.raises(ValueError):
         gf2m.find_irreducible(0)
     with pytest.raises(ValueError):
-        gf2m.find_irreducible(gf2m.MAX_DEGREE + 1)
+        gf2m.find_irreducible(gf2m.MAX_TABLE_DEGREE + 1)
+    # an irreducible modulus above the product-table cap is refused too
+    wide = (1 << 11) | 0b101  # a^11 + a^2 + 1
+    assert gf2m.MAX_TABLE_DEGREE < 11 and gf2m.is_irreducible(wide)
+    with pytest.raises(ValueError, match="outside"):
+        gf2m.Modulus(11, wide)
 
 
 @given(st.integers(0, (1 << 10) - 1), st.integers(2, (1 << 6) - 1))

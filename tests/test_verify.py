@@ -1,9 +1,13 @@
 import collections
 import dataclasses
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqm import cli, protocols, verify
 from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
@@ -14,7 +18,14 @@ from psqm.verify import (
     check_weight_sums,
 )
 
-from _oracles import phi_basis, sum2_overlap_sq, weight_sum_maxima
+from _oracles import (
+    key_count_weight_sum_maxima,
+    pairwise_nondegenerate,
+    phi_basis,
+    sum2_overlap_sq,
+    weight_sum_maxima,
+)
+from test_mutants import IgnoredSecondBitSum2
 from test_protocols import bitstrings, geq_masked_bits
 
 
@@ -199,6 +210,45 @@ def test_weight_sums_match_pairwise_grams(config):
         assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
 
 
+# the weight-sum mutant of test_mutants joins the protocols here
+RULE_CONFIGS = WEIGHT_SUM_CONFIGS + [("geq", 2, 3), ("geq", 3, 2), ("ignored-sum2", 3)]
+
+
+@functools.cache
+def built(config):
+    name, *args = config
+    return IgnoredSecondBitSum2(*args) if name == "ignored-sum2" else build(config)
+
+
+@pytest.mark.parametrize("config", RULE_CONFIGS, ids=["-".join(map(str, c)) for c in RULE_CONFIGS])
+def test_weight_sum_rule_matches_key_counts_per_pair(config):
+    """The one-pass rule against a key histogram per randomness pair, for
+    every party, over the whole randomness domain and over one value."""
+    proto = built(config)
+    domain = proto.resource.randomness_domain
+    for party in range(proto.party_count):
+        own = proto.party_inputs(party)
+        for values in (domain, domain[:1]):
+            got = proto.weight_sum_maxima(party, own, values)
+            assert got == key_count_weight_sum_maxima(proto, party, own, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_weight_sum_rule_matches_key_counts_on_subsets(data):
+    """Subsets of inputs and randomness values give rows whose largest key
+    counts differ; a small chunk makes the one pass take several."""
+    proto = built(data.draw(st.sampled_from(RULE_CONFIGS)))
+    party = data.draw(st.integers(0, proto.party_count - 1))
+    own = data.draw(st.lists(st.sampled_from(proto.party_inputs(party)), min_size=1, unique=True))
+    domain = proto.resource.randomness_domain
+    values = data.draw(st.lists(st.sampled_from(domain), min_size=1, max_size=40, unique=True))
+    chunk = data.draw(st.integers(1, 64))
+    with mock.patch.object(protocols, "_KEY_CHUNK", chunk):
+        got = proto.weight_sum_maxima(party, own, values)
+    assert got == key_count_weight_sum_maxima(proto, party, own, values)
+
+
 @pytest.mark.parametrize("config", [("sum2", 3), ("geq", 2, 1)], ids=["sum2-3", "geq-2-1"])
 def test_weight_sums_without_self_under_one_randomness_value(config):
     """With a single randomness value every input's local state is its
@@ -285,6 +335,11 @@ def test_purity_with_supplied_mu():
     assert [cls.representative_input for cls in rep.classes.values()] == [("10", "01")]
     with pytest.raises(ValueError):
         check_messages(proto, mu={("00", "00"): 0.7})
+    # a NaN weight fails no comparison, so it needs its own test
+    with pytest.raises(ValueError, match="finite"):
+        check_messages(proto, mu={("00", "00"): float("nan"), ("01", "11"): 1.0})
+    with pytest.raises(ValueError, match="mu is empty"):
+        check_messages(proto, mu={})
     with pytest.raises(ValueError):
         check_messages(dj_protocol(2), mu={("00", "11"): 1.0})  # promise violation
 
@@ -370,9 +425,76 @@ def test_collision_bound_skipped_for_dj():
 
 
 def test_kary_nondegeneracy():
-    assert _kary_nondegenerate(sum2_protocol(3)) is True
-    assert _kary_nondegenerate(geq_protocol(2, 1)) is True
-    assert _kary_nondegenerate(dj_protocol(2)) is False
+    for proto, want in (
+        (sum2_protocol(3), True),
+        (sum2_protocol(4), True),
+        (geq_protocol(2, 1), True),
+        (geq_protocol(3, 1), True),
+        (dj_protocol(2), False),
+        (dj_protocol(4), False),
+    ):
+        assert _kary_nondegenerate(proto) is pairwise_nondegenerate(proto) is want
+    # 2^16 inputs, past the 2^20 input pairs the pairwise test allowed
+    assert _kary_nondegenerate(geq_protocol(2, 4)) is True
+
+
+def test_geq_2_4_weight_sums_are_evaluated():
+    proto = geq_protocol(2, 4)
+    rep = check_weight_sums(proto, 0)
+    assert rep.passed and not rep.skipped and rep.reason is None
+    assert (rep.max_excluding_self, rep.max_including_self) == (1.0, 1.0)
+    assert rep.pair_count == len(proto.resource.randomness_domain) ** 2
+
+
+class DegenerateReferenceSum2(protocols.Sum2Protocol):
+    """sum2 whose reference ignores party 0's second bit: still total, but
+    inputs 00 and 01 of party 0 give equal rows of its output table."""
+
+    def _reference(self, inputs):
+        return super()._reference((inputs[0][0] + "0",) + tuple(inputs[1:]))
+
+
+def test_degenerate_total_reference_makes_the_bounds_vacuous():
+    proto = DegenerateReferenceSum2(3)
+    assert proto.reference_total
+    assert _kary_nondegenerate(proto) is False
+    assert pairwise_nondegenerate(proto) is False
+    for party in range(3):
+        rep = check_weight_sums(proto, party)
+        assert rep.skipped and rep.passed and rep.pair_count == 1
+        assert rep.reason == "reference is partial or degenerate; bound is vacuous"
+    collision = check_messages(proto).collision_bound
+    assert collision.skipped and collision.passed
+    assert collision.reason == "reference is partial or degenerate; bound is vacuous"
+
+
+class TableProtocol(protocols.ProtocolInstance):
+    """A total reference given by an output code per input, nothing else."""
+
+    name = "table"
+    reference_total = True
+
+    def __init__(self, input_lengths, codes):
+        self.input_lengths = tuple(input_lengths)
+        self.party_count = len(input_lengths)
+        self.codes = dict(zip(self.input_domain(), codes))
+
+    def _reference(self, inputs):
+        return self.codes[tuple(inputs)]
+
+
+@st.composite
+def small_tables(draw):
+    lengths = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    size = 1 << sum(lengths)
+    codes = draw(st.lists(st.integers(0, draw(st.integers(1, 2))), min_size=size, max_size=size))
+    return TableProtocol(lengths, codes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_tables())
+def test_distinct_rows_match_pairwise_enumeration(proto):
+    assert _kary_nondegenerate(proto) is pairwise_nondegenerate(proto)
 
 
 def test_sampled_sweep_requires_seed_and_is_deterministic():

@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 import random
-import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -217,15 +216,23 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     reindexing that leaves weights, similarity and disjointness alone.
     Undefined entries compare as a plain marker.
 
-    One depth-first search visits (S, sigma) by row count, then the
-    columns of T in increasing order, each with its image in tau.  A
-    branch is cut only when it can beat neither running best: not
-    `max_cells`, by a times the columns it could still add, and not
-    `best`, by the weight already chosen plus the column weights still
-    reachable on each side.  Both bests change only on a strict gain, so
-    the first maximal pair in visit order stays the witness.  The weight
-    bound adds in another order than a path does, so unless every sum is
-    exact (`_exact_sums`) it is widened by a float slack.
+    One depth-first walk visits S by row count, then sigma position by
+    position in `itertools.permutations` order, carrying the column
+    images the row pairs (S[i], sigma[i]) allow and sigma's column
+    weights, summed row by row.  A prefix is cut when the first side
+    alone beats neither running best: not `max_cells` (a times the live
+    columns) nor `best` (S's weight on them).  Extending a prefix only
+    drops images, and the weights are non-negative, so that test only
+    gets easier while both bests only grow: every pair cut would fail it
+    at its leaf, and the same pairs reach the column search in the same
+    order.  sigma's weights grow with the prefix: leaves alone test them.
+    The column search extends T in increasing order, each column with
+    its image in tau, and is cut the same way, by the weight chosen plus
+    the column weights still reachable on each side.  Both bests change
+    only on a strict gain, so the first maximal pair in visit order
+    stays the witness.  The weight bounds add in another order than a
+    path does, so unless every sum is exact (`_exact_sums`) they are
+    widened by a float slack.
     """
     n1, n2 = table.shape
     if n1 > ALPHA_DOMAIN_CAP or n2 > ALPHA_DOMAIN_CAP:
@@ -248,22 +255,30 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
         for x in range(n1)
     ]
     popcount = [bin(v).count("1") for v in range(1 << n2)]
+    bits = [1 << y for y in range(n2)]
     best, max_cells, witness = 0.0, 0, None
-    stack_t: list[int] = []
-    stack_tau: list[int] = []
+    rows = colw2 = pairs2 = sigma = row_disjoint = None  # the pair `walk` hands to `search`
+    stack_t, stack_tau = [], []
 
     def search(start, used, all_moved, w_first, w_second):
         """Extend T by columns y >= start, tau by images outside `used`;
-        reads a, S, sigma and their column data from the loops below."""
+        reads a, S, sigma and their column data from the walk."""
         nonlocal best, max_cells, witness
         depth = len(stack_t)
-        free = [rows[y] & ~used for y in range(start, n2)]
-        live = [y for y, row in zip(range(start, n2), free) if row]
-        hit = 0
-        for row in free:
-            hit |= row
-        left1 = list(itertools.accumulate((colw1[y] for y in reversed(live)), initial=0.0))
-        left2 = list(itertools.accumulate((colw2[c] for c in order2 if hit >> c & 1), initial=0.0))
+        live, free, hit = [], [], 0
+        for y in range(start, n2):
+            row = rows[y] & ~used
+            if row:
+                live.append(y)
+                free.append(row)
+                hit |= row
+        left1 = [0.0]  # S's weight on the last k live columns, summed from the end
+        for y in reversed(live):
+            left1.append(left1[-1] + colw1[y])
+        left2 = [0.0]  # sigma's weight on its k heaviest columns in `hit`
+        for bit, weight in pairs2:
+            if hit & bit:
+                left2.append(left2[-1] + weight)
         room = min(cap_cols - depth, len(left2) - 1)
         for i, y in enumerate(live):
             reach = min(room, len(live) - i)
@@ -273,7 +288,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
             ):
                 return
             nw1 = w_first + colw1[y]
-            cand = free[y - start]
+            cand = free[i]
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -293,35 +308,39 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 stack_t.pop()
                 stack_tau.pop()
 
-    col_weights = {(): [0.0] * n2}  # per row tuple, each column's weight added row by row
-    for a in range(1, cap_rows + 1):
-        sigmas = list(itertools.permutations(range(n1), a))
-        col_weights = {
-            sigma: [c + v for c, v in zip(col_weights[sigma[:-1]], w[sigma[-1]])]
-            for sigma in sigmas
-        }
-        for S in itertools.combinations(range(n1), a):
-            colw1 = col_weights[S]
-            for sigma in sigmas:
-                # images every row pair (S[i], sigma[i]) allows, per column y
-                rows = images[S[0]][sigma[0]]
-                for s, t in zip(S[1:], sigma[1:]):
-                    rows = list(map(operator.and_, rows, images[s][t]))
-                # the first test of `search`, looser and inline: most pairs stop here
-                hit, live, bound1 = 0, 0, 0.0
-                for row, weight in zip(rows, colw1):
-                    if row:
-                        hit, live, bound1 = hit | row, live + 1, bound1 + weight
-                colw2 = col_weights[sigma]
-                if (
-                    a * min(cap_cols, live, popcount[hit]) <= max_cells
-                    and min(bound1, sum(colw2[y] for y in range(n2) if hit >> y & 1)) * slack
-                    <= best
-                ):
-                    continue
-                order2 = sorted(range(n2), key=colw2.__getitem__, reverse=True)
-                row_disjoint = all(s != t for s, t in zip(S, sigma))
+    def walk(prefix, masks, weights2):
+        """Extend sigma's prefix, whose column images and weights are
+        `masks` and `weights2`, by each unused row."""
+        nonlocal rows, colw2, pairs2, sigma, row_disjoint
+        s = S[len(prefix)]
+        for t in range(n1):
+            if t in prefix:
+                continue
+            m = images[s][t] if masks is None else list(map(operator.and_, masks, images[s][t]))
+            hit, live, bound1 = 0, 0, 0.0
+            for row, weight in zip(m, colw1):
+                if row:
+                    hit, live, bound1 = hit | row, live + 1, bound1 + weight
+            # the first side's half of the leaf test below, for the whole subtree
+            cells_cut = a * min(cap_cols, live, popcount[hit]) <= max_cells
+            if cells_cut and bound1 * slack <= best:
+                continue
+            w2 = [c + v for c, v in zip(weights2, w[t])]
+            if len(prefix) + 1 < a:
+                walk(prefix + (t,), m, w2)
+            # a leaf: min(bound1, sigma's weight on `hit`) * slack <= best cuts it
+            elif not (cells_cut and sum(w2[y] for y in range(n2) if hit >> y & 1) * slack <= best):
+                rows, colw2, sigma = m, w2, prefix + (t,)
+                pairs2 = sorted(zip(bits, w2), key=operator.itemgetter(1), reverse=True)
+                row_disjoint = all(map(operator.ne, S, sigma))
                 search(0, 0, True, 0.0, 0.0)
+
+    for a in range(1, cap_rows + 1):
+        for S in itertools.combinations(range(n1), a):
+            colw1 = [0.0] * n2  # each column's weight on S, added row by row
+            for s in S:
+                colw1 = [c + v for c, v in zip(colw1, w[s])]
+            walk((), None, [0.0] * n2)
     return AlphaResult(best, _labeled(table, *witness) if witness else None, max_cells)
 
 
@@ -510,6 +529,7 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
             bound_values.append(_lower_bound(a, beta(table, mu), min_entropy(mu)).value)
         except ValueError:
             beta_zero += 1
+    import statistics  # here, not at the top: `bound` processes skip it and its imports
     summary = {
         "n": n,
         "coverage": coverage,

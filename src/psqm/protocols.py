@@ -235,6 +235,15 @@ def _hadamards(amps: np.ndarray, qubits) -> np.ndarray:
     return amps
 
 
+def _xor_span(base: np.ndarray, changes) -> np.ndarray:
+    """`base` (2, R) XOR every subset of `changes`: entry i of axis 1 XORs
+    in changes[b] for each set bit b of i."""
+    span = base[:, None]
+    for change in changes:
+        span = np.concatenate([span, span ^ change[:, None]], axis=1)
+    return span
+
+
 class _GhzMaskProtocol(ProtocolInstance):
     """Shared skeleton for the GHZ-based protocols (sum2 and geq).
 
@@ -323,33 +332,62 @@ class _GhzMaskProtocol(ProtocolInstance):
         w = np.full(len(states), 1.0 / len(states))
         return (states.T * w) @ states.conj()
 
+    @functools.cached_property
+    def _registers(self) -> tuple:
+        """Per party, (width, local): its register has `width` qubits per
+        block, a reference qubit holding the block's branch and then the
+        party's shares, and local[m] is a global frame mask m moved to it
+        (qubit b*_parties + j -> register qubit b*width + 1 + i)."""
+        masks = np.arange(1 << self._qubits)
+        registers = []
+        for party in range(self.party_count):
+            last = self._parties != self.party_count and party == self.party_count - 1
+            internals = (party, self._parties - 1) if last else (party,)
+            width = len(internals) + 1
+            local = np.zeros_like(masks)
+            for b in range(self.blocks):
+                for i, j in enumerate(internals):
+                    bit = (masks >> (self._qubits - 1 - b * self._parties - j)) & 1
+                    local |= bit << (width * self.blocks - 2 - b * width - i)
+            # int16 fits: width * blocks <= 10 (width 3 needs 4 internal parties)
+            registers.append((width, local.astype(np.int16)))
+        return tuple(registers)
+
     def _party_frames(self, party, own_inputs, randomness):
-        """(width, xmasks, zmasks) of the party's local register of `width`
-        qubits per block, a reference qubit holding the block's branch and
-        then the party's shares: its bits of the frame of (own input, zeros
-        elsewhere, r), one row per own input, one column per value of r."""
-        last = self._parties != self.party_count and party == self.party_count - 1
-        internals = (party, self._parties - 1) if last else (party,)
-        width = len(internals) + 1
-        inputs = ["0" * n for n in self.input_lengths]
-        frames = []
-        for x in own_inputs:
-            inputs[party] = x
-            frames.append(self._frames(inputs, randomness))
-        frames = np.array(frames).transpose(1, 0, 2)
-        local = np.zeros_like(frames)
-        for b in range(self.blocks):  # qubit b*_parties + j -> register qubit b*width + 1 + i
-            for i, j in enumerate(internals):
-                bit = (frames >> (self._qubits - 1 - b * self._parties - j)) & 1
-                local |= bit << (width * self.blocks - 2 - b * width - i)
-        return width, local[0], local[1]
+        """(width, xmasks, zmasks) of the party's local register (see
+        `_registers`): its bits of the frame of (own input, zeros elsewhere,
+        r), one row per own input, one column per value of r.
+
+        Paulis compose by XOR, so a frame is affine in the own input's bits:
+        the all-zero input's frame XOR one change per set bit.  n + 1
+        `_frames` calls give those; every input's frame is then one entry
+        of the span of the high bits' changes XOR one of the low bits'.
+        Two half spans keep at most 2 * 2^ceil(n/2) rows per r, however
+        few inputs are asked for."""
+        width, local = self._registers[party]
+        n = self.input_lengths[party]
+        inputs = ["0" * m for m in self.input_lengths]
+
+        def frame(x):
+            inputs[party] = format(x, f"0{n}b")
+            return local[np.array(self._frames(inputs, randomness))]
+
+        zero = frame(0)
+        changes = [frame(1 << b) ^ zero for b in range(n)]
+        low = n // 2
+        x = np.array([int(v, 2) for v in own_inputs])
+        frames = _xor_span(zero, changes[low:])[:, x >> low]
+        frames ^= _xor_span(np.zeros_like(zero), changes[:low])[:, x & ((1 << low) - 1)]
+        return width, frames[0], frames[1]
 
     def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
         """Local message: per block (|0>v0 + |1>v1)/sqrt(2), with v0/v1 the
-        party's masked all-zero / all-one share (see _party_frames)."""
-        randomness = self._randomness_ints([randomness])
-        width, xmasks, zmasks = self._party_frames(party, [own_input], randomness)
-        amps = _framed_states(_ghz_blocks(width, self.blocks), xmasks[0], zmasks[0])
+        party's masked all-zero / all-one share (see _registers)."""
+        inputs = ["0" * n for n in self.input_lengths]
+        inputs[party] = own_input
+        width, local = self._registers[party]
+        xmasks, zmasks = local[np.array(self._frames(inputs, self._randomness_ints([randomness])))]
+        amps = _framed_states(_ghz_blocks(width, self.blocks), xmasks, zmasks)
         return qsim.StateVector(amps[0])
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):

@@ -10,8 +10,9 @@ result containers, so that its answer compares with `bounds.alpha` by
 repr, and the simulator only the validated `StateVector` and
 `DensityMatrix` containers of `psqm.qsim`.  `key_count_weight_sum_maxima`
 reads the keys off the protocol's own frames: it is the reference for
-how the package combines them.  Slow on purpose; only used at small
-sizes.
+how the package combines them, and `stacked_party_frames`, one `_frames`
+call per input, for how the package batches those frames.  Slow on
+purpose; only used at small sizes.
 """
 
 import itertools
@@ -419,6 +420,29 @@ def pairwise_nondegenerate(protocol) -> bool:
             ):
                 return False
     return True
+
+
+def stacked_party_frames(protocol, party, own, randomness) -> tuple:
+    """sum2/geq `_party_frames` by one `_frames` call per own input (zeros
+    elsewhere), stacked, with the global bits moved to the party's
+    register (reference qubit, then its shares, per block) one block and
+    one internal party at a time."""
+    parties, blocks, qubits = protocol._parties, protocol.blocks, protocol._qubits
+    last = parties != protocol.party_count and party == protocol.party_count - 1
+    internals = (party, parties - 1) if last else (party,)
+    width = len(internals) + 1
+    inputs = ["0" * n for n in protocol.input_lengths]
+    frames = []
+    for x in own:
+        inputs[party] = x
+        frames.append(protocol._frames(inputs, randomness))
+    frames = np.array(frames).transpose(1, 0, 2)
+    local = np.zeros_like(frames)
+    for b in range(blocks):  # qubit b*parties + j -> register qubit b*width + 1 + i
+        for i, j in enumerate(internals):
+            bit = (frames >> (qubits - 1 - b * parties - j)) & 1
+            local |= bit << (width * blocks - 2 - b * width - i)
+    return width, local[0], local[1]
 
 
 def key_count_weight_sum_maxima(protocol, party, own, domain) -> tuple:

@@ -201,12 +201,43 @@ def test_alpha_matches_enumeration_property(case):
     assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
 
 
-@pytest.mark.parametrize("seed,kind", [(1, "uniform"), (2, "uniform-defined"), (3, "random")])
-def test_alpha_matches_enumeration_on_6x6(seed, kind):
+ALPHA_6X6_CASES = [
+    (1, "uniform", None),
+    (2, "uniform-defined", None),
+    (3, "random", None),
+    (4, "uniform", 2),
+    (5, "random", 3),
+    (6, "uniform-defined", 4),
+    (7, "random", None),
+    (8, "uniform-defined", None),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,kind,size_cap",
+    ALPHA_6X6_CASES,
+    ids=[f"{s}-{k}" + (f"-cap{c}" if c else "") for s, k, c in ALPHA_6X6_CASES],
+)
+def test_alpha_matches_enumeration_on_6x6(seed, kind, size_cap):
+    """Six rows give sigma prefixes of up to five rows to cut; random
+    weights are not dyadic, so the float slack is in play, and
+    uniform-defined tables are partial."""
     rng = random.Random(seed)
     table = random_table(rng, 6, 6, partial=kind == "uniform-defined")
     mu = distribution(table, kind, [[rng.random() for _ in range(6)] for _ in range(6)])
+    assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
+
+
+def test_alpha_float_slack_keeps_the_first_witness():
+    """Here a cut's weight bound, added in another order than the path,
+    falls below the first maximal pair's weight by rounding; without the
+    slack that pair is cut and a later pair of equal weight is reported."""
+    table = table_of([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    raw = [[0.3, 0.7, 0.3], [0.6, 0.3, 0.2], [0.1, 0.1, 0.7]]
+    mu = InputDistribution(table, normalized(raw))
+    assert not bounds._exact_sums(mu.weights)
     assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
+    assert alpha(table, mu).witness[0].rows == ("x0", "x2")
 
 
 def test_exact_sums_only_for_short_dyadic_weights():

@@ -68,12 +68,15 @@ def test_default_budget_has_one_source():
 NUMPY_SIDE = ("numpy", "psqm.protocols", "psqm.verify", "psqm.qsim", "psqm.gf2m")
 
 
-def modules_loaded_by(argv) -> list[str]:
-    """The modules of NUMPY_SIDE loaded in a fresh interpreter by
-    `cli.main(argv)`, in the order their imports began; the test session
+def modules_loaded_by(argv, watched=NUMPY_SIDE) -> list[str]:
+    """The modules of `watched` that a fresh interpreter loads while it
+    runs `cli.main(argv)`, in the order their imports began; modules the
+    interpreter already had at start-up do not count.  The test session
     itself has them all loaded."""
     script = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "at_start = sorted(sys.modules)\n"
+        "import contextlib, io, json\n"
         "from psqm import cli\n"
         "began = []\n"
         "class Recorder:\n"
@@ -84,14 +87,14 @@ def modules_loaded_by(argv) -> list[str]:
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = cli.main({list(argv)!r})\n"
         "assert code == 0, code\n"
-        "print(json.dumps([began, sorted(sys.modules)]))\n"
+        "print(json.dumps([began, sorted(sys.modules), at_start]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    began, loaded = json.loads(done.stdout)
-    began = [name for name in began if name in NUMPY_SIDE]
-    assert sorted(began) == sorted(set(loaded) & set(NUMPY_SIDE))
+    began, loaded, at_start = json.loads(done.stdout)
+    began = [name for name in began if name in watched]
+    assert sorted(began) == sorted(set(loaded) & set(watched) - set(at_start))
     return began
 
 
@@ -100,7 +103,10 @@ def modules_loaded_by(argv) -> list[str]:
     [["bound", "--protocol", "dj", "--n", "2"], ["stats", "--n", "1", "--exhaustive"]],
 )
 def test_lower_bound_commands_load_no_numpy(argv):
-    assert modules_loaded_by(argv) == []
+    """Nor does `bound` load `statistics` (and with it `fractions` and
+    `decimal`): only `stats` takes a median."""
+    watched = NUMPY_SIDE + (("statistics",) if argv[0] == "bound" else ())
+    assert modules_loaded_by(argv, watched) == []
 
 
 def test_run_loads_protocols_but_not_verify():

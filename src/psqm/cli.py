@@ -8,7 +8,8 @@ keys, floats rounded to 12 significant digits) to --out or stdout, so
 re-runs with the same seed are byte-identical; wall-clock time and a
 human summary go to stderr.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 configuration error, 3 any other error (out of memory, for
-example), reported as one ``error:`` line on stderr.
+example), reported as one ``error:`` line on stderr.  OpenBLAS runs one
+thread per process unless OPENBLAS_NUM_THREADS is already set.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -345,6 +347,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS sizes its pool when numpy loads.  psqm's work is serial
+        # Python and small numpy calls, so a second thread mostly spins on
+        # another core.  A process that already loaded numpy keeps its pool.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -399,7 +399,10 @@ class _GhzMaskProtocol(ProtocolInstance):
         one r'.  Without z = x it reaches M only when such a key is also the
         key, under some r, of an input beyond those M; otherwise it peaks at
         M - 1.  One pass over r, in chunks of at most _KEY_CHUNK keys, finds
-        both from each key's largest count and the inputs that reach it."""
+        both from each key's largest count and the inputs that reach it.
+        One bincount per block of columns counts every r' at once, column
+        c's keys offset by c * 2^(width*blocks); a block's counts stay
+        within the same budget."""
         chunk = max(1, _KEY_CHUNK // len(own_inputs))
         reach = best = None
         for start in range(0, len(randomness_values), chunk):
@@ -411,8 +414,14 @@ class _GhzMaskProtocol(ProtocolInstance):
                 reach = np.zeros((len(own_inputs), ys.size), dtype=bool)
                 best = np.zeros(ys.size, dtype=np.int64)
             reach[np.arange(len(own_inputs))[:, None], keys] = True
-            for row in keys.T:  # r'
-                np.maximum(best, np.bincount(row, minlength=ys.size), out=best)
+            # columns (values of r') per bincount: an eighth of the budget keeps
+            # its counts (2 MB) in cache, where all of it ran slower than a loop
+            block = max(1, (_KEY_CHUNK >> 3) // ys.size)
+            for c in range(0, keys.shape[1], block):
+                cols = min(block, keys.shape[1] - c)
+                offset = keys[:, c : c + cols] + np.arange(cols) * ys.size
+                counts = np.bincount(offset.ravel(), minlength=cols * ys.size)
+                np.maximum(best, counts.reshape(cols, ys.size).max(axis=0), out=best)
         top = int(best.max())
         beyond = (reach.sum(axis=0)[best == top] > top).any()
         return float(top if beyond else top - 1), float(top)

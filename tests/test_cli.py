@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -346,6 +347,26 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--protocol", "sum2", "--k", "4"],
+        ["--protocol", "geq", "--k", "2", "--l", "2"],
+        ["--protocol", "dj", "--n", "4"],
+    ],
+    ids=["sum2-4", "geq-2-2", "dj-4"],
+)
+def test_reports_do_not_depend_on_the_blas_thread_count(argv):
+    cmd = [sys.executable, "-m", "psqm.cli", "verify", *argv]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(cmd, capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
 
 
 def test_stats_command_round_trip(capsys):

@@ -3,6 +3,7 @@ CLI command loads."""
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -121,3 +122,52 @@ def test_verify_loads_protocols_before_numpy_and_verify():
     loaded = modules_loaded_by(["verify", "--protocol", "sum2", "--k", "2"])
     assert loaded[0] == "psqm.protocols"
     assert set(loaded) == set(NUMPY_SIDE)
+
+
+VERIFY = ["verify", "--protocol", "sum2", "--k", "2"]
+
+
+def blas_pin_after(argv, preset=None) -> tuple:
+    """OPENBLAS_NUM_THREADS and the thread count (None where
+    /proc/self/task does not exist) of a fresh interpreter after it runs
+    `cli.main(argv)`, with the variable unset or set to `preset` before."""
+    script = (
+        "import contextlib, io, json, os\n"
+        "from psqm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "assert code == 0, code\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return tuple(json.loads(done.stdout))
+
+
+def test_cli_runs_one_blas_thread_by_default():
+    value, threads = blas_pin_after(VERIFY)
+    assert value == "1"
+    if not sys.platform.startswith("linux"):
+        pytest.skip("thread count read from /proc/self/task")
+    assert threads == 1
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    assert blas_pin_after(VERIFY, preset="2")[0] == "2"
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(monkeypatch):
+    """A library caller or test session that loaded numpy first keeps
+    its BLAS pool: main pins nothing it could no longer apply."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert cli.main(VERIFY) == 0
+    assert dict(os.environ) == before

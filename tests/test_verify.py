@@ -250,6 +250,26 @@ def test_weight_sum_rule_matches_key_counts_on_subsets(data):
     assert got == key_count_weight_sum_maxima(proto, party, own, values)
 
 
+BLOCK_CONFIGS = [("sum2", 5), ("geq", 2, 3), ("geq", 3, 2)]
+
+
+@pytest.mark.parametrize("config", BLOCK_CONFIGS, ids=["-".join(map(str, c)) for c in BLOCK_CONFIGS])
+def test_weight_sum_rule_with_several_column_blocks_per_chunk(config):
+    """A budget of 40 outcome histograms gives each bincount 5 columns
+    (values of r') and each chunk 40 * histogram size / |own| of them, so
+    a chunk takes several blocks and its last one is often short."""
+    proto = built(config)
+    domain = proto.resource.randomness_domain
+    for party in range(proto.party_count):
+        own = proto.party_inputs(party)
+        size = 1 << (proto._registers[party][0] * proto.blocks)
+        budget = 8 * 5 * size
+        assert budget // len(own) > (budget >> 3) // size == 5
+        with mock.patch.object(protocols, "_KEY_CHUNK", budget):
+            got = proto.weight_sum_maxima(party, own, domain)
+        assert got == key_count_weight_sum_maxima(proto, party, own, domain)
+
+
 @pytest.mark.parametrize("config", RULE_CONFIGS, ids=["-".join(map(str, c)) for c in RULE_CONFIGS])
 def test_party_frames_match_one_frame_call_per_input(config):
     """The frames built from the all-zero input's frame and one change per

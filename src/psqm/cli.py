@@ -168,7 +168,7 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
         requested = list(protocol.input_domain())
         detailed = False
     checks = []
-    domain = protocol.resource.randomness_domain
+    domain = protocol.randomness_domain
     for inputs in requested:
         reference = protocol.reference(inputs)
         masses = protocol.output_masses(inputs)

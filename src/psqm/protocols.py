@@ -64,22 +64,6 @@ def _xor_strings(strings) -> str:
     return format(out, f"0{length}b")
 
 
-@dataclass(frozen=True)
-class SharedResource:
-    """Pre-shared randomness domain plus an optional entangled state."""
-
-    randomness_domain: tuple
-    entangled_state: qsim.StateVector | None = None
-    qubit_owner: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.randomness_domain:
-            raise ValueError("randomness domain is empty")
-        if self.entangled_state is not None:
-            if len(self.qubit_owner) != self.entangled_state.qubit_count:
-                raise ValueError("every qubit needs exactly one owning party")
-
-
 @dataclass
 class TranscriptRecord:
     """One protocol execution under a fixed randomness value."""
@@ -91,13 +75,20 @@ class TranscriptRecord:
 
 
 class ProtocolInstance:
-    """Common interface: enumeration, execution, averaged messages."""
+    """Common interface: what `verify` and `run` read of a protocol.
+
+    That is the randomness domain, the input domain and reference, the
+    message states of `run`, the exact output law under every randomness
+    value, the randomness-averaged messages and each party's weight-sum
+    maxima.  Each party's message depends only on its own input and the
+    shared randomness or entanglement, which stays private to the class.
+    """
 
     name: str
     party_count: int
     input_lengths: tuple[int, ...]
     output_domain: tuple
-    resource: SharedResource
+    randomness_domain: tuple  # the pre-shared randomness, enumerated in full
     reference_total: bool
 
     def cost(self) -> tuple[int, str]:
@@ -155,9 +146,6 @@ class ProtocolInstance:
         """The randomness-averaged message, validated."""
         self._check_inputs(inputs)
         return qsim.DensityMatrix(self._averaged_matrix(inputs))
-
-    def party_message_state(self, party: int, own_input: str, randomness) -> qsim.StateVector:
-        raise NotImplementedError
 
     def weight_sum_maxima(self, party: int, own_inputs, randomness_values) -> tuple[float, float]:
         """Largest sums over z in own_inputs of |<psi(x;r)|psi(z;r')>|^2, over
@@ -273,15 +261,12 @@ class _GhzMaskProtocol(ProtocolInstance):
         self._qubits = qubits = self._parties * blocks
         if qubits > _MAX_PROTOCOL_QUBITS:
             raise ValueError(f"{qubits} message qubits exceeds the {_MAX_PROTOCOL_QUBITS} cap")
-        owner = tuple(
-            min(j, k - 1) for _ in range(blocks) for j in range(self._parties)
-        )
-        return qsim.StateVector(_ghz_blocks(self._parties, blocks)), owner
+        self._shared = _ghz_blocks(self._parties, blocks)
 
     @functools.cached_property
     def _domain_ints(self):
         """The randomness domain, parsed on first use by `_randomness_ints`."""
-        return self._randomness_ints(self.resource.randomness_domain)
+        return self._randomness_ints(self.randomness_domain)
 
     def _frames(self, inputs, randomness) -> tuple[np.ndarray, np.ndarray]:
         """(xmasks, zmasks) of the message operator X^xmask Z^zmask under each
@@ -299,36 +284,31 @@ class _GhzMaskProtocol(ProtocolInstance):
         outputs = [self._decode(o) for o in range(1 << self._qubits)]
         return np.array([self.output_domain.index(y) for y in outputs])
 
-    def _outcomes(self, inputs, randomness) -> np.ndarray:
+    def _outcomes(self, xmasks, zmasks) -> np.ndarray:
+        """Referee outcome index under each frame of `_frames`."""
         ys, zs = _outcome_tables(self._parties, self.blocks)
-        xmasks, zmasks = self._frames(inputs, randomness)
         return ys[xmasks] | zs[zmasks]
 
-    def _message_amplitudes(self, inputs, randomness) -> np.ndarray:
-        """Message amplitudes under each randomness value, one row each."""
-        amps = self.resource.entangled_state.amplitudes
-        return _framed_states(amps, *self._frames(inputs, randomness))
-
     def message_state(self, inputs, randomness) -> qsim.StateVector:
-        self._check_inputs(inputs)
-        amps = self._message_amplitudes(inputs, self._randomness_ints([randomness]))
-        return qsim.StateVector(amps[0])
+        return self.run(inputs, randomness).message_state
 
     def run(self, inputs, randomness) -> TranscriptRecord:
-        state = self.message_state(inputs, randomness)
-        outcome = int(self._outcomes(inputs, self._randomness_ints([randomness]))[0])
+        """One frame gives both the message amplitudes and the outcome."""
+        self._check_inputs(inputs)
+        frame = self._frames(inputs, self._randomness_ints([randomness]))
+        outcome = int(self._outcomes(*frame)[0])
         return TranscriptRecord(
             outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
             output_distribution={self._decode(outcome): 1.0},
-            message_state=state,
+            message_state=qsim.StateVector(_framed_states(self._shared, *frame)[0]),
         )
 
     def _output_masses(self, inputs) -> np.ndarray:
-        outcomes = self._outcomes(inputs, self._domain_ints)
+        outcomes = self._outcomes(*self._frames(inputs, self._domain_ints))
         return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
     def _averaged_matrix(self, inputs) -> np.ndarray:
-        states = self._message_amplitudes(inputs, self._domain_ints)
+        states = _framed_states(self._shared, *self._frames(inputs, self._domain_ints))
         w = np.full(len(states), 1.0 / len(states))
         return (states.T * w) @ states.conj()
 
@@ -380,16 +360,6 @@ class _GhzMaskProtocol(ProtocolInstance):
         frames ^= _xor_span(np.zeros_like(zero), changes[:low])[:, x & ((1 << low) - 1)]
         return width, frames[0], frames[1]
 
-    def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
-        """Local message: per block (|0>v0 + |1>v1)/sqrt(2), with v0/v1 the
-        party's masked all-zero / all-one share (see _registers)."""
-        inputs = ["0" * n for n in self.input_lengths]
-        inputs[party] = own_input
-        width, local = self._registers[party]
-        xmasks, zmasks = local[np.array(self._frames(inputs, self._randomness_ints([randomness])))]
-        amps = _framed_states(_ghz_blocks(width, self.blocks), xmasks, zmasks)
-        return qsim.StateVector(amps[0])
-
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Up to sign, a party state is the phi-basis vector of its local
         outcome (key), so two overlap with modulus 1 if their keys agree and
@@ -435,9 +405,8 @@ class Sum2Protocol(_GhzMaskProtocol):
 
     def __init__(self, k: int):
         self.input_lengths = tuple([2] * k)
-        entangled, owner = self._setup(k, blocks=1)
-        domain = tuple(s for s in _bitstrings(self._parties) if _parity(s) == 0)
-        self.resource = SharedResource(domain, entangled, owner)
+        self._setup(k, blocks=1)
+        self.randomness_domain = tuple(s for s in _bitstrings(self._parties) if _parity(s) == 0)
         self.output_domain = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def cost(self):
@@ -475,16 +444,15 @@ class GeqProtocol(_GhzMaskProtocol):
             raise ValueError("need at least one block")
         self.l = l
         self.input_lengths = tuple([2 * l] * k)
-        entangled, owner = self._setup(k, blocks=l)
+        self._setup(k, blocks=l)
         self.field = gf2m.find_irreducible(2 * l)
         block_domain = [s for s in _bitstrings(self._parties) if _parity(s) == 0]
         masks = [s for s in _bitstrings(2 * l) if s != "0" * 2 * l]
-        domain = tuple(
+        self.randomness_domain = tuple(
             (blocks, mask)
             for blocks in itertools.product(block_domain, repeat=l)
             for mask in masks
         )
-        self.resource = SharedResource(domain, entangled, owner)
         self.output_domain = (0, 1)
 
     def cost(self):
@@ -492,14 +460,6 @@ class GeqProtocol(_GhzMaskProtocol):
 
     def _reference(self, inputs):
         return geq_reference(inputs)
-
-    def masked_input(self, own_input: str, mask: str) -> str:
-        """Field product of the nonzero mask with one party's input."""
-        n = 2 * self.l
-        if {len(own_input), len(mask)} != {n} or set(own_input + mask) - {"0", "1"}:
-            raise ValueError(f"need two {n}-bit strings, got {own_input!r} and {mask!r}")
-        product = gf2m.product_table(self.field)[int(mask, 2), int(own_input, 2)]
-        return format(int(product), f"0{n}b")
 
     @functools.cached_property
     def _spread(self) -> np.ndarray:
@@ -568,18 +528,15 @@ class DJProtocol(ProtocolInstance):
         self.input_lengths = (n, n)
         self.output_domain = (0, 1)
         self.field = gf2m.find_irreducible(m)
-        amps = np.zeros(1 << (2 * m), dtype=complex)
+        self._shared = np.zeros(1 << (2 * m), dtype=complex)
         for i in range(n):
-            amps[(i << m) | i] = 1 / np.sqrt(n)
-        entangled = qsim.StateVector(amps)
-        owner = tuple([0] * m + [1] * m)
-        domain = tuple(
+            self._shared[(i << m) | i] = 1 / np.sqrt(n)
+        self.randomness_domain = tuple(
             (r, rp)
             for r in _bitstrings(m)
             if r != "0" * m
             for rp in _bitstrings(m)
         )
-        self.resource = SharedResource(domain, entangled, owner)
         self._law_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def cost(self):
@@ -622,13 +579,9 @@ class DJProtocol(ProtocolInstance):
         parity = np.add.outer([int(c) for c in x], [int(c) for c in y]) & 1
         return 1 - 2 * parity.ravel()
 
-    def joint_outcome_distribution(self, inputs) -> np.ndarray:
-        """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
-        self._check_inputs(inputs)
-        return self._outcome_law(inputs)
-
     def _outcome_law(self, inputs) -> np.ndarray:
-        amps = self.resource.entangled_state.amplitudes * self._phase_signs(*inputs)
+        """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
+        amps = self._shared * self._phase_signs(*inputs)
         amps = _hadamards(amps, range(2 * self.m))
         return (np.abs(amps) ** 2).reshape(self.n, self.n)
 
@@ -675,7 +628,7 @@ class DJProtocol(ProtocolInstance):
         the only thing about the inputs that they depend on."""
         w = _xor_strings(inputs)
         if w not in self._law_cache:
-            domain = self.resource.randomness_domain
+            domain = self.randomness_domain
             laws = self._message_laws(inputs, domain)
             accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
             masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
@@ -690,16 +643,6 @@ class DJProtocol(ProtocolInstance):
         """Randomness-averaged law of the message pair, as a diagonal
         complex matrix indexed by a*n + b (field-encoded messages)."""
         return np.diag(self._domain_laws(inputs)[1].reshape(-1).astype(complex))
-
-    def party_message_state(self, party, own_input, randomness) -> qsim.StateVector:
-        """Purified pre-measurement register: the party's phased and
-        Hadamard-transformed share, referenced by an outcome copy."""
-        m = self.m
-        zeros = "0" * self.n
-        inputs = (own_input, zeros) if party == 0 else (zeros, own_input)
-        amps = self.resource.entangled_state.amplitudes * self._phase_signs(*inputs)
-        first = 0 if party == 0 else m
-        return qsim.StateVector(_hadamards(amps, range(first, first + m)))
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards

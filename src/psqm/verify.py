@@ -65,7 +65,10 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
     per_class = {y: 0 for y in protocol.output_domain}
     attempts = 0
     cap = 200_000
-    while attempts < cap and any(c < _SAMPLES_PER_CLASS for c in per_class.values()):
+    # a small domain may hold fewer than _SAMPLES_PER_CLASS inputs of a class
+    while attempts < cap and len(chosen) < size and any(
+        c < _SAMPLES_PER_CLASS for c in per_class.values()
+    ):
         attempts += 1
         x = protocol.sample_input(rng)
         if x in seen:
@@ -150,7 +153,7 @@ def check_correctness(
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
     inputs, coverage = _sweep(protocol, budget, seed)
-    domain = protocol.resource.randomness_domain
+    domain = protocol.randomness_domain
     min_mass, worst_x, worst_r = float("inf"), None, None
     cases = 0
     for x in inputs:
@@ -262,7 +265,7 @@ def check_weight_sums(
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
     reason = None if _kary_nondegenerate(protocol) else _VACUOUS
-    domain = protocol.resource.randomness_domain
+    domain = protocol.randomness_domain
     own = protocol.party_inputs(party)
     full = reason is None
     shown = own if full else own[:_GRAM_INPUT_CAP]

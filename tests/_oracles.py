@@ -8,13 +8,16 @@ scan, and quantum states come from a dense gate simulator that applies
 one named gate at a time.  `enumerated_alpha` borrows only the package's
 result containers, so that its answer compares with `bounds.alpha` by
 repr, and the simulator only the validated `StateVector` and
-`DensityMatrix` containers of `psqm.qsim`.  `key_count_weight_sum_maxima`
+`DensityMatrix` containers of `psqm.qsim`.  Party message states are
+dense folds too, and `weight_sum_maxima` builds its Grams from them.
+`key_count_weight_sum_maxima`
 reads the keys off the protocol's own frames: it is the reference for
 how the package combines them, and `stacked_party_frames`, one `_frames`
 call per input, for how the package batches those frames.  Slow on
 purpose; only used at small sizes.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -343,6 +346,59 @@ def ghz_gate_ops(proto, party, own_input, randomness) -> list:
     return ops
 
 
+def ghz_blocks(width: int, blocks: int) -> StateVector:
+    """`blocks` GHZ states of `width` qubits each, as one state."""
+    return StateVector(functools.reduce(np.kron, [ghz(width).amplitudes] * blocks))
+
+
+def dense_party_message(proto, party, own_input, randomness) -> np.ndarray:
+    """One real party's gates (`ghz_gate_ops`) applied densely to its shares
+    of the GHZ blocks, each block's shares preceded by a reference qubit
+    that holds the block's branch: per block, (|0>v0 + |1>v1)/sqrt(2) with
+    v0/v1 the gates applied to the all-zero / all-one share.
+
+    The layout is `ghz_gate_ops`'s: qubit b*P + j belongs to real party
+    min(j, k - 1), for P internal parties and k real ones."""
+    k = proto.party_count
+    internal_count = k + (k & 1)
+    qubits = range(internal_count * proto.blocks)
+    owned = [q for q in qubits if min(q % internal_count, k - 1) == party]
+    share = len(owned) // proto.blocks
+    # block b of the register holds [reference, share...]; owned qubits
+    # are block-major, so the i-th one sits at register qubit i + i//share + 1
+    state = ghz_blocks(share + 1, proto.blocks)
+    for gate, q in ghz_gate_ops(proto, party, own_input, randomness):
+        i = owned.index(q)
+        state = apply_gate(state, gate, i + i // share + 1)
+    return state.amplitudes
+
+
+def dense_dj_fold(n: int, inputs, qubits) -> np.ndarray:
+    """dj's shared state (1/sqrt(n)) sum_i |i>|i> phased by (-1)^(x_i + y_j)
+    at |i>|j>, then H on each of `qubits`."""
+    amps = np.zeros(n * n, dtype=complex)
+    amps[np.arange(n) * (n + 1)] = 1 / np.sqrt(n)
+    x, y = ([int(c) for c in s] for s in inputs)
+    signs = np.array([1 - 2 * ((a + b) & 1) for a in x for b in y])
+    state = apply_phase_oracle(StateVector(amps), signs)
+    for qubit in qubits:
+        state = apply_gate(state, "H", qubit)
+    return state.amplitudes
+
+
+def party_message(proto, party, own_input, randomness) -> np.ndarray:
+    """Purified message state of one party, the others' inputs aside.
+
+    sum2/geq: `dense_party_message`.  dj: the party's share of the phased
+    state, Hadamard-transformed, referenced by the other party's copy (the
+    other input all zeros); it does not depend on the randomness."""
+    if proto.name != "dj":
+        return dense_party_message(proto, party, own_input, randomness)
+    m, zeros = proto.m, "0" * proto.n
+    inputs = (own_input, zeros) if party == 0 else (zeros, own_input)
+    return dense_dj_fold(proto.n, inputs, range(party * m, party * m + m))
+
+
 def sum2_overlap_sq(x, z, r, rp, internal_party) -> float:
     """Squared overlap of one party's purified message states in the
     two-bit-sum protocol: 1 iff the X exponents and Z exponents agree."""
@@ -382,14 +438,13 @@ def projector_distance(a: np.ndarray, b: np.ndarray) -> float:
 def weight_sum_maxima(protocol, party, own=None, domain=None) -> tuple:
     """Largest summed squared overlap of one party's message states, over
     every randomness pair (r, r') and input x: (sum over z != x, sum over
-    all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair.  `own`
-    and `domain` default to all of the party's inputs and randomness."""
-    domain = protocol.resource.randomness_domain if domain is None else domain
+    all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair of the
+    `party_message` folds.  `own` and `domain` default to all of the
+    party's inputs and randomness; entry i of `own` is the input that the
+    party's i-th message state is folded from."""
+    domain = protocol.randomness_domain if domain is None else domain
     own = protocol.party_inputs(party) if own is None else own
-    states = {
-        r: np.array([protocol.party_message_state(party, x, r).amplitudes for x in own])
-        for r in domain
-    }
+    states = {r: np.array([party_message(protocol, party, x, r) for x in own]) for r in domain}
     max_excl = max_incl = 0.0
     for r in domain:
         for rp in domain:

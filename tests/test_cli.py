@@ -154,26 +154,6 @@ def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == 7
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--protocol", "sum2", "--k", "4"],
-        ["--protocol", "geq", "--k", "3", "--l", "1"],
-        ["--protocol", "dj", "--n", "4"],
-    ],
-    ids=["sum2-k4", "geq-k3-l1", "dj-n4"],
-)
-def test_verify_builds_no_party_message_state(argv, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify built a dense party message state")
-
-    for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
-        monkeypatch.setattr(cls, "party_message_state", refuse)
-    code, out, _ = run_main(["verify"] + argv, capsys)
-    assert code == 0
-    assert "weight_sums_party1" in {c["name"] for c in parse(out)["checks"]}
-
-
 def test_verify_enumerates_nondegeneracy_once(capsys):
     """Each weight-sum party and the collision bound ask whether the
     reference is non-degenerate; the enumeration runs for the first only."""

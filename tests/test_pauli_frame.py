@@ -6,18 +6,15 @@ within the message-qubit cap, this file compares that path with a dense
 fold of `_oracles.apply_gate` over the oracle gate lists of
 `_oracles.ghz_gate_ops`, which share no code with the protocols, on the
 all-zero input and three seeded inputs: message amplitudes, referee
-outcome laws (against the full basis matrix), output masses (that law
-pushed through the referee's decoder) and party message states, to
-1e-12.  Message amplitudes, outcome laws and output masses cover every
+outcome laws (against the full basis matrix) and output masses (that law
+pushed through the referee's decoder), to 1e-12.  They cover every
 randomness value where R * 2^q <= 2^20 (R randomness values, q message
-qubits); above that, a seeded sample of 512.  Party message states,
-which depend only on (party, own input, randomness), are compared once
-per such triple, over at most 512 seeded randomness values.  Where every
-randomness value is covered and R * 4^q <= 2^25, averaged messages are
-compared with `_oracles.mix` too.  A hypothesis property draws further
+qubits); above that, a seeded sample of 512.  Where every randomness
+value is covered and R * 4^q <= 2^25, averaged messages are compared
+with `_oracles.mix` too.  A hypothesis property draws further
 (configuration, input, randomness) triples.  dj's output masses are
-checked against its transcripts, exactly, and its outcome law and party
-message states against the dense Hadamard fold, bit for bit.
+checked against its transcripts, exactly, and its outcome law against
+the dense Hadamard fold, bit for bit.
 """
 
 import functools
@@ -31,7 +28,7 @@ from hypothesis import strategies as st
 from psqm import qsim
 from psqm.protocols import _MAX_PROTOCOL_QUBITS, DJProtocol, GeqProtocol, Sum2Protocol
 
-from _oracles import apply_gate, apply_phase_oracle, ghz, ghz_gate_ops, mix, phi_basis
+from _oracles import apply_gate, dense_dj_fold, ghz_blocks, ghz_gate_ops, mix, phi_basis
 
 TOL = 1e-12
 FULL_COVER_CAP = 1 << 20
@@ -64,37 +61,20 @@ def message_operations(proto, inputs, r) -> tuple:
     )
 
 
+@functools.cache
+def shared_state(proto) -> qsim.StateVector:
+    return ghz_blocks(_internal_count(proto.party_count), proto.blocks)
+
+
 def dense_message(proto, ops) -> np.ndarray:
-    state = proto.resource.entangled_state
+    state = shared_state(proto)
     for gate, qubit in ops:
         state = apply_gate(state, gate, qubit)
     return state.amplitudes
 
 
-def dense_party_message(proto, party, ops, blocks) -> np.ndarray:
-    """The party's gates `ops` applied densely to its shares of the GHZ blocks,
-    each share preceded by a reference qubit that holds the block's
-    branch: per block, (|0>v0 + |1>v1)/sqrt(2) with v0/v1 the gates
-    applied to the all-zero / all-one share."""
-    owned = [q for q, o in enumerate(proto.resource.qubit_owner) if o == party]
-    share = len(owned) // blocks
-    # block b of the register holds [reference, share...]; owned qubits
-    # are block-major, so the i-th one sits at register qubit i + i//share + 1
-    state = _reference_ghz(share + 1, blocks)
-    for gate, q in ops:
-        i = owned.index(q)
-        state = apply_gate(state, gate, i + i // share + 1)
-    return state.amplitudes
-
-
-@functools.cache
-def _reference_ghz(width, blocks) -> qsim.StateVector:
-    amps = functools.reduce(np.kron, [ghz(width).amplitudes] * blocks)
-    return qsim.StateVector(amps)
-
-
 def joint_basis(proto, blocks) -> np.ndarray:
-    per_block = phi_basis(len(proto.resource.qubit_owner) // blocks)
+    per_block = phi_basis(_internal_count(proto.party_count))
     return functools.reduce(np.kron, [per_block] * blocks)
 
 
@@ -105,8 +85,8 @@ def decoder(proto, dim) -> np.ndarray:
 
 
 def covered_randomness(proto, seed):
-    domain = proto.resource.randomness_domain
-    if len(domain) * proto.resource.entangled_state.dim <= FULL_COVER_CAP:
+    domain = proto.randomness_domain
+    if len(domain) * shared_state(proto).dim <= FULL_COVER_CAP:
         return list(domain), True
     return random.Random(seed).sample(domain, SAMPLED_RANDOMNESS), False
 
@@ -124,11 +104,10 @@ def check_against_dense(proto, blocks, seed):
     inputs += [proto.sample_input(rng) for _ in range(3)]
     randomness, full = covered_randomness(proto, seed)
     basis = joint_basis(proto, blocks)
-    dim = proto.resource.entangled_state.dim
+    dim = shared_state(proto).dim
     decode = decoder(proto, dim)
-    index = {r: i for i, r in enumerate(proto.resource.randomness_domain)}
+    index = {r: i for i, r in enumerate(proto.randomness_domain)}
     rows = [index[r] for r in randomness]  # output_masses rows of the covered values
-    party_cases = set()  # a party state depends on (party, own input, randomness) only
     for x in inputs:
         dense_states, folded = [], {}
         for r in randomness:
@@ -149,21 +128,10 @@ def check_against_dense(proto, blocks, seed):
         assert_close(fast_states, dense_states)
         assert_close(fast_laws, dense_laws)
         assert_close([proto.output_masses(x)[rows]], [dense_laws @ decode])
-        party_cases.update(
-            (p, tuple(ghz_gate_ops(proto, p, x[p], r)), x[p], r)
-            for p in range(proto.party_count)
-            for r in randomness
-        )
         if full and len(randomness) * dim * dim <= MIX_CAP:
             w = 1.0 / len(randomness)
             mixed = mix([(w, qsim.StateVector(s)) for s in dense_states])
             assert_close([proto.averaged_message(x).matrix], [mixed.matrix])
-    folded = None
-    for party, ops, own, r in sorted(party_cases):  # equal operations fold once
-        if folded is None or folded[0] != (party, ops):
-            folded = (party, ops), dense_party_message(proto, party, ops, blocks)
-        fast = proto.party_message_state(party, own, r).amplitudes
-        assert np.abs(fast - folded[1]).max() <= TOL, (party, own, r)
 
 
 @pytest.mark.parametrize("name,k,l", CONFIGS, ids=[f"{n}-{k}-{l}" for n, k, l in CONFIGS])
@@ -176,7 +144,7 @@ def cases(draw):
     """(protocol, inputs, randomness) within the cap."""
     proto = build(*draw(st.sampled_from(CONFIGS)))
     inputs = tuple(draw(st.text("01", min_size=n, max_size=n)) for n in proto.input_lengths)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     return proto, inputs, domain[draw(st.integers(0, len(domain) - 1))]
 
 
@@ -184,13 +152,8 @@ def cases(draw):
 @given(cases())
 def test_fast_path_matches_dense_fold_property(case):
     proto, inputs, r = case
-    ops = [ghz_gate_ops(proto, p, x, r) for p, x in enumerate(inputs)]
-    dense = dense_message(proto, [op for party_ops in ops for op in party_ops])
+    dense = dense_message(proto, message_operations(proto, inputs, r))
     assert np.abs(proto.message_state(inputs, r).amplitudes - dense).max() <= TOL
-    for party, x in enumerate(inputs):
-        fast = proto.party_message_state(party, x, r).amplitudes
-        expected = dense_party_message(proto, party, ops[party], proto.blocks)
-        assert np.abs(fast - expected).max() <= TOL, (party, x, r)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -198,30 +161,21 @@ def test_dj_output_masses_match_run(n):
     """Each row of dj's output masses is exactly its transcript's output
     law, for every promise input and every randomness value."""
     proto = DJProtocol(n)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     for x in proto.input_domain():
         laws = [proto.run(x, r).output_distribution for r in domain]
         expected = [[law[y] for y in proto.output_domain] for law in laws]
         assert proto.output_masses(x).tolist() == expected, x
 
 
-def dense_dj_fold(proto, inputs, qubits) -> np.ndarray:
-    """dj's shared state phased by both inputs, then H on each of `qubits`."""
-    state = apply_phase_oracle(proto.resource.entangled_state, proto._phase_signs(*inputs))
-    for qubit in qubits:
-        state = apply_gate(state, "H", qubit)
-    return state.amplitudes
-
-
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_dj_law_is_the_dense_hadamard_fold(n):
-    """dj's outcome law and party message states equal the dense fold bit
-    for bit, over every x XOR y up to n = 8 and a seeded 64 at n = 16.
+    """dj's outcome law equals the dense fold bit for bit, over every
+    x XOR y up to n = 8 and a seeded 64 at n = 16.
     The fold's float noise reaches reports (`verify --protocol dj --n 4`
     prints `max_distance` 5.28699740953e-34), so a transform that rounds
     differently, such as a fast Walsh-Hadamard, would change their bytes."""
     proto = DJProtocol(n)
-    m, zeros = proto.m, "0" * n
     rng = random.Random(n)
     if n <= 8:
         patterns = range(1 << n)
@@ -230,9 +184,5 @@ def test_dj_law_is_the_dense_hadamard_fold(n):
     for w in patterns:
         x = rng.getrandbits(n)
         inputs = (format(x, f"0{n}b"), format(x ^ w, f"0{n}b"))
-        law = np.abs(dense_dj_fold(proto, inputs, range(2 * m))) ** 2
+        law = np.abs(dense_dj_fold(n, inputs, range(2 * proto.m))) ** 2
         assert proto._outcome_law(inputs).tobytes() == law.reshape(n, n).tobytes(), inputs
-        for party, qubits in ((0, range(m)), (1, range(m, 2 * m))):
-            own = (inputs[party], zeros) if party == 0 else (zeros, inputs[party])
-            fast = proto.party_message_state(party, inputs[party], None).amplitudes
-            assert fast.tobytes() == dense_dj_fold(proto, own, qubits).tobytes(), (party, own)

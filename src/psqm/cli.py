@@ -24,7 +24,7 @@ import time
 # `bound` and `stats` need only the pure-Python bounds module; `run` and
 # `verify` import the numpy-backed modules when they start (see
 # _build_protocol).
-from . import DEFAULT_BUDGET, DEFAULT_TOL, __version__, bounds
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__, bounds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,9 +161,10 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
         requested = [tuple(args.inputs.split(","))]
         detailed = True
     else:
-        if protocol.domain_size() > args.budget:
+        if protocol.domain_size() > min(args.budget, ENUMERATION_CAP):
             raise ValueError(
-                "input domain exceeds --budget; pass --inputs to pick runs"
+                f"input domain exceeds --budget or the {ENUMERATION_CAP}-input cap;"
+                " pass --inputs to pick runs"
             )
         requested = list(protocol.input_domain())
         detailed = False
@@ -243,75 +244,34 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
     mu = bounds.InputDistribution.uniform_defined(table)
     checks = []
 
-    try:
-        nondeg = bounds.is_non_degenerate(table, mu)
-        checks.append(_record("non_degenerate", True, {"value": nondeg}))
-    except ValueError as exc:
-        nondeg = None
-        checks.append(
-            _record("non_degenerate", True, {"value": None, "skipped": str(exc)})
-        )
+    def step(name, compute, witnesses=lambda value: {"value": value}):
+        """Record compute()'s witnesses and return its value, or record the
+        ValueError it raised as the reason the quantity was skipped."""
+        try:
+            value = compute()
+        except ValueError as exc:
+            checks.append(_record(name, True, {"value": None, "skipped": str(exc)}))
+            return None
+        checks.append(_record(name, True, witnesses(value)))
+        return value
 
-    alpha_result = None
-    try:
-        alpha_result = bounds.alpha(table, mu)
-        witness = None
-        if alpha_result.witness:
-            first, second = alpha_result.witness
-            witness = {
-                "first": {"rows": list(first.rows), "cols": list(first.cols)},
-                "second": {"rows": list(second.rows), "cols": list(second.cols)},
-            }
-        checks.append(
-            _record(
-                "alpha",
-                True,
-                {
-                    "value": alpha_result.value,
-                    "witness": witness,
-                    "max_cells": alpha_result.max_cells,
-                },
-            )
-        )
-    except ValueError as exc:
-        checks.append(_record("alpha", True, {"value": None, "skipped": str(exc)}))
+    def alpha_witnesses(result):
+        witness = result.witness and {
+            side: rect._asdict() for side, rect in zip(("first", "second"), result.witness)
+        }
+        return result._asdict() | {"witness": witness}
 
-    beta_value = bounds.beta(table, mu)
-    checks.append(_record("beta", True, {"value": beta_value}))
-    hmin = bounds.min_entropy(mu)
-    checks.append(_record("min_entropy", True, {"value": hmin}))
-
-    if nondeg and alpha_result is not None and beta_value > 0:
-        result = bounds._lower_bound(alpha_result, beta_value, hmin)
-        checks.append(_record("lower_bound", True, {"value": result.value}))
-    else:
-        reason = (
-            "table is degenerate or partial under mu"
-            if not nondeg
-            else "alpha enumeration refused"
-            if alpha_result is None
-            else "beta is zero"
-        )
-        checks.append(
-            _record("lower_bound", True, {"value": None, "skipped": reason})
-        )
-
-    try:
-        cliques = bounds.exact_smp_clique_sizes(table)
-        checks.append(
-            _record(
-                "cliques",
-                True,
-                {
-                    "row_clique_size": cliques.row_clique_size,
-                    "col_clique_size": cliques.col_clique_size,
-                    "row_clique": list(cliques.row_clique),
-                    "col_clique": list(cliques.col_clique),
-                },
-            )
-        )
-    except ValueError as exc:
-        checks.append(_record("cliques", True, {"value": None, "skipped": str(exc)}))
+    nondeg = step("non_degenerate", lambda: bounds.is_non_degenerate(table, mu))
+    alpha_result = step("alpha", lambda: bounds.alpha(table, mu), alpha_witnesses)
+    beta_value = step("beta", lambda: bounds.beta(table, mu))
+    hmin = step("min_entropy", lambda: bounds.min_entropy(mu))
+    step(
+        "lower_bound",
+        lambda: bounds._lower_bound(nondeg, alpha_result, beta_value, hmin),
+        lambda result: {"value": result.value},
+    )
+    # tuples serialize as lists, so the named fields are the witnesses as they stand
+    step("cliques", lambda: bounds.exact_smp_clique_sizes(table), lambda c: c._asdict())
 
     config = _config_echo(args, _PROTO_KEYS) | {
         "table": args.table,

@@ -51,8 +51,9 @@ def _bitstrings(length: int):
     return [format(v, f"0{length}b") for v in range(1 << length)]
 
 
-def _parity(bits: str) -> int:
-    return bits.count("1") & 1
+def _even_strings(length: int):
+    """The bit strings of even parity: one GHZ block's randomness values."""
+    return [s for s in _bitstrings(length) if not _PARITY[int(s, 2)]]
 
 
 def _xor_strings(strings) -> str:
@@ -406,7 +407,7 @@ class Sum2Protocol(_GhzMaskProtocol):
     def __init__(self, k: int):
         self.input_lengths = tuple([2] * k)
         self._setup(k, blocks=1)
-        self.randomness_domain = tuple(s for s in _bitstrings(self._parties) if _parity(s) == 0)
+        self.randomness_domain = tuple(_even_strings(self._parties))
         self.output_domain = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def cost(self):
@@ -426,8 +427,7 @@ class Sum2Protocol(_GhzMaskProtocol):
         return first ^ randomness, np.full(randomness.size, second)
 
     def _decode(self, outcome_index):
-        bits = format(outcome_index, f"0{self._parties}b")
-        return (_parity(bits[:-1]), int(bits[-1]))
+        return (int(_PARITY[outcome_index >> 1]), outcome_index & 1)
 
     def format_output(self, output):
         return f"{output[0]}{output[1]}"
@@ -446,11 +446,10 @@ class GeqProtocol(_GhzMaskProtocol):
         self.input_lengths = tuple([2 * l] * k)
         self._setup(k, blocks=l)
         self.field = gf2m.find_irreducible(2 * l)
-        block_domain = [s for s in _bitstrings(self._parties) if _parity(s) == 0]
         masks = [s for s in _bitstrings(2 * l) if s != "0" * 2 * l]
         self.randomness_domain = tuple(
             (blocks, mask)
-            for blocks in itertools.product(block_domain, repeat=l)
+            for blocks in itertools.product(_even_strings(self._parties), repeat=l)
             for mask in masks
         )
         self.output_domain = (0, 1)
@@ -491,10 +490,9 @@ class GeqProtocol(_GhzMaskProtocol):
 
     def _decode(self, outcome_index):
         p = self._parties
-        bits = format(outcome_index, f"0{p * self.blocks}b")
         for b in range(self.blocks):
-            chunk = bits[b * p : (b + 1) * p]
-            if _parity(chunk[:-1]) != 0 or chunk[-1] != "0":
+            block = outcome_index >> (b * p) & ((1 << p) - 1)
+            if _PARITY[block >> 1] or block & 1:
                 return 0
         return 1
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BUDGET, DEFAULT_TOL, bounds, qsim
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, bounds, qsim
 from .protocols import PROMISE_VIOLATION, ProtocolInstance
 
 PURITY_TOL = 1e-10
@@ -56,6 +56,11 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
     """Input tuples to examine plus a coverage label."""
     size = protocol.domain_size()
     if size <= budget:
+        if size > ENUMERATION_CAP:
+            raise ValueError(
+                f"an exhaustive sweep of {size} inputs exceeds the {ENUMERATION_CAP}-input cap;"
+                " lower --budget to sample"
+            )
         return list(protocol.input_domain()), f"exhaustive:{size}"
     if seed is None:
         raise ValueError("seed required once the input sweep is sampled")

@@ -399,6 +399,19 @@ def party_message(proto, party, own_input, randomness) -> np.ndarray:
     return dense_dj_fold(proto.n, inputs, range(party * m, party * m + m))
 
 
+def referee_output(proto, outcome_index: int):
+    """The sum2/geq referee's output, read off the outcome's bit string:
+    per GHZ block, the parity of every bit but the last, and the last bit.
+    sum2 outputs that pair; geq outputs 1 iff both are 0 in every block."""
+    p = proto._parties
+    bits = format(outcome_index, f"0{p * proto.blocks}b")
+    chunks = [bits[b * p : (b + 1) * p] for b in range(proto.blocks)]
+    pairs = [(chunk[:-1].count("1") & 1, int(chunk[-1])) for chunk in chunks]
+    if proto.name == "sum2":
+        return pairs[0]
+    return int(all(pair == (0, 0) for pair in pairs))
+
+
 def sum2_overlap_sq(x, z, r, rp, internal_party) -> float:
     """Squared overlap of one party's purified message states in the
     two-bit-sum protocol: 1 iff the X exponents and Z exponents agree."""

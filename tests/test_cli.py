@@ -290,11 +290,69 @@ def test_bound_malformed_table_file(tmp_path, capsys):
 
 
 def test_bound_dj8_clique_guard_is_reported(capsys):
-    code, out, _ = run_main(["bound", "--protocol", "dj", "--n", "8"], capsys)
+    code, out, err = run_main(["bound", "--protocol", "dj", "--n", "8"], capsys)
     assert code == 0
-    by_name = {c["name"]: c for c in parse(out)["checks"]}
-    assert "skipped" in by_name["cliques"]["witnesses"]
-    assert "skipped" in by_name["alpha"]["witnesses"]
+    checks = parse(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "non_degenerate",
+        "alpha",
+        "beta",
+        "min_entropy",
+        "lower_bound",
+        "cliques",
+    ]
+    skipped = {
+        "non_degenerate": "undefined entry inside the support at (00000000, 00000001)",
+        "alpha": "rectangle enumeration capped at 6x6 tables",
+        "lower_bound": "table is degenerate or partial under mu",
+        "cliques": "clique search capped at 20 vertices",
+    }
+    for check in checks:
+        if check["name"] in skipped:
+            assert check["witnesses"] == {"value": None, "skipped": skipped[check["name"]]}
+            assert f"{check['name']}: SKIP" in err
+        else:
+            assert check["witnesses"]["value"] > 0
+
+
+@pytest.mark.parametrize(
+    "entries,reason",
+    [
+        ([[int(i == j) for j in range(7)] for i in range(7)], "alpha enumeration refused"),
+        ([[0, 1], [1, 1]], "beta is zero"),
+    ],
+    ids=["identity-7x7", "beta-zero"],
+)
+def test_bound_lower_bound_skip_reasons(entries, reason, tmp_path, capsys):
+    labels = [str(i) for i in range(len(entries))]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"rows": labels, "cols": labels, "entries": entries}))
+    code, out, err = run_main(["bound", "--table", str(path)], capsys)
+    assert code == 0
+    by_name = {c["name"]: c["witnesses"] for c in parse(out)["checks"]}
+    assert by_name["non_degenerate"] == {"value": True}
+    assert by_name["lower_bound"] == {"value": None, "skipped": reason}
+    assert "lower_bound: SKIP" in err
+    if reason == "beta is zero":
+        assert by_name["beta"] == {"value": 0.0}
+    else:
+        assert by_name["alpha"]["skipped"] == "rectangle enumeration capped at 6x6 tables"
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_enumeration_past_the_cap_is_refused_up_front(command, monkeypatch, capsys):
+    # dj n=16 has 843,513,856 promise inputs; the budget alone would let
+    # both commands list them all
+    def enumerate_inputs(self):
+        raise AssertionError("the input domain was enumerated")
+
+    monkeypatch.setattr(protocols.DJProtocol, "input_domain", enumerate_inputs)
+    argv = [command, "--protocol", "dj", "--n", "16", "--budget", str(10**12)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{1 << 20}-input cap" in err
 
 
 def test_out_file_and_stderr_summary(tmp_path, capsys):

@@ -18,7 +18,15 @@ from psqm.protocols import (
     sum2_reference,
 )
 
-from _oracles import apply_gate, dj_joint_outcome, field_mul, ghz, ghz_gate_ops, oracle_irreducible
+from _oracles import (
+    apply_gate,
+    dj_joint_outcome,
+    field_mul,
+    ghz,
+    ghz_gate_ops,
+    oracle_irreducible,
+    referee_output,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -268,6 +276,24 @@ def test_geq_mask_identity_seeded():
     for inputs, mask in [(["01", "110"], "11"), (["01", "1x"], "11"), (["01"], "1b")]:
         with pytest.raises(ValueError):
             geq_mask_identity_check(inputs, mask)
+
+
+# ------------------------------------------------------------ decoding
+
+# every sum2 and geq configuration within the 10-qubit cap: parties are
+# rounded up to even, l blocks of them
+CAPPED_GHZ = [("sum2", k, 1) for k in range(2, 11)] + [
+    ("geq", k, l) for k in range(2, 11) for l in range(1, 6) if (k + k % 2) * l <= 10
+]
+
+
+@pytest.mark.parametrize("name,k,l", CAPPED_GHZ, ids=str)
+def test_decode_matches_the_bit_string_rule(name, k, l):
+    proto = sum2_protocol(k) if name == "sum2" else geq_protocol(k, l)
+    for o in range(1 << proto._qubits):
+        got, want = proto._decode(o), referee_output(proto, o)
+        assert got == want
+        assert all(type(v) is int for v in (got if name == "sum2" else (got,)))
 
 
 # -------------------------------------------------------------------- dj

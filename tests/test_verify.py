@@ -575,3 +575,13 @@ def test_protocol_cost_and_default_tol():
     assert sum2_protocol(5).cost() == (6, "qubits")
     assert dj_protocol(4).cost() == (4, "bits")
     assert verify.DEFAULT_TOL == 1e-9
+
+
+def test_exhaustive_sweep_cap_boundary(monkeypatch):
+    proto = sum2_protocol(2)  # 16 inputs
+    monkeypatch.setattr(verify, "ENUMERATION_CAP", 16)
+    assert verify._sweep(proto, 16, None)[1] == "exhaustive:16"
+    monkeypatch.setattr(verify, "ENUMERATION_CAP", 15)
+    with pytest.raises(ValueError, match="15-input cap"):
+        verify._sweep(proto, 16, None)
+    assert verify._sweep(proto, 15, 1)[1] == "sampled:16"  # a sampled sweep is not capped

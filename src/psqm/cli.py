@@ -155,10 +155,8 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
     import numpy as np
 
-    from .protocols import PROMISE_VIOLATION
-
     if args.inputs is not None:
-        requested = [tuple(args.inputs.split(","))]
+        requested = np.array([protocol._codes(args.inputs.split(","))])
         detailed = True
     else:
         if protocol.domain_size() > min(args.budget, ENUMERATION_CAP):
@@ -166,18 +164,18 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
                 f"input domain exceeds --budget or the {ENUMERATION_CAP}-input cap;"
                 " pass --inputs to pick runs"
             )
-        requested = list(protocol.input_domain())
+        requested = protocol.input_domain()
         detailed = False
     checks = []
     domain = protocol.randomness_domain
-    for inputs in requested:
-        reference = protocol.reference(inputs)
-        masses = protocol.output_masses(inputs)
+    for codes, column in zip(requested.tolist(), protocol._reference(requested).tolist()):
+        inputs = protocol._input_strings(codes)
+        masses = protocol._output_masses(codes)
         averaged = np.cumsum(masses / len(domain), axis=0)[-1]  # summed in domain order
         witnesses = {
             "reference": "promise-violation"
-            if reference is PROMISE_VIOLATION
-            else protocol.format_output(reference),
+            if column < 0
+            else protocol.format_output(protocol.output_domain[column]),
             "output_distribution": {
                 protocol.format_output(o): p
                 for o, p in zip(protocol.output_domain, averaged.tolist())
@@ -187,9 +185,7 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
         }
         if detailed:
             witnesses["per_randomness"] = [_transcript(protocol, inputs, r) for r in domain]
-        passed = reference is PROMISE_VIOLATION or bool(
-            masses[:, protocol.output_domain.index(reference)].min() >= 1.0 - args.tol
-        )
+        passed = column < 0 or bool(masses[:, column].min() >= 1.0 - args.tol)
         checks.append(
             _record(
                 f"run[{','.join(inputs)}]",

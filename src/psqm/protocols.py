@@ -12,8 +12,13 @@ randomness domains and deterministic input enumeration:
   or at Hamming distance n/2; EPR-correlated measurements are masked
   into classical messages and executed in distribution (no sampling).
 
-Party inputs, randomness components and classical messages are bit
-strings.  Odd party counts for sum2/geq are handled by an internal
+Party inputs are bit strings at the public edge (`reference`,
+`output_masses`, `averaged_message`, `run`, `message_state`), where
+`_codes` validates each one and reads it, once, as a big-endian integer:
+its code.  Everything private takes codes: `input_domain` is an
+(N, party_count) code array and `_reference` maps a block of its rows to
+output columns at once.  Randomness components and classical messages
+are bit strings.  Odd party counts for sum2/geq are handled by an internal
 virtual party with the all-zero input whose qubits are sent by the last
 real party.  Outputs: sum2 yields the pair (sum of first bits, sum of
 second bits); geq and dj yield 1 for "all sums zero" / "equal" and 0
@@ -56,13 +61,17 @@ def _even_strings(length: int):
     return [s for s in _bitstrings(length) if not _PARITY[int(s, 2)]]
 
 
-def _xor_strings(strings) -> str:
-    out = 0
-    length = None
-    for s in strings:
-        length = len(s)
-        out ^= int(s, 2)
-    return format(out, f"0{length}b")
+def _popcount(values, bits: int):
+    """Set bits of each value below 2^bits; np.bitwise_count needs numpy 2."""
+    return sum((values >> b) & 1 for b in range(bits))
+
+
+def _draw(rng, bits: int) -> int:
+    """A code from `bits` calls of rng.getrandbits(1), the first most significant."""
+    code = 0
+    for _ in range(bits):
+        code = code << 1 | rng.getrandbits(1)
+    return code
 
 
 @dataclass
@@ -97,32 +106,29 @@ class ProtocolInstance:
 
     def reference(self, inputs):
         """The reference function's value, or PROMISE_VIOLATION."""
-        self._check_inputs(inputs)
-        return self._reference(inputs)
+        (column,) = self._reference(np.array([self._codes(inputs)]))
+        return PROMISE_VIOLATION if column < 0 else self.output_domain[column]
 
-    def _reference(self, inputs):
-        """`reference` on inputs already known to be well formed, such as
-        those of `input_domain` and `sample_input`."""
+    def _reference(self, codes: np.ndarray) -> np.ndarray:
+        """Column of output_domain that the reference gives each row of an
+        (N, party_count) code array, or -1 off the promise."""
         raise NotImplementedError
 
-    def input_domain(self):
-        """Deterministic enumeration of the full input domain."""
-        for combo in itertools.product(*(_bitstrings(n) for n in self.input_lengths)):
-            yield combo
+    def input_domain(self) -> np.ndarray:
+        """Every input as a row of codes, party 0's most significant in the
+        row order, in the narrowest unsigned dtype that holds them."""
+        sizes = [1 << n for n in self.input_lengths]
+        grid = np.indices(sizes, dtype=np.min_scalar_type(max(sizes) - 1))
+        return grid.reshape(len(sizes), -1).T
 
     def domain_size(self) -> int:
-        size = 1
-        for n in self.input_lengths:
-            size *= 1 << n
-        return size
+        return 1 << sum(self.input_lengths)
 
-    def sample_input(self, rng):
-        return tuple(
-            "".join(str(rng.getrandbits(1)) for _ in range(n)) for n in self.input_lengths
-        )
+    def sample_input(self, rng) -> tuple[int, ...]:
+        return tuple(_draw(rng, n) for n in self.input_lengths)
 
-    def party_inputs(self, party: int):
-        return _bitstrings(self.input_lengths[party])
+    def party_inputs(self, party: int) -> np.ndarray:
+        return np.arange(1 << self.input_lengths[party])
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         raise NotImplementedError
@@ -130,27 +136,25 @@ class ProtocolInstance:
     def output_masses(self, inputs) -> np.ndarray:
         """Exact output law under every randomness value: row i is for
         randomness_domain[i], column j the mass on output_domain[j]."""
-        self._check_inputs(inputs)
-        return self._output_masses(inputs)
+        return self._output_masses(self._codes(inputs))
 
-    def _output_masses(self, inputs) -> np.ndarray:
-        """`output_masses` on well-formed inputs."""
+    def _output_masses(self, codes) -> np.ndarray:
+        """`output_masses` of one input's codes."""
         raise NotImplementedError
 
-    def _averaged_matrix(self, inputs) -> np.ndarray:
-        """Randomness-averaged message of well-formed inputs as a complex
+    def _averaged_matrix(self, codes) -> np.ndarray:
+        """Randomness-averaged message of one input's codes as a complex
         matrix, unvalidated: it is a convex combination of states, so PSD
         by construction."""
         raise NotImplementedError
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         """The randomness-averaged message, validated."""
-        self._check_inputs(inputs)
-        return qsim.DensityMatrix(self._averaged_matrix(inputs))
+        return qsim.DensityMatrix(self._averaged_matrix(self._codes(inputs)))
 
     def weight_sum_maxima(self, party: int, own_inputs, randomness_values) -> tuple[float, float]:
-        """Largest sums over z in own_inputs of |<psi(x;r)|psi(z;r')>|^2, over
-        x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
+        """Largest sums over z in own_inputs (codes) of |<psi(x;r)|psi(z;r')>|^2,
+        over x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
         raise NotImplementedError
 
     def format_randomness(self, randomness) -> str:
@@ -159,12 +163,19 @@ class ProtocolInstance:
     def format_output(self, output) -> str:
         return str(output)
 
-    def _check_inputs(self, inputs):
+    def _codes(self, inputs) -> tuple[int, ...]:
+        """Validate one bit string per party and read each as a big-endian
+        integer: the one place that parses inputs."""
         if len(inputs) != self.party_count:
             raise ValueError(f"expected {self.party_count} inputs, got {len(inputs)}")
         for x, n in zip(inputs, self.input_lengths):
-            if len(x) != n or set(x) - {"0", "1"}:
+            if not isinstance(x, str) or len(x) != n or set(x) - {"0", "1"}:
                 raise ValueError(f"bad {n}-bit input {x!r}")
+        return tuple(int(x, 2) for x in inputs)
+
+    def _input_strings(self, codes) -> tuple[str, ...]:
+        """The bit strings of one input's codes, for report fields."""
+        return tuple(format(c, f"0{n}b") for c, n in zip(codes, self.input_lengths))
 
 
 def _framed_states(amps: np.ndarray, xmasks: np.ndarray, zmasks: np.ndarray) -> np.ndarray:
@@ -269,10 +280,11 @@ class _GhzMaskProtocol(ProtocolInstance):
         """The randomness domain, parsed on first use by `_randomness_ints`."""
         return self._randomness_ints(self.randomness_domain)
 
-    def _frames(self, inputs, randomness) -> tuple[np.ndarray, np.ndarray]:
-        """(xmasks, zmasks) of the message operator X^xmask Z^zmask under each
-        randomness value, given as the integer arrays of `_randomness_ints`,
-        over big-endian qubit bits; the virtual party inputs zeros."""
+    def _frames(self, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
+        """(xmasks, zmasks) of the message operator X^xmask Z^zmask for one
+        input's codes (Python ints) under each randomness value, given as
+        the integer arrays of `_randomness_ints`, over big-endian qubit
+        bits; the virtual party inputs zeros."""
         raise NotImplementedError
 
     def _decode(self, outcome_index: int):
@@ -295,8 +307,7 @@ class _GhzMaskProtocol(ProtocolInstance):
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         """One frame gives both the message amplitudes and the outcome."""
-        self._check_inputs(inputs)
-        frame = self._frames(inputs, self._randomness_ints([randomness]))
+        frame = self._frames(self._codes(inputs), self._randomness_ints([randomness]))
         outcome = int(self._outcomes(*frame)[0])
         return TranscriptRecord(
             outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
@@ -304,12 +315,12 @@ class _GhzMaskProtocol(ProtocolInstance):
             message_state=qsim.StateVector(_framed_states(self._shared, *frame)[0]),
         )
 
-    def _output_masses(self, inputs) -> np.ndarray:
-        outcomes = self._outcomes(*self._frames(inputs, self._domain_ints))
+    def _output_masses(self, codes) -> np.ndarray:
+        outcomes = self._outcomes(*self._frames(codes, self._domain_ints))
         return np.eye(len(self.output_domain))[self._output_columns[outcomes]]
 
-    def _averaged_matrix(self, inputs) -> np.ndarray:
-        states = _framed_states(self._shared, *self._frames(inputs, self._domain_ints))
+    def _averaged_matrix(self, codes) -> np.ndarray:
+        states = _framed_states(self._shared, *self._frames(codes, self._domain_ints))
         w = np.full(len(states), 1.0 / len(states))
         return (states.T * w) @ states.conj()
 
@@ -347,16 +358,16 @@ class _GhzMaskProtocol(ProtocolInstance):
         few inputs are asked for."""
         width, local = self._registers[party]
         n = self.input_lengths[party]
-        inputs = ["0" * m for m in self.input_lengths]
+        codes = [0] * self.party_count
 
         def frame(x):
-            inputs[party] = format(x, f"0{n}b")
-            return local[np.array(self._frames(inputs, randomness))]
+            codes[party] = x
+            return local[np.array(self._frames(codes, randomness))]
 
         zero = frame(0)
         changes = [frame(1 << b) ^ zero for b in range(n)]
         low = n // 2
-        x = np.array([int(v, 2) for v in own_inputs])
+        x = np.asarray(own_inputs)
         frames = _xor_span(zero, changes[low:])[:, x >> low]
         frames ^= _xor_span(np.zeros_like(zero), changes[:low])[:, x & ((1 << low) - 1)]
         return width, frames[0], frames[1]
@@ -413,18 +424,22 @@ class Sum2Protocol(_GhzMaskProtocol):
     def cost(self):
         return (self._parties, "qubits")
 
-    def _reference(self, inputs):
-        return sum2_reference(inputs)
+    def _reference(self, codes):
+        """The XOR of the codes: its high bit is the sum of first bits and its
+        low bit that of second bits, which is the output's column."""
+        return np.bitwise_xor.reduce(codes, axis=1)
 
     def _randomness_ints(self, randomness_values):
         return np.array([int(r, 2) for r in randomness_values])
 
-    def _frames(self, inputs, randomness):
+    def _frames(self, codes, randomness):
         """Party j's first bit masks X and its second bit Z on qubit j,
         and r's bit j flips that X."""
-        pad = "0" * (self._parties - self.party_count)
-        first, second = (int("".join(x[i] for x in inputs) + pad, 2) for i in (0, 1))
-        return first ^ randomness, np.full(randomness.size, second)
+        first = second = 0
+        for c in codes:
+            first, second = first << 1 | c >> 1, second << 1 | c & 1
+        pad = self._parties - self.party_count
+        return (first << pad) ^ randomness, np.full(randomness.size, second << pad)
 
     def _decode(self, outcome_index):
         return (int(_PARITY[outcome_index >> 1]), outcome_index & 1)
@@ -457,8 +472,9 @@ class GeqProtocol(_GhzMaskProtocol):
     def cost(self):
         return (self._parties * self.l, "qubits")
 
-    def _reference(self, inputs):
-        return geq_reference(inputs)
+    def _reference(self, codes):
+        """1 where the XOR of the codes is zero."""
+        return (np.bitwise_xor.reduce(codes, axis=1) == 0).astype(np.int8)
 
     @functools.cached_property
     def _spread(self) -> np.ndarray:
@@ -478,13 +494,13 @@ class GeqProtocol(_GhzMaskProtocol):
         flips = np.array([int("".join(blocks), 2) for blocks, _ in randomness_values])
         return flips, np.array([int(mask, 2) for _, mask in randomness_values])
 
-    def _frames(self, inputs, randomness):
+    def _frames(self, codes, randomness):
         """Party j masks its input with the field mask; the product's bit
         pairs give X and Z on its block shares, and each block string of r
         flips those X's."""
         flips, masks = randomness
-        masked = gf2m.product_table(self.field)[masks[:, None], [int(x, 2) for x in inputs]]
-        shifted = self._spread[:, masked] >> np.arange(len(inputs))
+        masked = gf2m.product_table(self.field)[masks[:, None], codes]
+        shifted = self._spread[:, masked] >> np.arange(len(codes))
         xmasks, zmasks = np.bitwise_xor.reduce(shifted, axis=2)
         return xmasks ^ flips, zmasks
 
@@ -535,26 +551,25 @@ class DJProtocol(ProtocolInstance):
             if r != "0" * m
             for rp in _bitstrings(m)
         )
-        self._law_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._law_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def cost(self):
         return (2 * self.m, "bits")
 
-    def _reference(self, inputs):
-        return dj_reference(inputs[0], inputs[1])
+    def _reference(self, codes):
+        """1 at Hamming distance 0, 0 at n/2, -1 (off the promise) otherwise."""
+        distance = _popcount(codes[:, 0] ^ codes[:, 1], self.n)
+        return np.where(distance == 0, 1, np.where(2 * distance == self.n, 0, -1))
 
     def input_domain(self):
-        """Promise inputs only: equal pairs, then half-distance pairs."""
-        n = self.n
-        half_masks = [
-            s for s in _bitstrings(n) if s.count("1") == n // 2
-        ]
-        for x in _bitstrings(n):
-            yield (x, x)
-        for x in _bitstrings(n):
-            xv = int(x, 2)
-            for mask in half_masks:
-                yield (x, format(xv ^ int(mask, 2), f"0{n}b"))
+        """Promise inputs only: the equal pairs, then each x against x XOR h
+        for every h of weight n/2, in increasing order of x, then h."""
+        x = np.arange(1 << self.n, dtype=np.min_scalar_type((1 << self.n) - 1))
+        half = x[2 * _popcount(x, self.n) == self.n]
+        return np.column_stack([
+            np.concatenate([x, np.repeat(x, half.size)]),
+            np.concatenate([x, (x[:, None] ^ half).ravel()]),
+        ])
 
     def domain_size(self):
         from math import comb
@@ -563,23 +578,21 @@ class DJProtocol(ProtocolInstance):
 
     def sample_input(self, rng):
         n = self.n
-        x = "".join(str(rng.getrandbits(1)) for _ in range(n))
+        x = _draw(rng, n)
         if rng.getrandbits(1):
             return (x, x)
         flips = rng.sample(range(n), n // 2)
-        y = "".join(
-            str(int(ch) ^ 1) if i in flips else ch for i, ch in enumerate(x)
-        )
-        return (x, y)
+        return (x, x ^ sum(1 << (n - 1 - i) for i in flips))
 
-    def _phase_signs(self, x: str, y: str) -> np.ndarray:
-        """(-1)^(x[i] + y[j]) at index i*n + j."""
-        parity = np.add.outer([int(c) for c in x], [int(c) for c in y]) & 1
+    def _phase_signs(self, x: int, y: int) -> np.ndarray:
+        """(-1)^(x_i + y_j) at index i*n + j, bit 0 the most significant."""
+        shifts = np.arange(self.n - 1, -1, -1)
+        parity = np.add.outer((x >> shifts) & 1, (y >> shifts) & 1) & 1
         return 1 - 2 * parity.ravel()
 
-    def _outcome_law(self, inputs) -> np.ndarray:
+    def _outcome_law(self, codes) -> np.ndarray:
         """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
-        amps = self._shared * self._phase_signs(*inputs)
+        amps = self._shared * self._phase_signs(*codes)
         amps = _hadamards(amps, range(2 * self.m))
         return (np.abs(amps) ** 2).reshape(self.n, self.n)
 
@@ -596,11 +609,11 @@ class DJProtocol(ProtocolInstance):
         r, rp = (np.array([int(s[i], 2) for s in randomness_values]) for i in (0, 1))
         return packed[gf2m.product_table(self.field)[r] ^ rp[:, None]]
 
-    def _message_laws(self, inputs, randomness_values) -> np.ndarray:
+    def _message_laws(self, codes, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
         value, an (R, n, n) array: the outcome law pushed through that
         value's masks, with the masses of colliding outcomes added."""
-        pkl = self._outcome_law(inputs)
+        pkl = self._outcome_law(codes)
         masks = self._masks(randomness_values)
         laws = np.zeros((len(masks), self.n, self.n))
         rows = np.arange(len(masks))[:, None, None]
@@ -608,8 +621,7 @@ class DJProtocol(ProtocolInstance):
         return laws
 
     def run(self, inputs, randomness) -> TranscriptRecord:
-        self._check_inputs(inputs)
-        (law,) = self._message_laws(inputs, [randomness])
+        (law,) = self._message_laws(self._codes(inputs), [randomness])
         bits = self._message_bits
         msg_dist = {
             (bits[a], bits[b]): float(law[a, b]) for a, b in zip(*np.nonzero(law > 1e-15))
@@ -621,31 +633,31 @@ class DJProtocol(ProtocolInstance):
             message_distribution=msg_dist,
         )
 
-    def _domain_laws(self, inputs) -> tuple[np.ndarray, np.ndarray]:
+    def _domain_laws(self, codes) -> tuple[np.ndarray, np.ndarray]:
         """(output masses, averaged message law), computed once per x XOR y,
         the only thing about the inputs that they depend on."""
-        w = _xor_strings(inputs)
+        w = codes[0] ^ codes[1]
         if w not in self._law_cache:
             domain = self.randomness_domain
-            laws = self._message_laws(inputs, domain)
+            laws = self._message_laws(codes, domain)
             accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
             masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
             masses.flags.writeable = False  # shared by every input with this x XOR y
             self._law_cache[w] = masses, laws.sum(axis=0) / len(domain)
         return self._law_cache[w]
 
-    def _output_masses(self, inputs) -> np.ndarray:
-        return self._domain_laws(inputs)[0]
+    def _output_masses(self, codes) -> np.ndarray:
+        return self._domain_laws(codes)[0]
 
-    def _averaged_matrix(self, inputs) -> np.ndarray:
+    def _averaged_matrix(self, codes) -> np.ndarray:
         """Randomness-averaged law of the message pair, as a diagonal
         complex matrix indexed by a*n + b (field-encoded messages)."""
-        return np.diag(self._domain_laws(inputs)[1].reshape(-1).astype(complex))
+        return np.diag(self._domain_laws(codes)[1].reshape(-1).astype(complex))
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards
         are unitary, so |<psi(x)|psi(z)>|^2 = (sum_i (-1)^(x_i + z_i) / n)^2."""
-        signs = 1 - 2 * np.array([[int(c) for c in x] for x in own_inputs])
+        signs = 1 - 2 * ((np.asarray(own_inputs)[:, None] >> np.arange(self.n)) & 1)
         overlaps = (signs @ signs.T / self.n) ** 2
         incl = overlaps.sum(axis=1)
         return float((incl - np.diag(overlaps)).max()), float(incl.max())
@@ -664,44 +676,3 @@ def geq_protocol(k: int, l: int) -> GeqProtocol:
 
 def dj_protocol(n: int) -> DJProtocol:
     return DJProtocol(n)
-
-
-def sum2_reference(inputs) -> tuple[int, int]:
-    """(sum of first bits, sum of second bits), both mod 2."""
-    return (
-        sum(int(x[0]) for x in inputs) & 1,
-        sum(int(x[1]) for x in inputs) & 1,
-    )
-
-
-def geq_reference(inputs) -> int:
-    """1 iff the coordinate-wise XOR of all inputs is the zero string."""
-    return int(_xor_strings(inputs) == "0" * len(inputs[0]))
-
-
-def dj_reference(x: str, y: str):
-    """1 if equal, 0 at Hamming distance n/2, PROMISE_VIOLATION otherwise."""
-    if len(x) != len(y):
-        raise ValueError("inputs must have equal length")
-    dist = sum(a != b for a, b in zip(x, y))
-    if dist == 0:
-        return 1
-    if dist * 2 == len(x):
-        return 0
-    return PROMISE_VIOLATION
-
-
-def geq_mask_identity_check(inputs, mask: str) -> bool:
-    """Whether masking each input then summing equals masking the sum.
-
-    Both sides live in GF(2^len(mask)); the mask must be nonzero.
-    """
-    if set(mask) == {"0"}:
-        raise ValueError("mask must be nonzero")
-    if {len(x) for x in inputs} - {len(mask)} or set("".join(inputs) + mask) - {"0", "1"}:
-        raise ValueError(f"inputs and mask must be {len(mask)}-bit strings")
-    row = gf2m.product_table(gf2m.find_irreducible(len(mask)))[int(mask, 2)]
-    total = 0
-    for x in inputs:
-        total ^= int(row[int(x, 2)])
-    return total == int(row[int(_xor_strings(inputs), 2)])

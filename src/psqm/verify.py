@@ -14,8 +14,12 @@ construction, so no rho_x is validated on the way.  Validation stays at
 the API edge: the public `averaged_message`, and each class
 representative of the privacy report when it is read, are
 `qsim.DensityMatrix` objects, and the purity bounds gate the average.
-Inputs are checked at the edge too: the sweep walks the protocol's own
-input domain, so only the keys of a supplied mu are checked, once each.
+Inputs are checked at the edge too: a sweep holds rows of integer codes
+from the protocol's own input domain or sampler, so only the bit strings
+that key a supplied mu are parsed, once each, and report fields
+(`worst_input`, `representative_input`) are formatted back to bit
+strings.  A sweep's reference values come from one vectorised
+`_reference` call, not one call per input.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -44,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, bounds, qsim
-from .protocols import PROMISE_VIOLATION, ProtocolInstance
+from .protocols import ProtocolInstance
 
 PURITY_TOL = 1e-10
 _GRAM_INPUT_CAP = 256  # inputs in the informational witness of a skipped weight-sum check
@@ -53,7 +57,7 @@ _VACUOUS = "reference is partial or degenerate; bound is vacuous"
 
 
 def _sweep(protocol: ProtocolInstance, budget: int, seed):
-    """Input tuples to examine plus a coverage label."""
+    """(N, party_count) codes of the inputs to examine, and a coverage label."""
     size = protocol.domain_size()
     if size <= budget:
         if size > ENUMERATION_CAP:
@@ -61,45 +65,46 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
                 f"an exhaustive sweep of {size} inputs exceeds the {ENUMERATION_CAP}-input cap;"
                 " lower --budget to sample"
             )
-        return list(protocol.input_domain()), f"exhaustive:{size}"
+        return protocol.input_domain(), f"exhaustive:{size}"
     if seed is None:
         raise ValueError("seed required once the input sweep is sampled")
     rng = random.Random(seed)
     chosen = []
     seen = set()
-    per_class = {y: 0 for y in protocol.output_domain}
+    per_class = [0] * len(protocol.output_domain)
     attempts = 0
     cap = 200_000
     # a small domain may hold fewer than _SAMPLES_PER_CLASS inputs of a class
     while attempts < cap and len(chosen) < size and any(
-        c < _SAMPLES_PER_CLASS for c in per_class.values()
+        c < _SAMPLES_PER_CLASS for c in per_class
     ):
         attempts += 1
         x = protocol.sample_input(rng)
         if x in seen:
             continue
-        y = protocol._reference(x)
-        if y is PROMISE_VIOLATION:
+        (y,) = protocol._reference(np.array([x]))
+        if y < 0:
             continue
         seen.add(x)
         chosen.append(x)
         per_class[y] += 1
-    return chosen, f"sampled:{len(chosen)}"
+    return np.array(chosen).reshape(-1, protocol.party_count), f"sampled:{len(chosen)}"
 
 
 def _distribution(protocol, mu, budget, seed):
-    """(inputs, weights, coverage); uniform over the sweep when mu is None."""
+    """(codes, weights, coverage); uniform over the sweep when mu is None."""
     if mu is not None:
         if not mu:
             raise ValueError("mu is empty")
-        inputs = list(mu.keys())
-        weights = np.array([mu[x] for x in inputs], dtype=float)
+        keys = list(mu.keys())
+        weights = np.array([mu[x] for x in keys], dtype=float)
         finite = all(map(math.isfinite, weights))
         if not finite or weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mu must be finite, nonnegative and sum to 1")
-        for x in inputs:
-            if protocol.reference(x) is PROMISE_VIOLATION:
-                raise ValueError(f"mu puts weight on promise-violating input {x}")
+        inputs = np.array([protocol._codes(x) for x in keys])
+        off = np.flatnonzero(protocol._reference(inputs) < 0)
+        if off.size:
+            raise ValueError(f"mu puts weight on promise-violating input {keys[off[0]]}")
         return inputs, weights, f"supplied:{len(inputs)}"
     inputs, coverage = _sweep(protocol, budget, seed)
     weights = np.full(len(inputs), 1.0 / len(inputs))
@@ -111,16 +116,12 @@ def _kary_nondegenerate(protocol: ProtocolInstance) -> bool:
     """Whether the reference is total and every pair of one party's inputs
     is distinguished by some assignment of the other parties: for a total
     reference, whether each party's rows of the own x rest output table
-    are pairwise distinct.  One pass over the input domain, which
-    enumerates each party's inputs in `party_inputs` order."""
+    are pairwise distinct.  One `_reference` call over the input domain,
+    whose rows run through every party's codes with party 0's slowest."""
     if not protocol.reference_total:
         return False
-    codes = {}
-    table = np.fromiter(
-        (codes.setdefault(protocol._reference(x), len(codes)) for x in protocol.input_domain()),
-        dtype=np.int32,
-        count=protocol.domain_size(),
-    ).reshape([len(protocol.party_inputs(j)) for j in range(protocol.party_count)])
+    table = protocol._reference(protocol.input_domain())
+    table = table.reshape([1 << n for n in protocol.input_lengths])
     for party in range(protocol.party_count):
         rows = np.moveaxis(table, party, 0).reshape(table.shape[party], -1)
         if len({row.tobytes() for row in rows}) < len(rows):
@@ -157,27 +158,22 @@ def check_correctness(
 ) -> CorrectnessReport:
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
-    inputs, coverage = _sweep(protocol, budget, seed)
+    inputs, coverage = _sweep(protocol, budget, seed)  # promise inputs only
+    if not len(inputs):
+        raise ValueError("nothing to check: empty sweep")
     domain = protocol.randomness_domain
     min_mass, worst_x, worst_r = float("inf"), None, None
-    cases = 0
-    for x in inputs:
-        target = protocol._reference(x)
-        if target is PROMISE_VIOLATION:
-            continue
-        masses = protocol._output_masses(x)[:, protocol.output_domain.index(target)]
-        cases += len(masses)
+    for x, target in zip(inputs.tolist(), protocol._reference(inputs).tolist()):
+        masses = protocol._output_masses(x)[:, target]
         i = int(np.argmin(masses))  # the first minimum, so the witness is the first worst pair
         if masses[i] < min_mass:
             min_mass, worst_x, worst_r = float(masses[i]), x, domain[i]
-    if not cases:
-        raise ValueError("nothing to check: empty sweep")
     return CorrectnessReport(
         passed=min_mass >= 1.0 - tol,
         min_mass=min_mass,
-        worst_input=worst_x,
+        worst_input=protocol._input_strings(worst_x),
         worst_randomness=worst_r,
-        cases=cases,
+        cases=len(inputs) * len(domain),
         coverage=f"{coverage} x randomness-exhaustive:{len(domain)}",
     )
 
@@ -365,8 +361,9 @@ def check_messages(
     max_distance, worst_input = 0.0, None
     rho_bar = None
     self_terms = 0.0
-    for x, w in zip(inputs, weights):  # _distribution holds promise inputs only
-        y = protocol._reference(x)
+    targets = protocol._reference(inputs)  # _distribution holds promise inputs only
+    for x, column, w in zip(inputs.tolist(), targets.tolist(), weights):
+        y = protocol.output_domain[column]
         rho = protocol._averaged_matrix(x)
         rho_bar = w * rho if rho_bar is None else rho_bar + w * rho
         purity = qsim.purity(rho)
@@ -374,7 +371,7 @@ def check_messages(
         masses_by_class.setdefault(y, []).append(float(w))
         if y not in classes:
             classes[y] = PrivacyClass(
-                representative_input=tuple(x),
+                representative_input=protocol._input_strings(x),
                 matrix=rho,
                 size=1,
                 max_distance=0.0,
@@ -386,7 +383,7 @@ def check_messages(
         dist = qsim.matrix_distance(cls.matrix, rho)
         cls.max_distance = max(cls.max_distance, dist)
         if dist > max_distance:
-            max_distance, worst_input = dist, tuple(x)
+            max_distance, worst_input = dist, protocol._input_strings(x)
     if not classes:
         raise ValueError("nothing to check: empty sweep")
 

@@ -10,6 +10,10 @@ result containers, so that its answer compares with `bounds.alpha` by
 repr, and the simulator only the validated `StateVector` and
 `DensityMatrix` containers of `psqm.qsim`.  Party message states are
 dense folds too, and `weight_sum_maxima` builds its Grams from them.
+The reference functions work on bit strings, character by character:
+they are the oracle for the protocols' vectorised references on integer
+codes.  `geq_mask_identity_check` reads the package's product table, the
+thing it checks.
 `key_count_weight_sum_maxima`
 reads the keys off the protocol's own frames: it is the reference for
 how the package combines them, and `stacked_party_frames`, one `_frames`
@@ -22,8 +26,9 @@ import itertools
 
 import numpy as np
 
+from psqm import gf2m
 from psqm.bounds import AlphaResult, Rectangle
-from psqm.protocols import _outcome_tables
+from psqm.protocols import PROMISE_VIOLATION, _outcome_tables
 from psqm.qsim import CONSTRUCTION_TOL, DensityMatrix, StateVector
 
 
@@ -312,6 +317,63 @@ def oracle_max_clique(count: int, edge) -> tuple:
 # -------------------------------------------------- protocol-side oracles
 
 
+def bitstrings(length):
+    return ["".join(bits) for bits in itertools.product("01", repeat=length)]
+
+
+def input_strings(proto, codes) -> tuple:
+    """One input's codes as bit strings, big-endian, one per party."""
+    return tuple(format(int(c), f"0{n}b") for c, n in zip(codes, proto.input_lengths))
+
+
+def domain_strings(proto) -> list:
+    """The protocol's input domain as tuples of bit strings, in its order."""
+    return [input_strings(proto, row) for row in proto.input_domain()]
+
+
+def sum2_reference(inputs) -> tuple[int, int]:
+    """(sum of first bits, sum of second bits), both mod 2."""
+    return (
+        sum(int(x[0]) for x in inputs) & 1,
+        sum(int(x[1]) for x in inputs) & 1,
+    )
+
+
+def geq_reference(inputs) -> int:
+    """1 iff the coordinate-wise XOR of all inputs is the zero string."""
+    return int(all(sum(int(x[i]) for x in inputs) % 2 == 0 for i in range(len(inputs[0]))))
+
+
+def dj_reference(x: str, y: str):
+    """1 if equal, 0 at Hamming distance n/2, PROMISE_VIOLATION otherwise."""
+    if len(x) != len(y):
+        raise ValueError("inputs must have equal length")
+    dist = sum(a != b for a, b in zip(x, y))
+    if dist == 0:
+        return 1
+    if dist * 2 == len(x):
+        return 0
+    return PROMISE_VIOLATION
+
+
+def geq_mask_identity_check(inputs, mask: str) -> bool:
+    """Whether masking each input then summing equals masking the sum.
+
+    Both sides live in GF(2^len(mask)); the mask must be nonzero.
+    """
+    if set(mask) == {"0"}:
+        raise ValueError("mask must be nonzero")
+    if {len(x) for x in inputs} - {len(mask)} or set("".join(inputs) + mask) - {"0", "1"}:
+        raise ValueError(f"inputs and mask must be {len(mask)}-bit strings")
+    row = gf2m.product_table(gf2m.find_irreducible(len(mask)))[int(mask, 2)]
+    total = xor = 0
+    for x in inputs:
+        total ^= int(row[int(x, 2)])
+        xor ^= int(x, 2)
+    return total == int(row[xor])
+
+
+
 def ghz_gate_ops(proto, party, own_input, randomness) -> list:
     """(gate, qubit) list of one real party of sum2 or geq, written from
     the protocol description, Z's before X's on the party's GHZ shares.
@@ -453,10 +515,11 @@ def weight_sum_maxima(protocol, party, own=None, domain=None) -> tuple:
     every randomness pair (r, r') and input x: (sum over z != x, sum over
     all z) of |<psi(x;r)|psi(z;r')>|^2, one small Gram per pair of the
     `party_message` folds.  `own` and `domain` default to all of the
-    party's inputs and randomness; entry i of `own` is the input that the
-    party's i-th message state is folded from."""
+    party's inputs (codes) and randomness; entry i of `own` is the input
+    that the party's i-th message state is folded from."""
     domain = protocol.randomness_domain if domain is None else domain
     own = protocol.party_inputs(party) if own is None else own
+    own = [format(int(x), f"0{protocol.input_lengths[party]}b") for x in own]
     states = {r: np.array([party_message(protocol, party, x, r) for x in own]) for r in domain}
     max_excl = max_incl = 0.0
     for r in domain:
@@ -476,11 +539,10 @@ def pairwise_nondegenerate(protocol) -> bool:
     if not protocol.reference_total:
         return False
     k = protocol.party_count
+    strings = [bitstrings(n) for n in protocol.input_lengths]
     for party in range(k):
-        others = list(
-            itertools.product(*(protocol.party_inputs(j) for j in range(k) if j != party))
-        )
-        for a, b in itertools.combinations(protocol.party_inputs(party), 2):
+        others = list(itertools.product(*(strings[j] for j in range(k) if j != party)))
+        for a, b in itertools.combinations(strings[party], 2):
             if not any(
                 protocol.reference(rest[:party] + (a,) + rest[party:])
                 != protocol.reference(rest[:party] + (b,) + rest[party:])
@@ -491,19 +553,19 @@ def pairwise_nondegenerate(protocol) -> bool:
 
 
 def stacked_party_frames(protocol, party, own, randomness) -> tuple:
-    """sum2/geq `_party_frames` by one `_frames` call per own input (zeros
-    elsewhere), stacked, with the global bits moved to the party's
+    """sum2/geq `_party_frames` by one `_frames` call per own input code
+    (zeros elsewhere), stacked, with the global bits moved to the party's
     register (reference qubit, then its shares, per block) one block and
     one internal party at a time."""
     parties, blocks, qubits = protocol._parties, protocol.blocks, protocol._qubits
     last = parties != protocol.party_count and party == protocol.party_count - 1
     internals = (party, parties - 1) if last else (party,)
     width = len(internals) + 1
-    inputs = ["0" * n for n in protocol.input_lengths]
+    codes = [0] * protocol.party_count
     frames = []
     for x in own:
-        inputs[party] = x
-        frames.append(protocol._frames(inputs, randomness))
+        codes[party] = int(x)
+        frames.append(protocol._frames(codes, randomness))
     frames = np.array(frames).transpose(1, 0, 2)
     local = np.zeros_like(frames)
     for b in range(blocks):  # qubit b*parties + j -> register qubit b*width + 1 + i

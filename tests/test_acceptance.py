@@ -16,14 +16,11 @@ import numpy as np
 
 from psqm import bounds, verify
 from psqm.bounds import FunctionTable, InputDistribution
-from psqm.protocols import (
-    dj_protocol,
-    geq_mask_identity_check,
-    geq_protocol,
-    sum2_protocol,
-)
+from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
 
 from _oracles import (
+    domain_strings,
+    geq_mask_identity_check,
     oracle_alpha,
     oracle_beta,
     oracle_bound,
@@ -140,7 +137,7 @@ def test_criterion_5_dj():
         reject_target = np.full((n, n), 1.0 / (n * (n - 1)))
         np.fill_diagonal(reject_target, 0.0)
         reject_target = reject_target.reshape(-1)
-        for x, y in proto.input_domain():
+        for x, y in domain_strings(proto):
             diag = np.diag(proto.averaged_message((x, y)).matrix).real
             target = accept_target if x == y else reject_target
             worst_tv = max(worst_tv, 0.5 * np.abs(diag - target).sum())

@@ -145,7 +145,7 @@ def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):
     laws = protocols.DJProtocol._message_laws
 
     def counted(self, inputs, randomness_values):
-        calls.append(int(inputs[0], 2) ^ int(inputs[1], 2))
+        calls.append(inputs[0] ^ inputs[1])
         return laws(self, inputs, randomness_values)
 
     monkeypatch.setattr(protocols.DJProtocol, "_message_laws", counted)

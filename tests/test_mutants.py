@@ -12,7 +12,7 @@ from psqm import qsim
 from psqm.protocols import DJProtocol, GeqProtocol, Sum2Protocol
 from psqm.verify import check_correctness, check_messages, check_weight_sums
 
-from _oracles import weight_sum_maxima
+from _oracles import domain_strings, weight_sum_maxima
 
 def restrict_randomness(proto, keep):
     """Narrow the randomness domain of a protocol no check has read yet:
@@ -25,7 +25,7 @@ def restrict_randomness(proto, keep):
 def assert_privacy_names_a_leaking_input(proto, privacy):
     assert not privacy.passed
     worst = tuple(privacy.witnesses(proto)["worst_input"].split(","))
-    assert worst in set(proto.input_domain())
+    assert worst in domain_strings(proto)
     rep = privacy.classes[proto.reference(worst)].representative
     distance = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
     assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
@@ -91,7 +91,7 @@ def assert_correctness_names_a_wrong_run(proto):
     assert report.min_mass == 0.0
     witness = report.witnesses(proto)
     worst = tuple(witness["worst_input"].split(","))
-    assert worst in set(proto.input_domain())
+    assert worst in domain_strings(proto)
     domain = proto.randomness_domain
     assert witness["worst_randomness"] in map(proto.format_randomness, domain)
     wrong = proto.run(worst, report.worst_randomness).output_distribution
@@ -110,8 +110,8 @@ class IgnoredSecondBitSum2(Sum2Protocol):
     """sum2 whose party 0 ignores its second input bit: inputs 00 and 01
     then give party 0 the same local state under every randomness value."""
 
-    def _frames(self, inputs, randomness):
-        return super()._frames((inputs[0][0] + "0",) + tuple(inputs[1:]), randomness)
+    def _frames(self, codes, randomness):
+        return super()._frames([codes[0] & 0b10, *codes[1:]], randomness)
 
 
 def test_sum2_ignoring_a_bit_fails_weight_sums():
@@ -123,7 +123,7 @@ def test_sum2_ignoring_a_bit_fails_weight_sums():
     assert report.max_including_self == report.max_excluding_self == 2.0
     # the Gram oracle folds honest sum2's gates: party 0's i-th input sends
     # what the honest party 0 sends for the input's first bit and a 0
-    heard = [x[0] + "0" for x in proto.party_inputs(0)]
+    heard = proto.party_inputs(0) & 0b10
     assert weight_sum_maxima(Sum2Protocol(3), 0, own=heard) == pytest.approx((2.0, 2.0), abs=1e-12)
     assert check_weight_sums(proto, 1).passed
 

@@ -28,7 +28,16 @@ from hypothesis import strategies as st
 from psqm import qsim
 from psqm.protocols import _MAX_PROTOCOL_QUBITS, DJProtocol, GeqProtocol, Sum2Protocol
 
-from _oracles import apply_gate, dense_dj_fold, ghz_blocks, ghz_gate_ops, mix, phi_basis
+from _oracles import (
+    apply_gate,
+    dense_dj_fold,
+    domain_strings,
+    ghz_blocks,
+    ghz_gate_ops,
+    input_strings,
+    mix,
+    phi_basis,
+)
 
 TOL = 1e-12
 FULL_COVER_CAP = 1 << 20
@@ -101,7 +110,7 @@ def assert_close(fast, dense):
 def check_against_dense(proto, blocks, seed):
     rng = random.Random(seed)
     inputs = [tuple("0" * n for n in proto.input_lengths)]
-    inputs += [proto.sample_input(rng) for _ in range(3)]
+    inputs += [input_strings(proto, proto.sample_input(rng)) for _ in range(3)]
     randomness, full = covered_randomness(proto, seed)
     basis = joint_basis(proto, blocks)
     dim = shared_state(proto).dim
@@ -162,7 +171,7 @@ def test_dj_output_masses_match_run(n):
     law, for every promise input and every randomness value."""
     proto = DJProtocol(n)
     domain = proto.randomness_domain
-    for x in proto.input_domain():
+    for x in domain_strings(proto):
         laws = [proto.run(x, r).output_distribution for r in domain]
         expected = [[law[y] for y in proto.output_domain] for law in laws]
         assert proto.output_masses(x).tolist() == expected, x
@@ -185,4 +194,4 @@ def test_dj_law_is_the_dense_hadamard_fold(n):
         x = rng.getrandbits(n)
         inputs = (format(x, f"0{n}b"), format(x ^ w, f"0{n}b"))
         law = np.abs(dense_dj_fold(n, inputs, range(2 * proto.m))) ** 2
-        assert proto._outcome_law(inputs).tobytes() == law.reshape(n, n).tobytes(), inputs
+        assert proto._outcome_law((x, x ^ w)).tobytes() == law.reshape(n, n).tobytes(), inputs

@@ -7,25 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqm import gf2m
-from psqm.protocols import (
-    PROMISE_VIOLATION,
-    dj_protocol,
-    dj_reference,
-    geq_mask_identity_check,
-    geq_protocol,
-    geq_reference,
-    sum2_protocol,
-    sum2_reference,
-)
+from psqm.protocols import PROMISE_VIOLATION, dj_protocol, geq_protocol, sum2_protocol
 
 from _oracles import (
     apply_gate,
+    bitstrings,
     dj_joint_outcome,
+    dj_reference,
     field_mul,
+    geq_mask_identity_check,
+    geq_reference,
     ghz,
     ghz_gate_ops,
+    input_strings,
     oracle_irreducible,
     referee_output,
+    sum2_reference,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,10 +44,6 @@ def kron_all(mats) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def bitstrings(length):
-    return ["".join(bits) for bits in itertools.product("01", repeat=length)]
 
 
 # ------------------------------------------------------------------ sum2
@@ -304,30 +297,74 @@ def test_dj_joint_outcomes_match_oracle(n):
     proto = dj_protocol(n)
     for x in bitstrings(n):
         for y in bitstrings(n):
-            got = proto._outcome_law((x, y))
+            got = proto._outcome_law((int(x, 2), int(y, 2)))
             np.testing.assert_allclose(got, dj_joint_outcome(x, y), atol=1e-12)
 
 
 def test_dj_equal_inputs_diagonal_uniform():
     proto = dj_protocol(4)
-    pkl = proto._outcome_law(("0110", "0110"))
+    pkl = proto._outcome_law((0b0110, 0b0110))
     np.testing.assert_allclose(pkl, np.eye(4) / 4, atol=1e-12)
 
 
 def test_dj_half_distance_zero_diagonal():
     proto = dj_protocol(4)
-    for x, y in [("0000", "0011"), ("1010", "0110")]:
+    for x, y in [(0b0000, 0b0011), (0b1010, 0b0110)]:
         pkl = proto._outcome_law((x, y))
         assert np.abs(np.diag(pkl)).max() < 1e-12
 
 
 def test_dj_reference_promise():
-    assert dj_reference("0101", "0101") == 1
-    assert dj_reference("0000", "1100") == 0
-    assert dj_reference("0000", "1000") is PROMISE_VIOLATION
-    assert dj_reference("00", "11") is PROMISE_VIOLATION  # distance n, not n/2
+    two, four = dj_protocol(2), dj_protocol(4)
+    assert four.reference(("0101", "0101")) == 1
+    assert four.reference(("0000", "1100")) == 0
+    assert four.reference(("0000", "1000")) is PROMISE_VIOLATION
+    assert two.reference(("00", "11")) is PROMISE_VIOLATION  # distance n, not n/2
     with pytest.raises(ValueError):
-        dj_reference("00", "000")
+        two.reference(("00", "000"))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_dj_reference_matches_the_string_oracle_on_every_pair(n):
+    """Every pair of n-bit strings, off the promise too: the vectorised
+    reference, and the public one, give the oracle's value, so
+    PROMISE_VIOLATION exactly off the promise.  The input domain holds the
+    promise pairs: equal pairs, then x against x XOR h for each h of
+    weight n/2, h increasing."""
+    proto = dj_protocol(n)
+    strings = bitstrings(n)
+    pairs = list(itertools.product(strings, repeat=2))
+    want = [dj_reference(x, y) for x, y in pairs]
+    columns = proto._reference(np.array([(int(x, 2), int(y, 2)) for x, y in pairs]))
+    assert [PROMISE_VIOLATION if c < 0 else proto.output_domain[c] for c in columns] == want
+    assert [proto.reference(pair) for pair in pairs] == want
+    half = [h for h in strings if h.count("1") == n // 2]
+    promise = [(x, x) for x in strings]
+    promise += [(x, format(int(x, 2) ^ int(h, 2), f"0{n}b")) for x in strings for h in half]
+    assert [input_strings(proto, row) for row in proto.input_domain()] == promise
+
+
+# every input of these configurations, against the string oracles
+REFERENCE_CONFIGS = [("sum2", k) for k in (2, 3, 4, 5)]
+REFERENCE_CONFIGS += [("geq", k, l) for k, l in ((2, 1), (2, 2), (3, 1), (4, 1))]
+
+
+@pytest.mark.parametrize(
+    "config", REFERENCE_CONFIGS, ids=["-".join(map(str, c)) for c in REFERENCE_CONFIGS]
+)
+def test_reference_matches_the_string_oracle_on_every_input(config):
+    """The input domain runs through the parties' bit strings in
+    itertools.product order, and the vectorised and public references
+    agree with the oracle on each input."""
+    name, *args = config
+    proto = sum2_protocol(*args) if name == "sum2" else geq_protocol(*args)
+    oracle = sum2_reference if name == "sum2" else geq_reference
+    strings = list(itertools.product(*(bitstrings(n) for n in proto.input_lengths)))
+    domain = proto.input_domain()
+    assert [input_strings(proto, row) for row in domain] == strings
+    want = [oracle(x) for x in strings]
+    assert [proto.output_domain[c] for c in proto._reference(domain)] == want
+    assert [proto.reference(x) for x in strings] == want
 
 
 def test_dj_masking_is_a_bijection():
@@ -351,13 +388,13 @@ def test_dj_messages_agree_iff_outcomes_agree():
 
 @st.composite
 def dj_cases(draw):
-    """(protocol, promise input, randomness index) for n up to the cap."""
+    """(protocol, promise input codes, randomness index) for n up to the cap."""
     proto = dj_protocol(draw(st.sampled_from([2, 4, 8, 16])))
     n = proto.n
     x = draw(st.text("01", min_size=n, max_size=n))
     flips = set(draw(st.permutations(range(n)))[: n // 2]) if draw(st.booleans()) else set()
     y = "".join(str(int(c) ^ (i in flips)) for i, c in enumerate(x))
-    return proto, (x, y), draw(st.integers(0, len(proto.randomness_domain) - 1))
+    return proto, (int(x, 2), int(y, 2)), draw(st.integers(0, len(proto.randomness_domain) - 1))
 
 
 @settings(derandomize=True, deadline=None)
@@ -398,14 +435,14 @@ def test_dj_run_message_law_by_hand():
 
 def test_dj_domain_and_sampling():
     proto = dj_protocol(4)
-    domain = list(proto.input_domain())
+    domain = proto.input_domain()
     assert len(domain) == proto.domain_size() == 16 * (1 + 6)
     assert all(
-        dj_reference(x, y) is not PROMISE_VIOLATION for x, y in domain
+        dj_reference(*input_strings(proto, row)) is not PROMISE_VIOLATION for row in domain
     )
     rng = random.Random(17)
     for _ in range(200):
-        x, y = proto.sample_input(rng)
+        x, y = input_strings(proto, proto.sample_input(rng))
         assert dj_reference(x, y) is not PROMISE_VIOLATION
 
 

@@ -18,6 +18,7 @@ from psqm.verify import (
 )
 
 from _oracles import (
+    domain_strings,
     key_count_weight_sum_maxima,
     pairwise_nondegenerate,
     party_message,
@@ -235,7 +236,8 @@ def test_weight_sum_rule_matches_key_counts_on_subsets(data):
     counts differ; a small chunk makes the one pass take several."""
     proto = built(data.draw(st.sampled_from(RULE_CONFIGS)))
     party = data.draw(st.integers(0, proto.party_count - 1))
-    own = data.draw(st.lists(st.sampled_from(proto.party_inputs(party)), min_size=1, unique=True))
+    inputs = proto.party_inputs(party).tolist()
+    own = data.draw(st.lists(st.sampled_from(inputs), min_size=1, unique=True))
     domain = proto.randomness_domain
     values = data.draw(st.lists(st.sampled_from(domain), min_size=1, max_size=40, unique=True))
     chunk = data.draw(st.integers(1, 64))
@@ -346,7 +348,7 @@ def test_geq_purity_bounds():
 
 def test_purity_with_supplied_mu():
     proto = sum2_protocol(2)
-    inputs = list(proto.input_domain())
+    inputs = domain_strings(proto)
     mu = {x: 0.0 for x in inputs}
     mu[("00", "00")] = 0.5
     mu[("01", "11")] = 0.5
@@ -376,13 +378,13 @@ def test_purity_with_supplied_mu():
 
 def counting_input_checks(monkeypatch) -> collections.Counter:
     seen = collections.Counter()
-    real = protocols.ProtocolInstance._check_inputs
+    real = protocols.ProtocolInstance._codes
 
     def counted(self, inputs):
         seen[tuple(inputs)] += 1
         return real(self, inputs)
 
-    monkeypatch.setattr(protocols.ProtocolInstance, "_check_inputs", counted)
+    monkeypatch.setattr(protocols.ProtocolInstance, "_codes", counted)
     return seen
 
 
@@ -395,7 +397,7 @@ def test_verify_validates_inputs_only_at_the_edge(monkeypatch, capsys):
     capsys.readouterr()
     assert sum(seen.values()) == 0
     proto = sum2_protocol(2)
-    mu = {x: 1.0 / 16 for x in proto.input_domain()}
+    mu = {x: 1.0 / 16 for x in domain_strings(proto)}
     check_messages(proto, mu=mu)
     assert seen == collections.Counter(mu.keys())
     with pytest.raises(ValueError, match="bad 2-bit input"):
@@ -414,7 +416,7 @@ def test_collision_bound_cross_terms_literal(factory):
     proto = factory()
     rep = check_messages(proto).collision_bound
     assert rep.passed and not rep.skipped
-    inputs = list(proto.input_domain())
+    inputs = domain_strings(proto)
     w = 1.0 / len(inputs)
     rhos = [proto.averaged_message(x).matrix for x in inputs]
     literal = 0.0
@@ -437,7 +439,7 @@ def test_collision_bound_sum2_k2_is_tight():
 def test_collision_bound_beta_matches_class_masses():
     proto = sum2_protocol(3)
     rep = check_messages(proto).collision_bound
-    inputs = list(proto.input_domain())
+    inputs = domain_strings(proto)
     sizes: dict = {}
     for x in inputs:
         sizes[proto.reference(x)] = sizes.get(proto.reference(x), 0) + 1
@@ -480,8 +482,10 @@ class DegenerateReferenceSum2(protocols.Sum2Protocol):
     """sum2 whose reference ignores party 0's second bit: still total, but
     inputs 00 and 01 of party 0 give equal rows of its output table."""
 
-    def _reference(self, inputs):
-        return super()._reference((inputs[0][0] + "0",) + tuple(inputs[1:]))
+    def _reference(self, codes):
+        codes = codes.copy()
+        codes[:, 0] &= 0b10
+        return super()._reference(codes)
 
 
 def test_degenerate_total_reference_makes_the_bounds_vacuous():
@@ -499,18 +503,20 @@ def test_degenerate_total_reference_makes_the_bounds_vacuous():
 
 
 class TableProtocol(protocols.ProtocolInstance):
-    """A total reference given by an output code per input, nothing else."""
+    """A total reference given by an output column per input, in input
+    domain order, nothing else."""
 
     name = "table"
     reference_total = True
+    output_domain = (0, 1, 2)
 
-    def __init__(self, input_lengths, codes):
+    def __init__(self, input_lengths, columns):
         self.input_lengths = tuple(input_lengths)
         self.party_count = len(input_lengths)
-        self.codes = dict(zip(self.input_domain(), codes))
+        self.columns = np.reshape(columns, [1 << n for n in input_lengths])
 
-    def _reference(self, inputs):
-        return self.codes[tuple(inputs)]
+    def _reference(self, codes):
+        return self.columns[tuple(codes.T)]
 
 
 @st.composite
@@ -560,7 +566,8 @@ def test_sampled_sweep_stops_once_it_has_every_input(config):
 
     proto.sample_input = counted
     inputs, coverage = verify._sweep(proto, budget=1, seed=1)
-    assert sorted(inputs) == sorted(proto.input_domain())
+    inputs = list(map(tuple, inputs.tolist()))
+    assert sorted(inputs) == sorted(map(tuple, proto.input_domain().tolist()))
     assert coverage == f"sampled:{proto.domain_size()}"
     assert draws.index(inputs[-1]) == len(draws) - 1  # the last draw was the first of it
 

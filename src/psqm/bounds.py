@@ -15,10 +15,11 @@ over distributions is never searched).  Quantities:
 * exact maximum cliques of the two distinguishability graphs.
 * random/exhaustive small-table statistics and the dj promise table.
 
-Everything is exact: alpha is an exact pruned search that returns the
-same first witness as visiting every pair would, cliques come from branch
-and bound; guards keep domains desk-scale (alpha: at most 6x6 tables,
-cliques: at most 20 vertices per side).
+Everything is exact: alpha is a pruned search over integer weight sums
+that returns the same first witness as visiting every pair would, its
+value the exact sum rounded once; cliques come from branch and bound;
+guards keep domains desk-scale (alpha: at most 6x6 tables, cliques: at
+most 20 vertices per side).
 """
 
 from __future__ import annotations
@@ -197,15 +198,6 @@ def _labeled(table: FunctionTable, S, T, sigma, tau) -> tuple[Rectangle, Rectang
     return first, second
 
 
-def _exact_sums(weights) -> bool:
-    """Whether every float sum of distinct weights is exact, in any order:
-    true when all weights are multiples of one power of two 2^-L whose
-    total is below 2^53 such units, so every partial sum is a float."""
-    ratios = [v.as_integer_ratio() for row in weights for v in row]
-    unit = max(q for _, q in ratios)  # every q is a power of two
-    return sum(p * (unit // q) for p, q in ratios) < 1 << 53
-
-
 def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaResult:
     """Maximum min-weight over similar disjoint rectangle pairs (0 and
     no witness when none exists), with the largest pair's cell count.
@@ -230,9 +222,9 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     its image in tau, and is cut the same way, by the weight chosen plus
     the column weights still reachable on each side.  Both bests change
     only on a strict gain, so the first maximal pair in visit order
-    stays the witness.  The weight bounds add in another order than a
-    path does, so unless every sum is exact (`_exact_sums`) they are
-    widened by a float slack.
+    stays the witness.  Every float weight is p/2^L, so all sums run on
+    integer numerators over the largest such 2^L and are exact; the
+    value is their maximum divided once, correctly rounded.
     """
     n1, n2 = table.shape
     if n1 > ALPHA_DOMAIN_CAP or n2 > ALPHA_DOMAIN_CAP:
@@ -243,8 +235,9 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
         raise ValueError("size cap must be at least 1")
     cap_rows = min(size_cap, n1) if size_cap is not None else n1
     cap_cols = min(size_cap, n2) if size_cap is not None else n2
-    w = mu.weights
-    slack = 1.0 if _exact_sums(w) else 1.0 + 4 * (n1 * n2 + 2) * 2.0**-52
+    ratios = [[v.as_integer_ratio() for v in row] for row in mu.weights]
+    unit = max(q for row in ratios for _, q in row)  # every q is a power of two
+    w = [[p * (unit // q) for p, q in row] for row in ratios]
     e = table.entries
     # bit y' of images[x][x'][y] is set when e[x][y] == e[x'][y']
     images = [
@@ -256,7 +249,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     ]
     popcount = [bin(v).count("1") for v in range(1 << n2)]
     bits = [1 << y for y in range(n2)]
-    best, max_cells, witness = 0.0, 0, None
+    best, max_cells, witness = 0, 0, None
     rows = colw2 = pairs2 = sigma = row_disjoint = None  # the pair `walk` hands to `search`
     stack_t, stack_tau = [], []
 
@@ -272,10 +265,10 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 live.append(y)
                 free.append(row)
                 hit |= row
-        left1 = [0.0]  # S's weight on the last k live columns, summed from the end
+        left1 = [0]  # S's weight on the last k live columns, summed from the end
         for y in reversed(live):
             left1.append(left1[-1] + colw1[y])
-        left2 = [0.0]  # sigma's weight on its k heaviest columns in `hit`
+        left2 = [0]  # sigma's weight on its k heaviest columns in `hit`
         for bit, weight in pairs2:
             if hit & bit:
                 left2.append(left2[-1] + weight)
@@ -284,7 +277,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
             reach = min(room, len(live) - i)
             if (
                 a * (depth + reach) <= max_cells
-                and min(w_first + left1[len(live) - i], w_second + left2[reach]) * slack <= best
+                and min(w_first + left1[len(live) - i], w_second + left2[reach]) <= best
             ):
                 return
             nw1 = w_first + colw1[y]
@@ -317,31 +310,31 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
             if t in prefix:
                 continue
             m = images[s][t] if masks is None else list(map(operator.and_, masks, images[s][t]))
-            hit, live, bound1 = 0, 0, 0.0
+            hit, live, bound1 = 0, 0, 0
             for row, weight in zip(m, colw1):
                 if row:
                     hit, live, bound1 = hit | row, live + 1, bound1 + weight
             # the first side's half of the leaf test below, for the whole subtree
             cells_cut = a * min(cap_cols, live, popcount[hit]) <= max_cells
-            if cells_cut and bound1 * slack <= best:
+            if cells_cut and bound1 <= best:
                 continue
             w2 = [c + v for c, v in zip(weights2, w[t])]
             if len(prefix) + 1 < a:
                 walk(prefix + (t,), m, w2)
-            # a leaf: min(bound1, sigma's weight on `hit`) * slack <= best cuts it
-            elif not (cells_cut and sum(w2[y] for y in range(n2) if hit >> y & 1) * slack <= best):
+            # a leaf: min(bound1, sigma's weight on `hit`) <= best cuts it
+            elif not (cells_cut and sum(w2[y] for y in range(n2) if hit >> y & 1) <= best):
                 rows, colw2, sigma = m, w2, prefix + (t,)
                 pairs2 = sorted(zip(bits, w2), key=operator.itemgetter(1), reverse=True)
                 row_disjoint = all(map(operator.ne, S, sigma))
-                search(0, 0, True, 0.0, 0.0)
+                search(0, 0, True, 0, 0)
 
     for a in range(1, cap_rows + 1):
         for S in itertools.combinations(range(n1), a):
-            colw1 = [0.0] * n2  # each column's weight on S, added row by row
+            colw1 = [0] * n2  # each column's weight on S
             for s in S:
                 colw1 = [c + v for c, v in zip(colw1, w[s])]
-            walk((), None, [0.0] * n2)
-    return AlphaResult(best, _labeled(table, *witness) if witness else None, max_cells)
+            walk((), None, [0] * n2)
+    return AlphaResult(best / unit, _labeled(table, *witness) if witness else None, max_cells)
 
 
 def beta(table: FunctionTable, mu: InputDistribution) -> float:

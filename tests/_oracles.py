@@ -23,6 +23,7 @@ purpose; only used at small sizes.
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -190,13 +191,13 @@ def enumerated_pairs(table, mu, size_cap=None):
 
     Canonical form: the first rectangle's rows S and columns T are
     sorted; sigma and tau are the position-wise images forming the
-    second rectangle.  Weights are summed as a path of that search sums
-    them: column by column, each column's weight row by row.
+    second rectangle.  Weights are exact `Fraction` sums.
     """
     n1, n2 = len(table.entries), len(table.entries[0])
     cap_rows = min(size_cap, n1) if size_cap is not None else n1
     cap_cols = min(size_cap, n2) if size_cap is not None else n2
-    e, w = table.entries, mu.weights
+    e = table.entries
+    w = [[Fraction(v) for v in row] for row in mu.weights]
     # bit y * n2 + y' of row_mask[x][x'] is set when e[x][y] == e[x'][y']
     row_mask = [
         [
@@ -227,23 +228,24 @@ def enumerated_pairs(table, mu, size_cap=None):
                     mask &= row_mask[s][t]
                 if mask:
                     row_disjoint = all(s != t for s, t in zip(S, sigma))
-                    yield from extend(S, sigma, mask, row_disjoint, 0, (), (), 0.0, 0.0)
+                    yield from extend(S, sigma, mask, row_disjoint, 0, (), (), 0, 0)
 
 
 def enumerated_alpha(table, mu, size_cap=None) -> AlphaResult:
     """alpha by visiting every pair: the first pair of largest min-weight
-    is the witness, and max_cells is the largest pair's cell count."""
-    best, witness, max_cells = 0.0, None, 0
+    is the witness, and max_cells is the largest pair's cell count; the
+    value is the exact maximum rounded once to a float."""
+    best, witness, max_cells = 0, None, 0
     for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu, size_cap):
         max_cells = max(max_cells, cells)
         if value > best:
             best, witness = value, (S, T, sigma, tau)
     if witness is None:
-        return AlphaResult(best, None, max_cells)
+        return AlphaResult(float(best), None, max_cells)
     S, T, sigma, tau = witness
     rows, cols = table.rows, table.cols
     return AlphaResult(
-        best,
+        float(best),
         (
             Rectangle(tuple(rows[i] for i in S), tuple(cols[j] for j in T)),
             Rectangle(tuple(rows[i] for i in sigma), tuple(cols[j] for j in tau)),

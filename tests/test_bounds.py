@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import time
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -196,7 +198,7 @@ def alpha_cases(draw):
 @given(alpha_cases())
 def test_alpha_matches_enumeration_property(case):
     """The pruned search gives the enumeration's value bits, witness and
-    max_cells; random weights make the float slack matter."""
+    max_cells; random weights are not dyadic."""
     table, mu, size_cap = case
     assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
 
@@ -220,31 +222,55 @@ ALPHA_6X6_CASES = [
 )
 def test_alpha_matches_enumeration_on_6x6(seed, kind, size_cap):
     """Six rows give sigma prefixes of up to five rows to cut; random
-    weights are not dyadic, so the float slack is in play, and
-    uniform-defined tables are partial."""
+    weights are not dyadic, and uniform-defined tables are partial."""
     rng = random.Random(seed)
     table = random_table(rng, 6, 6, partial=kind == "uniform-defined")
     mu = distribution(table, kind, [[rng.random() for _ in range(6)] for _ in range(6)])
     assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
 
 
-def test_alpha_float_slack_keeps_the_first_witness():
-    """Here a cut's weight bound, added in another order than the path,
-    falls below the first maximal pair's weight by rounding; without the
-    slack that pair is cut and a later pair of equal weight is reported."""
+def exact_weight(table, mu, rect):
+    ri = {lbl: i for i, lbl in enumerate(table.rows)}
+    ci = {lbl: j for j, lbl in enumerate(table.cols)}
+    return sum(Fraction(mu.weights[ri[x]][ci[y]]) for x in rect.rows for y in rect.cols)
+
+
+def test_alpha_witness_has_the_largest_exact_weight():
+    """Non-dyadic weights whose two best pairs differ by 2^-58: float
+    sums tie or swap them, exact sums report the heavier one."""
     table = table_of([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     raw = [[0.3, 0.7, 0.3], [0.6, 0.3, 0.2], [0.1, 0.1, 0.7]]
     mu = InputDistribution(table, normalized(raw))
-    assert not bounds._exact_sums(mu.weights)
-    assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
-    assert alpha(table, mu).witness[0].rows == ("x0", "x2")
+    got = alpha(table, mu)
+    assert repr(got) == repr(enumerated_alpha(table, mu))
+    best = max(value for value, *_ in enumerated_pairs(table, mu))
+    assert min(exact_weight(table, mu, r) for r in got.witness) == best
+    assert got.value == float(best)
+    assert got.witness[0].rows == ("x0", "x1", "x2")
+    assert got.witness[0].cols == ("y0", "y2")
 
 
-def test_exact_sums_only_for_short_dyadic_weights():
-    assert bounds._exact_sums([[1 / 16] * 4] * 4)
-    assert bounds._exact_sums([[0.5, 0.25, 0.25, 0.0]])
-    assert not bounds._exact_sums([[1 / 3] * 3])
-    assert not bounds._exact_sums([[1.0, 2.0**-60]])
+def square_table(n, one):
+    return table_of([[int(one(i, j)) for j in range(n)] for i in range(n)])
+
+
+def test_alpha_is_the_exact_sum_rounded_once(tmp_path, capsys):
+    """Uniform weights over 36 cells are not dyadic: the 6x6 identity's
+    alpha is exactly 1, and a single 1 leaves 30 of the 36 cells.  On
+    the constant table many pairs tie the best one, and exact sums let
+    the search cut them all."""
+    identity = square_table(6, lambda i, j: i == j)
+    assert alpha(identity, InputDistribution.uniform_defined(identity)).value == 1.0
+    single = square_table(6, lambda i, j: i == j == 0)
+    value = alpha(single, InputDistribution.uniform_defined(single)).value
+    assert value == float(30 * Fraction(1 / 36)) == 0.8333333333333333
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(square_table(6, lambda i, j: True).to_json()))
+    started = time.perf_counter()
+    assert cli.main(["bound", "--table", str(path)]) == 0
+    assert time.perf_counter() - started < 5.0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["alpha"]["witnesses"]["value"] == 1.0
 
 
 def counting_alpha(monkeypatch) -> list:

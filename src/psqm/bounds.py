@@ -169,8 +169,7 @@ def is_non_degenerate(table: FunctionTable, mu: InputDistribution) -> bool:
     symmetrically: the support rows are pairwise distinct, and so are the
     support columns.  Undefined entries inside the support rectangle are
     an error: the notion only makes sense for tables total there."""
-    if mu.table is not table:
-        _check_same_shape(table, mu)
+    _check_same_shape(table, mu)
     supp1, supp2 = mu.row_support(), mu.col_support()
     for i in supp1:
         for j in supp2:
@@ -226,6 +225,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     integer numerators over the largest such 2^L and are exact; the
     value is their maximum divided once, correctly rounded.
     """
+    _check_same_shape(table, mu)
     n1, n2 = table.shape
     if n1 > ALPHA_DOMAIN_CAP or n2 > ALPHA_DOMAIN_CAP:
         raise ValueError(
@@ -340,6 +340,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
 def beta(table: FunctionTable, mu: InputDistribution) -> float:
     """min over outputs y of Pr[two independent mu-draws differ | both
     map to y], by the class-wise closed form `collision_beta`."""
+    _check_same_shape(table, mu)
     support = mu.support()
     for i, j in support:
         if table.entries[i][j] is None:

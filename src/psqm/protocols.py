@@ -18,9 +18,11 @@ Party inputs are bit strings at the public edge (`reference`,
 its code.  Everything private takes codes: `input_domain` is an
 (N, party_count) code array and `_reference` maps a block of its rows to
 output columns at once.  Randomness components and classical messages
-are bit strings.  Odd party counts for sum2/geq are handled by an internal
-virtual party with the all-zero input whose qubits are sent by the last
-real party.  Outputs: sum2 yields the pair (sum of first bits, sum of
+are bit strings.  sum2 and geq are defined party by party, by the Pauli
+X and Z masks that each party applies to the qubits it sends
+(`_party_frames`); odd party counts are handled by an internal virtual
+party with the all-zero input whose qubits are sent by the last real
+party.  Outputs: sum2 yields the pair (sum of first bits, sum of
 second bits); geq and dj yield 1 for "all sums zero" / "equal" and 0
 otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
 distinguished non-output.
@@ -204,8 +206,9 @@ def _outcome_tables(width: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     Per block of p qubits, X^x Z^z takes the GHZ state to
     +-(|x> + (-1)^|z| |~x>)/sqrt(2): the basis vector whose leading
     p-1 bits are those of whichever of x and ~x ends in 0, and whose
-    last bit is the parity of z."""
-    index = np.arange(1 << (width * blocks))
+    last bit is the parity of z.  int16, like the masks: width * blocks
+    is at most the qubit cap."""
+    index = np.arange(1 << (width * blocks), dtype=np.int16)
     ys, zs = np.zeros_like(index), np.zeros_like(index)
     for b in range(blocks):
         shift = (blocks - 1 - b) * width
@@ -235,15 +238,6 @@ def _hadamards(amps: np.ndarray, qubits) -> np.ndarray:
     return amps
 
 
-def _xor_span(base: np.ndarray, changes) -> np.ndarray:
-    """`base` (2, R) XOR every subset of `changes`: entry i of axis 1 XORs
-    in changes[b] for each set bit b of i."""
-    span = base[:, None]
-    for change in changes:
-        span = np.concatenate([span, span ^ change[:, None]], axis=1)
-    return span
-
-
 class _GhzMaskProtocol(ProtocolInstance):
     """Shared skeleton for the GHZ-based protocols (sum2 and geq).
 
@@ -254,11 +248,14 @@ class _GhzMaskProtocol(ProtocolInstance):
     the last real party.
 
     Parties apply only Pauli X and Z, so no gate is simulated: each
-    protocol gives, per randomness value, the X and Z masks of the whole
-    message operator X^xmask Z^zmask (``_frames``), which moves each
-    nonzero amplitude of the shared state to a new index and fixes its
-    sign (stabilizer reasoning, Gottesman 1998).  The referee's
-    phi-basis outcome is then certain and is read off the same masks.
+    protocol gives, per party, own input and randomness value, the X and
+    Z masks that the party applies to the qubits it sends
+    (``_party_frames``).  Those qubits are disjoint, so the XOR of all
+    parties' masks is the whole message operator X^xmask Z^zmask
+    (``_frames``), which moves each nonzero amplitude of the shared state
+    to a new index and fixes its sign (stabilizer reasoning, Gottesman
+    1998).  The referee's phi-basis outcome is then certain and is read
+    off the same masks.
     """
 
     blocks: int
@@ -274,18 +271,33 @@ class _GhzMaskProtocol(ProtocolInstance):
         if qubits > _MAX_PROTOCOL_QUBITS:
             raise ValueError(f"{qubits} message qubits exceeds the {_MAX_PROTOCOL_QUBITS} cap")
         self._shared = _ghz_blocks(self._parties, blocks)
+        # the qubit bits each real party sends: its share of every block,
+        # and for the last one the virtual party's (its own when k is even)
+        column = sum(1 << (qubits - 1 - b * self._parties) for b in range(blocks))
+        self._sent = (column >> np.arange(k)).astype(np.int16)  # int16 fits: qubits <= 10
+        self._sent[-1] |= column >> (self._parties - 1)
 
     @functools.cached_property
     def _domain_ints(self):
         """The randomness domain, parsed on first use by `_randomness_ints`."""
         return self._randomness_ints(self.randomness_domain)
 
+    def _party_frames(self, parties, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
+        """(xmasks, zmasks), int16, that real party parties[i] applies on own
+        input codes[i] to the qubits it sends (`_sent`), over global
+        big-endian qubit bits: row i for the pair (parties[i], codes[i]),
+        one column per randomness value, given as the integer arrays of
+        `_randomness_ints`.  parties is an int16 array; the virtual party
+        inputs zeros."""
+        raise NotImplementedError
+
     def _frames(self, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
         """(xmasks, zmasks) of the message operator X^xmask Z^zmask for one
-        input's codes (Python ints) under each randomness value, given as
-        the integer arrays of `_randomness_ints`, over big-endian qubit
-        bits; the virtual party inputs zeros."""
-        raise NotImplementedError
+        input's codes under each randomness value: the XOR of every party's
+        frame, exact because the parties act on disjoint qubits."""
+        parties = np.arange(self.party_count, dtype=np.int16)
+        xmasks, zmasks = self._party_frames(parties, np.asarray(codes), randomness)
+        return np.bitwise_xor.reduce(xmasks), np.bitwise_xor.reduce(zmasks)
 
     def _decode(self, outcome_index: int):
         """Referee outcome index -> protocol output."""
@@ -298,9 +310,11 @@ class _GhzMaskProtocol(ProtocolInstance):
         return np.array([self.output_domain.index(y) for y in outputs])
 
     def _outcomes(self, xmasks, zmasks) -> np.ndarray:
-        """Referee outcome index under each frame of `_frames`."""
+        """Referee outcome index under each frame X^xmask Z^zmask."""
         ys, zs = _outcome_tables(self._parties, self.blocks)
-        return ys[xmasks] | zs[zmasks]
+        outcomes = ys.take(xmasks)
+        outcomes |= zs.take(zmasks)
+        return outcomes
 
     def message_state(self, inputs, randomness) -> qsim.StateVector:
         return self.run(inputs, randomness).message_state
@@ -324,58 +338,14 @@ class _GhzMaskProtocol(ProtocolInstance):
         w = np.full(len(states), 1.0 / len(states))
         return (states.T * w) @ states.conj()
 
-    @functools.cached_property
-    def _registers(self) -> tuple:
-        """Per party, (width, local): its register has `width` qubits per
-        block, a reference qubit holding the block's branch and then the
-        party's shares, and local[m] is a global frame mask m moved to it
-        (qubit b*_parties + j -> register qubit b*width + 1 + i)."""
-        masks = np.arange(1 << self._qubits)
-        registers = []
-        for party in range(self.party_count):
-            last = self._parties != self.party_count and party == self.party_count - 1
-            internals = (party, self._parties - 1) if last else (party,)
-            width = len(internals) + 1
-            local = np.zeros_like(masks)
-            for b in range(self.blocks):
-                for i, j in enumerate(internals):
-                    bit = (masks >> (self._qubits - 1 - b * self._parties - j)) & 1
-                    local |= bit << (width * self.blocks - 2 - b * width - i)
-            # int16 fits: width * blocks <= 10 (width 3 needs 4 internal parties)
-            registers.append((width, local.astype(np.int16)))
-        return tuple(registers)
-
-    def _party_frames(self, party, own_inputs, randomness):
-        """(width, xmasks, zmasks) of the party's local register (see
-        `_registers`): its bits of the frame of (own input, zeros elsewhere,
-        r), one row per own input, one column per value of r.
-
-        Paulis compose by XOR, so a frame is affine in the own input's bits:
-        the all-zero input's frame XOR one change per set bit.  n + 1
-        `_frames` calls give those; every input's frame is then one entry
-        of the span of the high bits' changes XOR one of the low bits'.
-        Two half spans keep at most 2 * 2^ceil(n/2) rows per r, however
-        few inputs are asked for."""
-        width, local = self._registers[party]
-        n = self.input_lengths[party]
-        codes = [0] * self.party_count
-
-        def frame(x):
-            codes[party] = x
-            return local[np.array(self._frames(codes, randomness))]
-
-        zero = frame(0)
-        changes = [frame(1 << b) ^ zero for b in range(n)]
-        low = n // 2
-        x = np.asarray(own_inputs)
-        frames = _xor_span(zero, changes[low:])[:, x >> low]
-        frames ^= _xor_span(np.zeros_like(zero), changes[:low])[:, x & ((1 << low) - 1)]
-        return width, frames[0], frames[1]
-
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
-        """Up to sign, a party state is the phi-basis vector of its local
-        outcome (key), so two overlap with modulus 1 if their keys agree and
-        0 otherwise: the sum over z counts the z whose key under r' is x's.
+        """Up to sign, a party state is fixed per block by which of its
+        shares X flips and by the parity of its Z's.  The referee's outcome
+        of the party's frame alone (its key, from `_outcomes`) reads exactly
+        that, since the shares the party leaves alone decide whether a block
+        reads x or ~x.  So keys label the party's states one to one, and two
+        states overlap with modulus 1 if their keys agree and 0 otherwise:
+        the sum over z counts the z whose key under r' is x's.
 
         So the sum over all z peaks at M, the largest count of one key under
         one r'.  Without z = x it reaches M only when such a key is also the
@@ -383,27 +353,27 @@ class _GhzMaskProtocol(ProtocolInstance):
         M - 1.  One pass over r, in chunks of at most _KEY_CHUNK keys, finds
         both from each key's largest count and the inputs that reach it.
         One bincount per block of columns counts every r' at once, column
-        c's keys offset by c * 2^(width*blocks); a block's counts stay
-        within the same budget."""
-        chunk = max(1, _KEY_CHUNK // len(own_inputs))
-        reach = best = None
+        c's keys offset by c * 2^qubits; a block's counts stay within the
+        same budget."""
+        own = np.asarray(own_inputs)
+        parties = np.full(own.size, party, dtype=np.int16)
+        size = 1 << self._qubits  # keys are referee outcome indices
+        reach = np.zeros((own.size, size), dtype=bool)
+        best = np.zeros(size, dtype=np.int64)
+        chunk = max(1, _KEY_CHUNK // own.size)
         for start in range(0, len(randomness_values), chunk):
             randomness = self._randomness_ints(randomness_values[start : start + chunk])
-            width, xmasks, zmasks = self._party_frames(party, own_inputs, randomness)
-            ys, zs = _outcome_tables(width, self.blocks)
-            keys = ys[xmasks] | zs[zmasks]  # one row per own input, one column per r
-            if reach is None:
-                reach = np.zeros((len(own_inputs), ys.size), dtype=bool)
-                best = np.zeros(ys.size, dtype=np.int64)
-            reach[np.arange(len(own_inputs))[:, None], keys] = True
+            # one row per own input, one column per r
+            keys = self._outcomes(*self._party_frames(parties, own, randomness))
+            reach[np.arange(own.size)[:, None], keys] = True
             # columns (values of r') per bincount: an eighth of the budget keeps
             # its counts (2 MB) in cache, where all of it ran slower than a loop
-            block = max(1, (_KEY_CHUNK >> 3) // ys.size)
+            block = max(1, (_KEY_CHUNK >> 3) // size)
             for c in range(0, keys.shape[1], block):
                 cols = min(block, keys.shape[1] - c)
-                offset = keys[:, c : c + cols] + np.arange(cols) * ys.size
-                counts = np.bincount(offset.ravel(), minlength=cols * ys.size)
-                np.maximum(best, counts.reshape(cols, ys.size).max(axis=0), out=best)
+                offset = keys[:, c : c + cols] + np.arange(cols) * size
+                counts = np.bincount(offset.ravel(), minlength=cols * size)
+                np.maximum(best, counts.reshape(cols, size).max(axis=0), out=best)
         top = int(best.max())
         beyond = (reach.sum(axis=0)[best == top] > top).any()
         return float(top if beyond else top - 1), float(top)
@@ -420,6 +390,9 @@ class Sum2Protocol(_GhzMaskProtocol):
         self._setup(k, blocks=1)
         self.randomness_domain = tuple(_even_strings(self._parties))
         self.output_domain = ((0, 0), (0, 1), (1, 0), (1, 1))
+        # internal party 0's (X mask, Z mask) for every input code; party j's are these >> j
+        codes = np.arange(4)
+        self._spread = (np.array([codes >> 1, codes & 1]) << (self._qubits - 1)).astype(np.int16)
 
     def cost(self):
         return (self._parties, "qubits")
@@ -430,16 +403,14 @@ class Sum2Protocol(_GhzMaskProtocol):
         return np.bitwise_xor.reduce(codes, axis=1)
 
     def _randomness_ints(self, randomness_values):
-        return np.array([int(r, 2) for r in randomness_values])
+        return np.array([int(r, 2) for r in randomness_values], dtype=np.int16)
 
-    def _frames(self, codes, randomness):
-        """Party j's first bit masks X and its second bit Z on qubit j,
-        and r's bit j flips that X."""
-        first = second = 0
-        for c in codes:
-            first, second = first << 1 | c >> 1, second << 1 | c & 1
-        pad = self._parties - self.party_count
-        return (first << pad) ^ randomness, np.full(randomness.size, second << pad)
+    def _party_frames(self, parties, codes, randomness):
+        """Party j's first bit masks X and its second bit Z on qubit j, and
+        r's bits on the qubits it sends flip those X's."""
+        xmasks, zmasks = self._spread[:, codes] >> parties
+        xmasks = xmasks[:, None] ^ (randomness & self._sent[parties][:, None])
+        return xmasks, np.repeat(zmasks[:, None], randomness.size, axis=1)
 
     def _decode(self, outcome_index):
         return (int(_PARITY[outcome_index >> 1]), outcome_index & 1)
@@ -478,31 +449,33 @@ class GeqProtocol(_GhzMaskProtocol):
 
     @functools.cached_property
     def _spread(self) -> np.ndarray:
-        """Internal party 0's (X mask, Z mask) for every masked input a: string
-        bits 2b, 2b+1 of a go to qubit b*_parties; party j's are these >> j."""
+        """Internal party 0's (X mask, Z mask) for the field product of every
+        (mask, input) pair, a symmetric int16 table: string bits 2b, 2b+1 of
+        the product go to qubit b*_parties; party j's are these >> j."""
         n = 2 * self.l
         a = np.arange(1 << n)
-        spread = np.zeros((2, a.size), dtype=int)
+        spread = np.zeros((2, a.size), dtype=np.int16)
         for b in range(self.l):
             qubit = 1 << (self._qubits - 1 - b * self._parties)
             spread[0] |= np.where((a >> (n - 1 - 2 * b)) & 1, qubit, 0)
             spread[1] |= np.where((a >> (n - 2 - 2 * b)) & 1, qubit, 0)
-        return spread
+        return spread[:, gf2m.product_table(self.field)]
 
     def _randomness_ints(self, randomness_values):
         """(X flips of the block strings, field masks)."""
-        flips = np.array([int("".join(blocks), 2) for blocks, _ in randomness_values])
-        return flips, np.array([int(mask, 2) for _, mask in randomness_values])
+        flips = [int("".join(blocks), 2) for blocks, _ in randomness_values]
+        return np.array(flips, dtype=np.int16), np.array([int(m, 2) for _, m in randomness_values])
 
-    def _frames(self, codes, randomness):
+    def _party_frames(self, parties, codes, randomness):
         """Party j masks its input with the field mask; the product's bit
         pairs give X and Z on its block shares, and each block string of r
-        flips those X's."""
+        flips the X's on the qubits it sends."""
         flips, masks = randomness
-        masked = gf2m.product_table(self.field)[masks[:, None], codes]
-        shifted = self._spread[:, masked] >> np.arange(len(codes))
-        xmasks, zmasks = np.bitwise_xor.reduce(shifted, axis=2)
-        return xmasks ^ flips, zmasks
+        spread = np.take(self._spread, codes, axis=1)
+        spread >>= parties[:, None]
+        xmasks, zmasks = np.take(spread, masks, axis=2)
+        xmasks ^= flips & self._sent[parties][:, None]
+        return xmasks, zmasks
 
     def _decode(self, outcome_index):
         p = self._parties
@@ -611,14 +584,13 @@ class DJProtocol(ProtocolInstance):
 
     def _message_laws(self, codes, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
-        value, an (R, n, n) array: the outcome law pushed through that
-        value's masks, with the masses of colliding outcomes added."""
-        pkl = self._outcome_law(codes)
-        masks = self._masks(randomness_values)
-        laws = np.zeros((len(masks), self.n, self.n))
-        rows = np.arange(len(masks))[:, None, None]
-        np.add.at(laws, (rows, masks[:, :, None], masks[:, None, :]), pkl)
-        return laws
+        value, an (R, n, n) array: the outcome law P pushed through that
+        value's masks as 0/1 matrices, M^T P M.  For r != 0 the mask is a
+        bijection of GF(2^m), so each entry is one outcome pair's mass plus
+        exact zeros: the law is P permuted, bit for bit.  A mask that is
+        not a bijection adds the masses of the outcomes it merges."""
+        onehot = (self._masks(randomness_values)[:, :, None] == np.arange(self.n)).astype(float)
+        return onehot.transpose(0, 2, 1) @ self._outcome_law(codes) @ onehot
 
     def run(self, inputs, randomness) -> TranscriptRecord:
         (law,) = self._message_laws(self._codes(inputs), [randomness])

@@ -14,11 +14,11 @@ The reference functions work on bit strings, character by character:
 they are the oracle for the protocols' vectorised references on integer
 codes.  `geq_mask_identity_check` reads the package's product table, the
 thing it checks.
-`key_count_weight_sum_maxima`
-reads the keys off the protocol's own frames: it is the reference for
-how the package combines them, and `stacked_party_frames`, one `_frames`
-call per input, for how the package batches those frames.  Slow on
-purpose; only used at small sizes.
+`ghz_party_frame` folds one party's gate list into the X and Z masks
+that the protocols' `_party_frames` must give.
+`key_count_weight_sum_maxima` reads the keys off the protocol's own
+party frames: it is the reference for how the package combines them.
+Slow on purpose; only used at small sizes.
 """
 
 import functools
@@ -410,6 +410,17 @@ def ghz_gate_ops(proto, party, own_input, randomness) -> list:
     return ops
 
 
+def ghz_party_frame(proto, party, own_input, randomness) -> tuple[int, int]:
+    """(xmask, zmask) of one real party's gates (`ghz_gate_ops`) folded into
+    the operator X^xmask Z^zmask, over big-endian bits of the message's
+    qubits: the Z's come before the X's and each gate flips one bit."""
+    qubits = proto.cost()[0]
+    masks = {"X": 0, "Z": 0}
+    for gate, q in ghz_gate_ops(proto, party, own_input, randomness):
+        masks[gate] ^= 1 << (qubits - 1 - q)
+    return masks["X"], masks["Z"]
+
+
 def ghz_blocks(width: int, blocks: int) -> StateVector:
     """`blocks` GHZ states of `width` qubits each, as one state."""
     return StateVector(functools.reduce(np.kron, [ghz(width).amplitudes] * blocks))
@@ -554,37 +565,16 @@ def pairwise_nondegenerate(protocol) -> bool:
     return True
 
 
-def stacked_party_frames(protocol, party, own, randomness) -> tuple:
-    """sum2/geq `_party_frames` by one `_frames` call per own input code
-    (zeros elsewhere), stacked, with the global bits moved to the party's
-    register (reference qubit, then its shares, per block) one block and
-    one internal party at a time."""
-    parties, blocks, qubits = protocol._parties, protocol.blocks, protocol._qubits
-    last = parties != protocol.party_count and party == protocol.party_count - 1
-    internals = (party, parties - 1) if last else (party,)
-    width = len(internals) + 1
-    codes = [0] * protocol.party_count
-    frames = []
-    for x in own:
-        codes[party] = int(x)
-        frames.append(protocol._frames(codes, randomness))
-    frames = np.array(frames).transpose(1, 0, 2)
-    local = np.zeros_like(frames)
-    for b in range(blocks):  # qubit b*parties + j -> register qubit b*width + 1 + i
-        for i, j in enumerate(internals):
-            bit = (frames >> (qubits - 1 - b * parties - j)) & 1
-            local |= bit << (width * blocks - 2 - b * width - i)
-    return width, local[0], local[1]
-
-
 def key_count_weight_sum_maxima(protocol, party, own, domain) -> tuple:
-    """sum2/geq weight-sum maxima by counting equal local outcomes (keys)
-    for every randomness pair (r, r'): for each r' a histogram of the keys
-    under r', read at every input's key under every r.  R^2 * |own| reads;
-    the protocol's own frames and outcome tables give the keys."""
-    randomness = protocol._randomness_ints(domain)
-    width, xmasks, zmasks = protocol._party_frames(party, own, randomness)
-    ys, zs = _outcome_tables(width, protocol.blocks)
+    """sum2/geq weight-sum maxima by counting equal keys for every
+    randomness pair (r, r'): for each r' a histogram of the keys under r',
+    read at every input's key under every r.  R^2 * |own| reads; the keys
+    are the referee's outcome tables read at the protocol's own party
+    frames."""
+    own = np.asarray(own)
+    parties = np.full(own.size, party, dtype=np.int16)
+    xmasks, zmasks = protocol._party_frames(parties, own, protocol._randomness_ints(domain))
+    ys, zs = _outcome_tables(protocol._parties, protocol.blocks)
     keys = (ys[xmasks] | zs[zmasks]).T  # one row per randomness value
     max_excl = max_incl = 0
     for row in keys:  # r'

@@ -371,6 +371,18 @@ def test_beta_errors():
         collision_beta({0: [0.0]})
 
 
+@pytest.mark.parametrize("f", [alpha, beta, is_non_degenerate, psqm_lower_bound])
+def test_distribution_on_a_table_of_another_shape_is_refused(f):
+    """Each lower-bound function checks mu's shape before reading its
+    weights: a 3x3 mu on a 2x2 table would pass a partial read, and the
+    reverse would index past the weights."""
+    small = table_of([[0, 1], [1, 0]])
+    large = table_of([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
+    for table, other in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="does not match the table"):
+            f(table, InputDistribution.uniform(other))
+
+
 def test_bound_composition_matches_oracle():
     rng = random.Random(91)
     done = 0

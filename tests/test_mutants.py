@@ -1,11 +1,14 @@
 """Deliberately broken protocols that a check must catch.
 
 Each sum2 and geq mutant overrides a hook of the Pauli-frame path
-(`_frames`, `_decode`, `_averaged_matrix`) or narrows the randomness
-domain; the package has no gate simulator, so nothing else can stand in
-for that path.  The dj mutant adds zero masks to its randomness domain.
+(`_party_frames`, `_decode`, `_averaged_matrix`) or narrows the
+randomness domain; the package has no gate simulator, so nothing else
+can stand in for that path.  A mutant that models one party's
+misbehaviour overrides `_party_frames`, so the whole message and the
+weight sums both see it.  The dj mutant adds zero masks to its randomness domain.
 """
 
+import numpy as np
 import pytest
 
 from psqm import qsim
@@ -70,19 +73,18 @@ class FlippedXSum2(Sum2Protocol):
     """sum2 whose party 0 flips its X: the referee's first-bit parity is
     then always wrong."""
 
-    def _frames(self, inputs, randomness_values):
-        xmasks, zmasks = super()._frames(inputs, randomness_values)
-        return xmasks ^ (1 << (self._qubits - 1)), zmasks
+    def _party_frames(self, parties, codes, randomness):
+        xmasks, zmasks = super()._party_frames(parties, codes, randomness)
+        return xmasks ^ np.where(parties == 0, 1 << (self._qubits - 1), 0)[:, None], zmasks
 
 
 class DroppedZGeq(GeqProtocol):
     """geq whose party 0 drops its Z's: the referee then misreads the odd
     coordinate sums whenever party 0's masked input has an odd bit set."""
 
-    def _frames(self, inputs, randomness_values):
-        xmasks, zmasks = super()._frames(inputs, randomness_values)
-        party0 = sum(1 << (self._qubits - 1 - b * self._parties) for b in range(self.blocks))
-        return xmasks, zmasks & ~party0
+    def _party_frames(self, parties, codes, randomness):
+        xmasks, zmasks = super()._party_frames(parties, codes, randomness)
+        return xmasks, np.where(parties[:, None] == 0, 0, zmasks)
 
 
 def assert_correctness_names_a_wrong_run(proto):
@@ -110,8 +112,9 @@ class IgnoredSecondBitSum2(Sum2Protocol):
     """sum2 whose party 0 ignores its second input bit: inputs 00 and 01
     then give party 0 the same local state under every randomness value."""
 
-    def _frames(self, codes, randomness):
-        return super()._frames([codes[0] & 0b10, *codes[1:]], randomness)
+    def _party_frames(self, parties, codes, randomness):
+        codes = np.where(parties == 0, codes & 0b10, codes)
+        return super()._party_frames(parties, codes, randomness)
 
 
 def test_sum2_ignoring_a_bit_fails_weight_sums():

@@ -14,7 +14,11 @@ value is covered and R * 4^q <= 2^25, averaged messages are compared
 with `_oracles.mix` too.  A hypothesis property draws further
 (configuration, input, randomness) triples.  dj's output masses are
 checked against its transcripts, exactly, and its outcome law against
-the dense Hadamard fold, bit for bit.
+the dense Hadamard fold, bit for bit.  Each party's frame, which defines
+sum2 and geq, is compared with its gate list folded into masks
+(`_oracles.ghz_party_frame`), on every (party, input, randomness) triple
+where the inputs times R are at most 2^12, and on a seeded 16 x 16 grid
+of inputs and randomness values per party above that.
 """
 
 import functools
@@ -34,6 +38,7 @@ from _oracles import (
     domain_strings,
     ghz_blocks,
     ghz_gate_ops,
+    ghz_party_frame,
     input_strings,
     mix,
     phi_basis,
@@ -43,6 +48,8 @@ TOL = 1e-12
 FULL_COVER_CAP = 1 << 20
 SAMPLED_RANDOMNESS = 512
 MIX_CAP = 1 << 25
+PARTY_FRAME_CAP = 1 << 12
+SAMPLED_PARTY_FRAMES = 16  # inputs, and randomness values, per party above the cap
 
 
 def _internal_count(k):
@@ -163,6 +170,51 @@ def test_fast_path_matches_dense_fold_property(case):
     proto, inputs, r = case
     dense = dense_message(proto, message_operations(proto, inputs, r))
     assert np.abs(proto.message_state(inputs, r).amplitudes - dense).max() <= TOL
+
+
+def party_frame_mismatches(proto, seed) -> list:
+    """(party, input code, randomness) triples on which `_party_frames`
+    differs from the folded gate list; one `_party_frames` call covers
+    every party's rows."""
+    n = proto.input_lengths[0]
+    inputs, domain = list(range(1 << n)), list(proto.randomness_domain)
+    if len(inputs) * len(domain) > PARTY_FRAME_CAP:
+        rng = random.Random(seed)
+        inputs = rng.sample(inputs, min(len(inputs), SAMPLED_PARTY_FRAMES))
+        domain = rng.sample(domain, SAMPLED_PARTY_FRAMES)
+    parties = np.repeat(np.arange(proto.party_count, dtype=np.int16), len(inputs))
+    codes = np.tile(inputs, proto.party_count)
+    xmasks, zmasks = proto._party_frames(parties, codes, proto._randomness_ints(domain))
+    mismatches = []
+    for row, (party, x) in enumerate(zip(parties.tolist(), codes.tolist())):
+        for column, r in enumerate(domain):
+            want = ghz_party_frame(proto, party, format(x, f"0{n}b"), r)
+            if (xmasks[row, column], zmasks[row, column]) != want:
+                mismatches.append((party, x, r))
+    return mismatches
+
+
+@pytest.mark.parametrize("name,k,l", CONFIGS, ids=[f"{n}-{k}-{l}" for n, k, l in CONFIGS])
+def test_party_frames_match_gate_fold(name, k, l):
+    assert party_frame_mismatches(build(name, k, l), seed=1000 * k + l) == []
+
+
+class DroppedVirtualFlipSum2(Sum2Protocol):
+    """sum2 whose last real party, k odd, leaves out r's X flip of the
+    virtual party's qubit (bit 0)."""
+
+    def _party_frames(self, parties, codes, randomness):
+        xmasks, zmasks = super()._party_frames(parties, codes, randomness)
+        last = parties[:, None] == self.party_count - 1
+        return xmasks ^ np.where(last, randomness & 1, 0), zmasks
+
+
+def test_party_frame_fold_catches_a_dropped_virtual_flip():
+    """Exactly the last party's frames under r with an odd last bit differ."""
+    proto = DroppedVirtualFlipSum2(3)
+    mismatches = party_frame_mismatches(proto, seed=0)
+    odd = [r for r in proto.randomness_domain if r[-1] == "1"]
+    assert sorted(mismatches) == sorted((2, x, r) for x in range(4) for r in odd)
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -368,11 +368,13 @@ def test_reference_matches_the_string_oracle_on_every_input(config):
 
 
 def test_dj_masking_is_a_bijection():
-    proto = dj_protocol(4)
-    masks = proto._masks(proto.randomness_domain)
-    assert masks.shape == (len(proto.randomness_domain), proto.n)
-    for row in masks:
-        assert sorted(row) == list(range(proto.n))
+    """Every row of the masks is a permutation of GF(2^m), at every n the
+    cap admits: `_message_laws` moves each outcome's mass unmerged."""
+    for n in (2, 4, 8, 16):
+        proto = dj_protocol(n)
+        masks = proto._masks(proto.randomness_domain)
+        assert masks.shape == (len(proto.randomness_domain), n)
+        assert (np.sort(masks, axis=1) == np.arange(n)).all(), n
 
 
 def test_dj_messages_agree_iff_outcomes_agree():

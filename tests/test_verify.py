@@ -23,7 +23,6 @@ from _oracles import (
     pairwise_nondegenerate,
     party_message,
     phi_basis,
-    stacked_party_frames,
     sum2_overlap_sq,
     weight_sum_maxima,
 )
@@ -258,28 +257,12 @@ def test_weight_sum_rule_with_several_column_blocks_per_chunk(config):
     domain = proto.randomness_domain
     for party in range(proto.party_count):
         own = proto.party_inputs(party)
-        size = 1 << (proto._registers[party][0] * proto.blocks)
+        size = 1 << proto._qubits
         budget = 8 * 5 * size
         assert budget // len(own) > (budget >> 3) // size == 5
         with mock.patch.object(protocols, "_KEY_CHUNK", budget):
             got = proto.weight_sum_maxima(party, own, domain)
         assert got == key_count_weight_sum_maxima(proto, party, own, domain)
-
-
-@pytest.mark.parametrize("config", RULE_CONFIGS, ids=["-".join(map(str, c)) for c in RULE_CONFIGS])
-def test_party_frames_match_one_frame_call_per_input(config):
-    """The frames built from the all-zero input's frame and one change per
-    input bit equal one `_frames` call per input, for every party over
-    the whole randomness domain, on all inputs and on a reordered subset."""
-    proto = built(config)
-    randomness = proto._randomness_ints(proto.randomness_domain)
-    for party in range(proto.party_count):
-        inputs = proto.party_inputs(party)
-        for own in (inputs, inputs[::-3]):
-            width, xmasks, zmasks = proto._party_frames(party, own, randomness)
-            want_width, want_x, want_z = stacked_party_frames(proto, party, own, randomness)
-            assert width == want_width
-            assert np.array_equal(xmasks, want_x) and np.array_equal(zmasks, want_z)
 
 
 @pytest.mark.parametrize("config", [("sum2", 3), ("geq", 2, 1)], ids=["sum2-3", "geq-2-1"])

@@ -140,10 +140,8 @@ def _transcript(protocol, inputs, randomness) -> dict:
             protocol.format_output(o): p for o, p in record.output_distribution.items()
         },
     }
-    if record.message_state is not None and record.message_state.dim <= 64:
-        entry["message_amplitudes"] = [
-            [amp.real, amp.imag] for amp in record.message_state.amplitudes
-        ]
+    if record.message_state is not None and record.message_state.size <= 64:
+        entry["message_amplitudes"] = [[amp.real, amp.imag] for amp in record.message_state]
     if record.message_distribution is not None:
         entry["message_distribution"] = {
             f"{a},{b}": p for (a, b), p in record.message_distribution.items()

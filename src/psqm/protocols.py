@@ -18,13 +18,14 @@ Party inputs are bit strings at the public edge (`reference`,
 its code.  Everything private takes codes: `input_domain` is an
 (N, party_count) code array and `_reference` maps a block of its rows to
 output columns at once.  Randomness components and classical messages
-are bit strings.  sum2 and geq are defined party by party, by the Pauli
-X and Z masks that each party applies to the qubits it sends
-(`_party_frames`); odd party counts are handled by an internal virtual
-party with the all-zero input whose qubits are sent by the last real
-party.  Outputs: sum2 yields the pair (sum of first bits, sum of
-second bits); geq and dj yield 1 for "all sums zero" / "equal" and 0
-otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
+are bit strings.  sum2 and geq share one implementation, defined party
+by party by the Pauli X and Z masks that each party applies to the
+qubits it sends (`_party_frames`); sum2 is its l = 1 case with the mask
+fixed to the field's 1, and each protocol holds only data.  Odd party
+counts are handled by an internal virtual party with the all-zero input
+whose qubits are sent by the last real party.  Outputs: sum2 yields the
+pair (sum of first bits, sum of second bits); geq and dj yield 1 for
+"all sums zero" / "equal" and 0 otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
 distinguished non-output.
 """
 
@@ -82,7 +83,7 @@ class TranscriptRecord:
 
     outcome_distribution: dict
     output_distribution: dict
-    message_state: qsim.StateVector | None = None
+    message_state: np.ndarray | None = None  # amplitudes, big-endian
     message_distribution: dict | None = None
 
 
@@ -247,15 +248,18 @@ class _GhzMaskProtocol(ProtocolInstance):
     (all-zero input) absorbs odd real party counts; its qubits belong to
     the last real party.
 
-    Parties apply only Pauli X and Z, so no gate is simulated: each
-    protocol gives, per party, own input and randomness value, the X and
-    Z masks that the party applies to the qubits it sends
-    (``_party_frames``).  Those qubits are disjoint, so the XOR of all
+    Parties apply only Pauli X and Z, so no gate is simulated: per party,
+    own input and randomness value, ``_party_frames`` gives the X and Z
+    masks that the party applies to the qubits it sends, from its input
+    times a shared mask.  Those qubits are disjoint, so the XOR of all
     parties' masks is the whole message operator X^xmask Z^zmask
     (``_frames``), which moves each nonzero amplitude of the shared state
     to a new index and fixes its sign (stabilizer reasoning, Gottesman
-    1998).  The referee's phi-basis outcome is then certain and is read
-    off the same masks.
+    1998).  The referee's phi-basis outcome is then certain, and gives
+    the 2l coordinate sums of the inputs.  A protocol supplies only data:
+    ``_products[code, mask]`` (the product that a party encodes),
+    ``_columns[sum]`` (the output column of the 2l-bit sum) and
+    ``_randomness_ints`` (a randomness value's X flips and mask index).
     """
 
     blocks: int
@@ -265,6 +269,8 @@ class _GhzMaskProtocol(ProtocolInstance):
         if k < 2:
             raise ValueError("need at least two parties")
         self.party_count = k
+        self.input_lengths = (2 * blocks,) * k
+        self.reference_total = True
         self._parties = k if k % 2 == 0 else k + 1
         self.blocks = blocks
         self._qubits = qubits = self._parties * blocks
@@ -282,14 +288,44 @@ class _GhzMaskProtocol(ProtocolInstance):
         """The randomness domain, parsed on first use by `_randomness_ints`."""
         return self._randomness_ints(self.randomness_domain)
 
+    def cost(self):
+        return (self._qubits, "qubits")
+
+    def _reference(self, codes):
+        """The output column of the XOR of the codes: its bits are the 2l
+        coordinate sums."""
+        return self._columns[np.bitwise_xor.reduce(codes, axis=1)]
+
+    @functools.cached_property
+    def _spread(self) -> np.ndarray:
+        """Internal party 0's (X mask, Z mask) for the product of every
+        (input, mask) pair in `_products`, an int16 table indexed [X or Z,
+        input code, mask]: string bits 2b, 2b+1 of the product go to qubit
+        b*_parties; party j's are these >> j."""
+        n = 2 * self.blocks
+        a = np.arange(1 << n)
+        spread = np.zeros((2, a.size), dtype=np.int16)
+        for b in range(self.blocks):
+            qubit = 1 << (self._qubits - 1 - b * self._parties)
+            spread[0] |= np.where((a >> (n - 1 - 2 * b)) & 1, qubit, 0)
+            spread[1] |= np.where((a >> (n - 2 - 2 * b)) & 1, qubit, 0)
+        return spread[:, self._products]
+
     def _party_frames(self, parties, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
         """(xmasks, zmasks), int16, that real party parties[i] applies on own
         input codes[i] to the qubits it sends (`_sent`), over global
         big-endian qubit bits: row i for the pair (parties[i], codes[i]),
-        one column per randomness value, given as the integer arrays of
-        `_randomness_ints`.  parties is an int16 array; the virtual party
-        inputs zeros."""
-        raise NotImplementedError
+        one column per randomness value, given as the (X flips, mask
+        indices) arrays of `_randomness_ints`.  Party j masks its input
+        with the mask; the product's bit pairs give X and Z on its block
+        shares, and r's X flips land on the qubits it sends.  parties is an
+        int16 array; the virtual party inputs zeros."""
+        flips, masks = randomness
+        spread = np.take(self._spread, codes, axis=1)
+        spread >>= parties[:, None]
+        xmasks, zmasks = np.take(spread, masks, axis=2)
+        xmasks ^= flips & self._sent[parties][:, None]
+        return xmasks, zmasks
 
     def _frames(self, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
         """(xmasks, zmasks) of the message operator X^xmask Z^zmask for one
@@ -300,8 +336,14 @@ class _GhzMaskProtocol(ProtocolInstance):
         return np.bitwise_xor.reduce(xmasks), np.bitwise_xor.reduce(zmasks)
 
     def _decode(self, outcome_index: int):
-        """Referee outcome index -> protocol output."""
-        raise NotImplementedError
+        """Referee outcome index -> protocol output: per block, the parity
+        of the leading bits and the last bit are two coordinate sums, read
+        into the 2l-bit sum that `_columns` maps to an output."""
+        p, v = self._parties, 0
+        for b in reversed(range(self.blocks)):
+            block = outcome_index >> (b * p) & ((1 << p) - 1)
+            v = v << 2 | int(_PARITY[block >> 1]) << 1 | block & 1
+        return self.output_domain[self._columns[v]]
 
     @functools.cached_property
     def _output_columns(self) -> np.ndarray:
@@ -316,7 +358,7 @@ class _GhzMaskProtocol(ProtocolInstance):
         outcomes |= zs.take(zmasks)
         return outcomes
 
-    def message_state(self, inputs, randomness) -> qsim.StateVector:
+    def message_state(self, inputs, randomness) -> np.ndarray:
         return self.run(inputs, randomness).message_state
 
     def run(self, inputs, randomness) -> TranscriptRecord:
@@ -326,7 +368,7 @@ class _GhzMaskProtocol(ProtocolInstance):
         return TranscriptRecord(
             outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
             output_distribution={self._decode(outcome): 1.0},
-            message_state=qsim.StateVector(_framed_states(self._shared, *frame)[0]),
+            message_state=_framed_states(self._shared, *frame)[0],
         )
 
     def _output_masses(self, codes) -> np.ndarray:
@@ -380,40 +422,22 @@ class _GhzMaskProtocol(ProtocolInstance):
 
 
 class Sum2Protocol(_GhzMaskProtocol):
-    """Coordinate-wise mod-2 sums of k two-bit inputs."""
+    """Coordinate-wise mod-2 sums of k two-bit inputs: geq's frames at
+    l = 1 under the single mask 1, with the 2-bit sum as the output."""
 
     name = "sum2"
-    reference_total = True
+    output_domain = ((0, 0), (0, 1), (1, 0), (1, 1))
+    _products = np.arange(4)[:, None]  # one mask, the identity
+    _columns = np.arange(4)
 
     def __init__(self, k: int):
-        self.input_lengths = tuple([2] * k)
         self._setup(k, blocks=1)
         self.randomness_domain = tuple(_even_strings(self._parties))
-        self.output_domain = ((0, 0), (0, 1), (1, 0), (1, 1))
-        # internal party 0's (X mask, Z mask) for every input code; party j's are these >> j
-        codes = np.arange(4)
-        self._spread = (np.array([codes >> 1, codes & 1]) << (self._qubits - 1)).astype(np.int16)
-
-    def cost(self):
-        return (self._parties, "qubits")
-
-    def _reference(self, codes):
-        """The XOR of the codes: its high bit is the sum of first bits and its
-        low bit that of second bits, which is the output's column."""
-        return np.bitwise_xor.reduce(codes, axis=1)
 
     def _randomness_ints(self, randomness_values):
-        return np.array([int(r, 2) for r in randomness_values], dtype=np.int16)
-
-    def _party_frames(self, parties, codes, randomness):
-        """Party j's first bit masks X and its second bit Z on qubit j, and
-        r's bits on the qubits it sends flip those X's."""
-        xmasks, zmasks = self._spread[:, codes] >> parties
-        xmasks = xmasks[:, None] ^ (randomness & self._sent[parties][:, None])
-        return xmasks, np.repeat(zmasks[:, None], randomness.size, axis=1)
-
-    def _decode(self, outcome_index):
-        return (int(_PARITY[outcome_index >> 1]), outcome_index & 1)
+        """(X flips of the strings, the one mask's index 0)."""
+        flips = np.array([int(r, 2) for r in randomness_values], dtype=np.int16)
+        return flips, np.zeros_like(flips)
 
     def format_output(self, output):
         return f"{output[0]}{output[1]}"
@@ -423,13 +447,12 @@ class GeqProtocol(_GhzMaskProtocol):
     """Whether all 2l coordinate-wise sums of k inputs vanish."""
 
     name = "geq"
-    reference_total = True
+    output_domain = (0, 1)
 
     def __init__(self, k: int, l: int):
         if l < 1:
             raise ValueError("need at least one block")
         self.l = l
-        self.input_lengths = tuple([2 * l] * k)
         self._setup(k, blocks=l)
         self.field = gf2m.find_irreducible(2 * l)
         masks = [s for s in _bitstrings(2 * l) if s != "0" * 2 * l]
@@ -438,52 +461,13 @@ class GeqProtocol(_GhzMaskProtocol):
             for blocks in itertools.product(_even_strings(self._parties), repeat=l)
             for mask in masks
         )
-        self.output_domain = (0, 1)
-
-    def cost(self):
-        return (self._parties * self.l, "qubits")
-
-    def _reference(self, codes):
-        """1 where the XOR of the codes is zero."""
-        return (np.bitwise_xor.reduce(codes, axis=1) == 0).astype(np.int8)
-
-    @functools.cached_property
-    def _spread(self) -> np.ndarray:
-        """Internal party 0's (X mask, Z mask) for the field product of every
-        (mask, input) pair, a symmetric int16 table: string bits 2b, 2b+1 of
-        the product go to qubit b*_parties; party j's are these >> j."""
-        n = 2 * self.l
-        a = np.arange(1 << n)
-        spread = np.zeros((2, a.size), dtype=np.int16)
-        for b in range(self.l):
-            qubit = 1 << (self._qubits - 1 - b * self._parties)
-            spread[0] |= np.where((a >> (n - 1 - 2 * b)) & 1, qubit, 0)
-            spread[1] |= np.where((a >> (n - 2 - 2 * b)) & 1, qubit, 0)
-        return spread[:, gf2m.product_table(self.field)]
+        self._products = gf2m.product_table(self.field)  # symmetric
+        self._columns = (np.arange(1 << 2 * l) == 0).astype(np.int8)  # 1 where all sums vanish
 
     def _randomness_ints(self, randomness_values):
         """(X flips of the block strings, field masks)."""
         flips = [int("".join(blocks), 2) for blocks, _ in randomness_values]
         return np.array(flips, dtype=np.int16), np.array([int(m, 2) for _, m in randomness_values])
-
-    def _party_frames(self, parties, codes, randomness):
-        """Party j masks its input with the field mask; the product's bit
-        pairs give X and Z on its block shares, and each block string of r
-        flips the X's on the qubits it sends."""
-        flips, masks = randomness
-        spread = np.take(self._spread, codes, axis=1)
-        spread >>= parties[:, None]
-        xmasks, zmasks = np.take(spread, masks, axis=2)
-        xmasks ^= flips & self._sent[parties][:, None]
-        return xmasks, zmasks
-
-    def _decode(self, outcome_index):
-        p = self._parties
-        for b in range(self.blocks):
-            block = outcome_index >> (b * p) & ((1 << p) - 1)
-            if _PARITY[block >> 1] or block & 1:
-                return 0
-        return 1
 
     def format_randomness(self, randomness):
         block_strings, mask = randomness

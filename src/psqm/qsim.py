@@ -1,45 +1,23 @@
-"""Validated containers for small quantum registers, and the two matrix
-metrics the checks read.
+"""The validated density-matrix container, and the two matrix metrics
+the checks read.
 
-`StateVector` and `DensityMatrix` are the public return types of the
-protocols; no gate is simulated here (the protocols build their states
-directly, and the tests keep a dense gate simulator as their oracle).
+`DensityMatrix` is the public return type of `averaged_message`; message
+states are plain amplitude arrays.  No gate is simulated here (the
+protocols build their states directly, and the tests keep a dense gate
+simulator, with its own validated state container, as their oracle).
 
 Conventions: qubit 0 is the leftmost tensor factor and basis states are
 encoded big-endian, so basis index b assigns qubit i the bit
-(b >> (q-1-i)) & 1.  Registers are capped at 12 qubits.  State equality
-is never tested amplitude-wise; compare projectors so global phase is
-irrelevant.
+(b >> (q-1-i)) & 1.  State equality is never tested amplitude-wise;
+compare projectors so global phase is irrelevant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_QUBITS = 12
 CONSTRUCTION_TOL = 1e-12
 DERIVED_TOL = 1e-10
-
-
-class StateVector:
-    """Normalized pure state on `qubit_count` qubits."""
-
-    def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two")
-        q = amps.size.bit_length() - 1
-        if q > MAX_QUBITS:
-            raise ValueError(f"{q} qubits exceeds the {MAX_QUBITS}-qubit cap")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > CONSTRUCTION_TOL:
-            raise ValueError(f"state not normalized (norm {norm})")
-        self.amplitudes = amps
-        self.qubit_count = q
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 class DensityMatrix:

@@ -4,7 +4,8 @@ Every check enumerates the protocol's randomness exhaustively.  Input
 sweeps are exhaustive while the domain fits the budget (default 2^16);
 larger domains fall back to a seeded stratified sample with at least 64
 inputs per output class, and reports carry a coverage label so partial
-sweeps are never silent.
+sweeps are never silent.  A sample that draws the whole domain is the
+exhaustive sweep, in domain order and labelled as such.
 
 Privacy, the purity bounds and the collision bound all read the
 randomness-averaged messages rho_x, so `check_messages` derives the three
@@ -88,6 +89,8 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
         seen.add(x)
         chosen.append(x)
         per_class[y] += 1
+    if len(chosen) == size:  # a sample that holds the whole domain is the exhaustive sweep
+        return protocol.input_domain(), f"exhaustive:{size}"
     return np.array(chosen).reshape(-1, protocol.party_count), f"sampled:{len(chosen)}"
 
 

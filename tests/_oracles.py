@@ -7,8 +7,9 @@ directly via itertools.permutations, cliques come from a full subset
 scan, and quantum states come from a dense gate simulator that applies
 one named gate at a time.  `enumerated_alpha` borrows only the package's
 result containers, so that its answer compares with `bounds.alpha` by
-repr, and the simulator only the validated `StateVector` and
-`DensityMatrix` containers of `psqm.qsim`.  Party message states are
+repr, and the simulator only the validated `DensityMatrix` container of
+`psqm.qsim`; its states are this file's `StateVector`, since the package
+reports message states as plain amplitude arrays.  Party message states are
 dense folds too, and `weight_sum_maxima` builds its Grams from them.
 The reference functions work on bit strings, character by character:
 they are the oracle for the protocols' vectorised references on integer
@@ -30,7 +31,7 @@ import numpy as np
 from psqm import gf2m
 from psqm.bounds import AlphaResult, Rectangle
 from psqm.protocols import PROMISE_VIOLATION, _outcome_tables
-from psqm.qsim import CONSTRUCTION_TOL, DensityMatrix, StateVector
+from psqm.qsim import CONSTRUCTION_TOL, DensityMatrix
 
 
 # ---------------------------------------------------------------- GF(2)[a]
@@ -77,6 +78,30 @@ def field_mul(a: int, b: int, modulus: int) -> int:
 
 
 # ------------------------------------------------ dense gate simulator
+
+
+MAX_QUBITS = 12
+
+
+class StateVector:
+    """Normalized pure state on `qubit_count` qubits."""
+
+    def __init__(self, amplitudes):
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
+            raise ValueError("amplitude vector length must be a power of two")
+        q = amps.size.bit_length() - 1
+        if q > MAX_QUBITS:
+            raise ValueError(f"{q} qubits exceeds the {MAX_QUBITS}-qubit cap")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > CONSTRUCTION_TOL:
+            raise ValueError(f"state not normalized (norm {norm})")
+        self.amplitudes = amps
+        self.qubit_count = q
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.size
 
 
 _GATES = {

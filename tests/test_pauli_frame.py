@@ -18,7 +18,9 @@ the dense Hadamard fold, bit for bit.  Each party's frame, which defines
 sum2 and geq, is compared with its gate list folded into masks
 (`_oracles.ghz_party_frame`), on every (party, input, randomness) triple
 where the inputs times R are at most 2^12, and on a seeded 16 x 16 grid
-of inputs and randomness values per party above that.
+of inputs and randomness values per party above that.  sum2 is geq's
+l = 1 case under the field's 1: at every k from 2 to 9 its frames and
+decoder are checked against geq (k, 1)'s.
 """
 
 import functools
@@ -29,10 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqm import qsim
 from psqm.protocols import _MAX_PROTOCOL_QUBITS, DJProtocol, GeqProtocol, Sum2Protocol
 
 from _oracles import (
+    StateVector,
     apply_gate,
     dense_dj_fold,
     domain_strings,
@@ -78,7 +80,7 @@ def message_operations(proto, inputs, r) -> tuple:
 
 
 @functools.cache
-def shared_state(proto) -> qsim.StateVector:
+def shared_state(proto) -> StateVector:
     return ghz_blocks(_internal_count(proto.party_count), proto.blocks)
 
 
@@ -135,7 +137,7 @@ def check_against_dense(proto, blocks, seed):
         fast_states, fast_laws = [], []
         for r in randomness:
             record = proto.run(x, r)
-            fast_states.append(record.message_state.amplitudes)
+            fast_states.append(record.message_state)
             law = np.zeros(dim)
             for outcome, prob in record.outcome_distribution.items():
                 law[int(outcome, 2)] = prob
@@ -146,7 +148,7 @@ def check_against_dense(proto, blocks, seed):
         assert_close([proto.output_masses(x)[rows]], [dense_laws @ decode])
         if full and len(randomness) * dim * dim <= MIX_CAP:
             w = 1.0 / len(randomness)
-            mixed = mix([(w, qsim.StateVector(s)) for s in dense_states])
+            mixed = mix([(w, StateVector(s)) for s in dense_states])
             assert_close([proto.averaged_message(x).matrix], [mixed.matrix])
 
 
@@ -169,7 +171,7 @@ def cases(draw):
 def test_fast_path_matches_dense_fold_property(case):
     proto, inputs, r = case
     dense = dense_message(proto, message_operations(proto, inputs, r))
-    assert np.abs(proto.message_state(inputs, r).amplitudes - dense).max() <= TOL
+    assert np.abs(proto.message_state(inputs, r) - dense).max() <= TOL
 
 
 def party_frame_mismatches(proto, seed) -> list:
@@ -206,7 +208,7 @@ class DroppedVirtualFlipSum2(Sum2Protocol):
     def _party_frames(self, parties, codes, randomness):
         xmasks, zmasks = super()._party_frames(parties, codes, randomness)
         last = parties[:, None] == self.party_count - 1
-        return xmasks ^ np.where(last, randomness & 1, 0), zmasks
+        return xmasks ^ np.where(last, randomness[0] & 1, 0), zmasks
 
 
 def test_party_frame_fold_catches_a_dropped_virtual_flip():
@@ -215,6 +217,23 @@ def test_party_frame_fold_catches_a_dropped_virtual_flip():
     mismatches = party_frame_mismatches(proto, seed=0)
     odd = [r for r in proto.randomness_domain if r[-1] == "1"]
     assert sorted(mismatches) == sorted((2, x, r) for x in range(4) for r in odd)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_sum2_is_geq_under_the_identity_mask(k):
+    """sum2's frames are geq (k, 1)'s under the field's 1 (bit string
+    "10", constant term first), for every party, input code and block
+    string; and sum2 decodes (0, 0) exactly where geq decodes 1."""
+    sum2, geq = Sum2Protocol(k), GeqProtocol(k, 1)
+    strings = list(sum2.randomness_domain)
+    parties = np.repeat(np.arange(k, dtype=np.int16), 4)
+    codes = np.tile(np.arange(4), k)
+    got = sum2._party_frames(parties, codes, sum2._randomness_ints(strings))
+    unmasked = geq._randomness_ints([((s,), "10") for s in strings])
+    want = geq._party_frames(parties, codes, unmasked)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    outcomes = range(1 << sum2._qubits)
+    assert [sum2._decode(o) == (0, 0) for o in outcomes] == [geq._decode(o) == 1 for o in outcomes]
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -1,5 +1,6 @@
-"""The `qsim` containers and metrics, and the dense gate simulator of
-`tests/_oracles.py` that the differential tests fold gates with."""
+"""The `qsim` container and metrics, and the dense gate simulator of
+`tests/_oracles.py`, with its state container, that the differential
+tests fold gates with."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import strategies as st
 
 from psqm import qsim
 
-from _oracles import apply_gate, apply_phase_oracle, ghz, mix, phi_basis, projector_distance
+from _oracles import (
+    MAX_QUBITS,
+    StateVector,
+    apply_gate,
+    apply_phase_oracle,
+    ghz,
+    mix,
+    phi_basis,
+    projector_distance,
+)
 
 RT2 = 1 / np.sqrt(2)
 
@@ -22,16 +32,16 @@ def test_ghz_amplitudes():
 
 def test_statevector_validation():
     with pytest.raises(ValueError):
-        qsim.StateVector([1.0, 0.0, 0.0])  # not a power of two
+        StateVector([1.0, 0.0, 0.0])  # not a power of two
     with pytest.raises(ValueError):
-        qsim.StateVector([1.0, 1.0])  # unnormalized
+        StateVector([1.0, 1.0])  # unnormalized
     with pytest.raises(ValueError):
-        qsim.StateVector(np.zeros(1 << (qsim.MAX_QUBITS + 1)))
+        StateVector(np.zeros(1 << (MAX_QUBITS + 1)))
 
 
 def test_apply_gate_big_endian():
     # qubit 0 is the leftmost factor: X there flips the high bit
-    state = qsim.StateVector([1, 0, 0, 0])
+    state = StateVector([1, 0, 0, 0])
     flipped = apply_gate(state, "X", 0)
     np.testing.assert_allclose(flipped.amplitudes, [0, 0, 1, 0])
     flipped = apply_gate(state, "X", 1)
@@ -39,9 +49,9 @@ def test_apply_gate_big_endian():
 
 
 def test_apply_gate_z_and_h():
-    minus = apply_gate(qsim.StateVector([0, 1]), "Z", 0)
+    minus = apply_gate(StateVector([0, 1]), "Z", 0)
     np.testing.assert_allclose(minus.amplitudes, [0, -1])
-    plus = apply_gate(qsim.StateVector([1, 0]), "H", 0)
+    plus = apply_gate(StateVector([1, 0]), "H", 0)
     np.testing.assert_allclose(plus.amplitudes, [RT2, RT2])
     with pytest.raises(ValueError):
         apply_gate(plus, "Y", 0)
@@ -50,7 +60,7 @@ def test_apply_gate_z_and_h():
 
 
 def test_phase_oracle():
-    state = qsim.StateVector([0.5, 0.5, 0.5, 0.5])
+    state = StateVector([0.5, 0.5, 0.5, 0.5])
     phased = apply_phase_oracle(state, (1, -1, -1, 1))
     np.testing.assert_allclose(phased.amplitudes, [0.5, -0.5, -0.5, 0.5])
     with pytest.raises(ValueError):
@@ -91,14 +101,14 @@ def test_measure_deterministic_phi_outcome():
 def test_measure_probabilities_sum():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    probs = phi_outcome_law(qsim.StateVector(raw / np.linalg.norm(raw)), 3)
+    probs = phi_outcome_law(StateVector(raw / np.linalg.norm(raw)), 3)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert probs.min() >= 0
 
 
 def test_mix_and_purity():
-    zero = qsim.StateVector([1, 0])
-    one = qsim.StateVector([0, 1])
+    zero = StateVector([1, 0])
+    one = StateVector([0, 1])
     rho = mix([(0.5, zero), (0.5, one)])
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
     assert abs(qsim.purity(rho.matrix) - 0.5) < 1e-12
@@ -106,14 +116,14 @@ def test_mix_and_purity():
 
 
 def test_matrix_and_projector_distance():
-    zero = qsim.StateVector([1, 0])
-    one = qsim.StateVector([0, 1])
-    plus = qsim.StateVector([RT2, RT2])
+    zero = StateVector([1, 0])
+    one = StateVector([0, 1])
+    plus = StateVector([RT2, RT2])
     # |0><0| vs |1><1| differ in two unit entries
     assert abs(projector_distance(zero.amplitudes, one.amplitudes) - np.sqrt(2)) < 1e-12
     assert abs(projector_distance(zero.amplitudes, plus.amplitudes) - 1.0) < 1e-12
     # global phase is invisible to projectors
-    phased = qsim.StateVector([1j * RT2, 1j * RT2])
+    phased = StateVector([1j * RT2, 1j * RT2])
     assert projector_distance(plus.amplitudes, phased.amplitudes) < 1e-12
 
 
@@ -138,7 +148,7 @@ def random_state(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
-    return qsim.StateVector(raw / np.linalg.norm(raw)), draw(
+    return StateVector(raw / np.linalg.norm(raw)), draw(
         st.integers(0, q - 1)
     )
 

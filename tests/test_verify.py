@@ -537,7 +537,8 @@ SMALL_SAMPLED = [("sum2", 2), ("geq", 2, 1), ("dj", 2)]
 def test_sampled_sweep_stops_once_it_has_every_input(config):
     """A domain too small to give every output class 64 inputs is drawn in
     full, and the sweep stops at the draw that completes it instead of
-    drawing on to its attempt cap."""
+    drawing on to its attempt cap.  That sample is the exhaustive sweep:
+    the domain in its own order, labelled exhaustive."""
     name, *args = config
     proto = dj_protocol(*args) if name == "dj" else build(config)
     draws = []
@@ -549,10 +550,10 @@ def test_sampled_sweep_stops_once_it_has_every_input(config):
 
     proto.sample_input = counted
     inputs, coverage = verify._sweep(proto, budget=1, seed=1)
-    inputs = list(map(tuple, inputs.tolist()))
-    assert sorted(inputs) == sorted(map(tuple, proto.input_domain().tolist()))
-    assert coverage == f"sampled:{proto.domain_size()}"
-    assert draws.index(inputs[-1]) == len(draws) - 1  # the last draw was the first of it
+    assert inputs.tolist() == proto.input_domain().tolist()
+    assert coverage == f"exhaustive:{proto.domain_size()}"
+    assert len(set(draws)) == proto.domain_size()
+    assert draws.index(draws[-1]) == len(draws) - 1  # the last draw was the first of it
 
 
 def test_exhaustive_sweep_below_budget():
@@ -574,4 +575,5 @@ def test_exhaustive_sweep_cap_boundary(monkeypatch):
     monkeypatch.setattr(verify, "ENUMERATION_CAP", 15)
     with pytest.raises(ValueError, match="15-input cap"):
         verify._sweep(proto, 16, None)
-    assert verify._sweep(proto, 15, 1)[1] == "sampled:16"  # a sampled sweep is not capped
+    # a sampled sweep is not capped, and one that draws every input is exhaustive
+    assert verify._sweep(proto, 15, 1)[1] == "exhaustive:16"

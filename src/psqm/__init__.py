@@ -4,7 +4,8 @@ bounds.
 
 The re-exported names below resolve on first use (PEP 562), so that
 `import psqm` loads only the modules a caller touches: the pure-Python
-`bounds` needs no numpy, while `protocols` and `verify` load it."""
+`bounds` needs no numpy, while `protocols` and `verify` load it.  What
+both sides share is defined here, so neither loads the other."""
 
 import importlib
 
@@ -12,6 +13,22 @@ __version__ = "0.1.0"
 DEFAULT_BUDGET = 1 << 16  # inputs an exhaustive sweep may visit; --budget's default
 ENUMERATION_CAP = 1 << 20  # inputs a sweep or `run` may list at once, whatever --budget says
 DEFAULT_TOL = 1e-9  # slack of every gated check; --tol's default
+
+
+def collision_beta(masses_by_class: dict) -> float:
+    """Class-wise 1 - sum w^2 / (sum w)^2, minimized over classes: `beta`
+    of a table, and the collision bound that `verify` checks."""
+    best = None
+    for masses in masses_by_class.values():
+        total = sum(masses)
+        if total <= 0:
+            continue
+        value = 1.0 - sum(m * m for m in masses) / (total * total)
+        best = value if best is None else min(best, value)
+    if best is None:
+        raise ValueError("no output class has positive mass")
+    return best
+
 
 _EXPORTS = {
     "PROMISE_VIOLATION": "protocols",

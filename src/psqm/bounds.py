@@ -28,23 +28,28 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from . import collision_beta  # re-exported: `beta` and `verify` share it
 
 ALPHA_DOMAIN_CAP = 6
 CLIQUE_VERTEX_CAP = 20
 STATS_N_CAP = 2
 
 
-@dataclass(frozen=True)
 class FunctionTable:
-    """Partial binary function as an explicit labeled table."""
+    """Partial binary function as an explicit labeled table; immutable,
+    compared and hashed by value."""
 
+    __slots__ = ("rows", "cols", "entries", "__weakref__")
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     entries: tuple[tuple, ...]  # values 0, 1 or None
 
-    def __post_init__(self):
+    def __init__(self, rows, cols, entries):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
         if not self.rows or not self.cols:
             raise ValueError("table needs at least one row and one column")
         if not all(isinstance(label, str) for label in self.rows + self.cols):
@@ -60,6 +65,32 @@ class FunctionTable:
                 # exact types: True and 0.0 compare equal to 1 and 0
                 if v is not None and not (type(v) is int and v in (0, 1)):
                     raise ValueError(f"entry {v!r} is not 0, 1 or undefined")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r},"
+            f" entries={self.entries!r})"
+        )
 
     @classmethod
     def build(cls, rows, cols, entries) -> "FunctionTable":
@@ -353,20 +384,6 @@ def beta(table: FunctionTable, mu: InputDistribution) -> float:
     return collision_beta(masses)
 
 
-def collision_beta(masses_by_class: dict) -> float:
-    """Class-wise 1 - sum w^2 / (sum w)^2, minimized over classes."""
-    best = None
-    for masses in masses_by_class.values():
-        total = sum(masses)
-        if total <= 0:
-            continue
-        value = 1.0 - sum(m * m for m in masses) / (total * total)
-        best = value if best is None else min(best, value)
-    if best is None:
-        raise ValueError("no output class has positive mass")
-    return best
-
-
 def min_entropy(mu: InputDistribution) -> float:
     """-log2 of the largest point mass."""
     peak = max(v for row in mu.weights for v in row)
@@ -479,6 +496,14 @@ def dj_table(n: int) -> FunctionTable:
     return FunctionTable.build(labels, labels, entries)
 
 
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle ones: the same
+    float `statistics.median` gives, without importing it."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -> dict:
     """Statistics over random (or, for n=1, all) total tables on n-bit
     inputs: non-degeneracy rate, lower-bound spread under uniform mu,
@@ -528,7 +553,6 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
             bound_values.append(_lower_bound(True, a, beta(table, mu), min_entropy(mu)).value)
         except ValueError:
             beta_zero += 1
-    import statistics  # here, not at the top: `bound` processes skip it and its imports
     summary = {
         "n": n,
         "coverage": coverage,
@@ -538,7 +562,7 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
         "bounds": {
             "count": len(bound_values),
             "min": min(bound_values) if bound_values else None,
-            "median": statistics.median(bound_values) if bound_values else None,
+            "median": _median(bound_values) if bound_values else None,
             "max": max(bound_values) if bound_values else None,
         },
         "max_similar_disjoint_cells": max_cells_seen,

@@ -21,10 +21,10 @@ import os
 import sys
 import time
 
-# `bound` and `stats` need only the pure-Python bounds module; `run` and
-# `verify` import the numpy-backed modules when they start (see
-# _build_protocol).
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__, bounds
+# Each command imports what it runs when it starts: `bound` and `stats` the
+# pure-Python bounds module, `run` and `verify` the numpy-backed modules
+# (see _build_protocol).  Neither side loads the other's.
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +218,10 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     return _config_echo(args, _PROTO_KEYS), checks, protocol.cost()
 
 
-def _load_table(args) -> bounds.FunctionTable:
+def _load_table(args):
+    """The FunctionTable that --table or --protocol dj --n names."""
+    from . import bounds
+
     if args.table:
         with open(args.table, encoding="utf-8") as fh:
             try:
@@ -234,6 +237,8 @@ def _load_table(args) -> bounds.FunctionTable:
 
 
 def cmd_bound(args) -> tuple[dict, list, tuple | None]:
+    from . import bounds
+
     table = _load_table(args)
     mu = bounds.InputDistribution.uniform_defined(table)
     checks = []
@@ -277,8 +282,13 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
 def cmd_stats(args) -> tuple[dict, list, tuple | None]:
     if args.n is None:
         raise ValueError("stats needs --n")
-    if not args.exhaustive and args.trials is None:
-        raise ValueError("stats needs --trials (or --exhaustive for n=1)")
+    if not args.exhaustive:
+        if args.trials is None:
+            raise ValueError("stats needs --trials (or --exhaustive for n=1)")
+        if args.trials > args.budget:
+            raise ValueError(f"--trials {args.trials} exceeds --budget {args.budget}")
+    from . import bounds
+
     summary = bounds.random_function_stats(
         args.n, args.trials or 0, args.seed, exhaustive=args.exhaustive
     )

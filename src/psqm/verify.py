@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, bounds, qsim
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, collision_beta, qsim
 from .protocols import ProtocolInstance
 
 PURITY_TOL = 1e-10
@@ -428,7 +428,7 @@ def check_messages(
             coverage="none", skipped=True, reason=_VACUOUS,
         )
     else:
-        beta = bounds.collision_beta(masses_by_class)
+        beta = collision_beta(masses_by_class)
         cross_terms = lhs - self_terms
         vacuous = beta <= 0.0
         rhs = 0.0 if vacuous else cross_terms / beta

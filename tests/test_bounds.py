@@ -1,6 +1,10 @@
+import copy
 import itertools
 import json
+import math
+import pickle
 import random
+import statistics
 import time
 import weakref
 from fractions import Fraction
@@ -563,6 +567,52 @@ def test_function_table_validation():
     for entry in [True, False, 0.0, 1.0, "1"]:
         with pytest.raises(ValueError, match="not 0, 1 or undefined"):
             FunctionTable.from_json({**good, "entries": [[1], [entry]]})
+
+
+def test_function_table_is_an_immutable_value():
+    table = table_of([[1, None], [0, 1]])
+    twin = table_of([[1, None], [0, 1]])
+    assert table == twin and table is not twin
+    assert hash(table) == hash(twin)
+    assert len({table, twin, table_of([[1, 0], [0, 1]])}) == 2
+    assert table != table_of([[1, 0], [0, 1]])
+    assert table != (table.rows, table.cols, table.entries)
+    assert table != table.to_json()
+    assert repr(table) == (
+        "FunctionTable(rows=('x0', 'x1'), cols=('y0', 'y1'), entries=((1, None), (0, 1)))"
+    )
+    for name in ("rows", "cols", "entries", "shape"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, ())
+    with pytest.raises(AttributeError):
+        del table.rows
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    assert table.entries == ((1, None), (0, 1))
+    ref = weakref.ref(table)
+    assert ref() is table
+    for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert clone == table and type(clone) is FunctionTable
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.5],
+        [3.0, 1.0, 2.0],
+        [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0],
+        [0.5, 0.5, 0.5],
+        [math.inf, 1.0, 2.0],
+        [math.inf, 1.0],
+        [math.inf, math.inf, 0.0],
+        [math.inf, math.inf, 0.0, 1.0],
+        [-1.25, 0.1, 0.2, 7.0, 0.30000000000000004, 0.3],
+    ],
+)
+def test_median_matches_statistics(values):
+    assert bounds._median(values) == statistics.median(values)
+    assert bounds._median(list(reversed(values))) == statistics.median(values)
 
 
 def test_input_distribution_validation():

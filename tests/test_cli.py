@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from psqm import cli, protocols, qsim, verify
+from psqm import bounds, cli, protocols, qsim, verify
 
 
 def run_main(argv, capsys):
@@ -417,6 +417,24 @@ def test_stats_command_round_trip(capsys):
     assert summary["tables"] == 25
     assert report["cost"] is None
     assert report["config"]["trials"] == 25
+
+
+def test_stats_trials_over_budget_exit_two_before_drawing(monkeypatch, capsys):
+    argv = ["stats", "--n", "2", "--trials", "4", "--seed", "1", "--budget", "4"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0 and parse(out)["checks"][0]["witnesses"]["tables"] == 4
+
+    def drawing(*args, **kwargs):
+        raise AssertionError("a table was drawn")  # main reports it as exit 3
+
+    monkeypatch.setattr(bounds, "random_function_stats", drawing)
+    for argv in (
+        ["stats", "--n", "2", "--trials", "100000000", "--seed", "1"],
+        ["stats", "--n", "2", "--trials", "5", "--seed", "1", "--budget", "4"],
+    ):
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --trials") and "exceeds --budget" in err
 
 
 def test_float_rounding_is_idempotent():

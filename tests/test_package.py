@@ -99,29 +99,48 @@ def modules_loaded_by(argv, watched=NUMPY_SIDE) -> list[str]:
     return began
 
 
+# what `FunctionTable` and the median would cost as `dataclass` and
+# `statistics.median`: dataclasses loads inspect, statistics loads
+# fractions and decimal
+STDLIB_EXTRAS = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["bound", "--protocol", "dj", "--n", "2"], ["stats", "--n", "1", "--exhaustive"]],
+    [
+        ["bound", "--protocol", "dj", "--n", "2"],
+        ["stats", "--n", "1", "--exhaustive"],
+        ["stats", "--n", "2", "--trials", "3", "--seed", "1"],
+    ],
 )
 def test_lower_bound_commands_load_no_numpy(argv):
-    """Nor does `bound` load `statistics` (and with it `fractions` and
-    `decimal`): only `stats` takes a median."""
-    watched = NUMPY_SIDE + (("statistics",) if argv[0] == "bound" else ())
-    assert modules_loaded_by(argv, watched) == []
+    """Nor do `bound` and `stats` load the standard-library modules
+    behind a dataclass or `statistics.median`: `FunctionTable` is a plain
+    class and the median is read off the sorted values."""
+    assert modules_loaded_by(argv, NUMPY_SIDE + STDLIB_EXTRAS) == []
 
 
 def test_run_loads_protocols_but_not_verify():
-    loaded = modules_loaded_by(["run", "--protocol", "sum2", "--k", "2"])
+    loaded = modules_loaded_by(
+        ["run", "--protocol", "sum2", "--k", "2"], NUMPY_SIDE + ("psqm.bounds",)
+    )
     assert loaded[0] == "psqm.protocols"
     assert set(loaded) == set(NUMPY_SIDE) - {"psqm.verify"}
 
 
 def test_verify_loads_protocols_before_numpy_and_verify():
     """protocols.py compiled while numpy is resident raises a `verify`
-    process's peak RSS by about 1 MB, so protocols is imported first."""
-    loaded = modules_loaded_by(["verify", "--protocol", "sum2", "--k", "2"])
+    process's peak RSS by about 1 MB, so protocols is imported first.
+    `verify` takes `collision_beta` from the package, not from bounds."""
+    loaded = modules_loaded_by(
+        ["verify", "--protocol", "sum2", "--k", "2"], NUMPY_SIDE + ("psqm.bounds",)
+    )
     assert loaded[0] == "psqm.protocols"
     assert set(loaded) == set(NUMPY_SIDE)
+
+
+def test_collision_beta_has_one_source():
+    assert bounds.collision_beta is verify.collision_beta is psqm.collision_beta
 
 
 VERIFY = ["verify", "--protocol", "sum2", "--k", "2"]

@@ -16,7 +16,8 @@ over distributions is never searched).  Quantities:
 * random/exhaustive small-table statistics and the dj promise table.
 
 Everything is exact: alpha is a pruned search over integer weight sums
-that returns the same first witness as visiting every pair would, its
+that reaches only disjoint pairs (a row kept in place moves every column)
+and returns the same first witness as visiting every pair would, its
 value the exact sum rounded once; cliques come from branch and bound;
 guards keep domains desk-scale (alpha: at most 6x6 tables, cliques: at
 most 20 vertices per side).
@@ -241,20 +242,24 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     One depth-first walk visits S by row count, then sigma position by
     position in `itertools.permutations` order, carrying the column
     images the row pairs (S[i], sigma[i]) allow and sigma's column
-    weights, summed row by row.  A prefix is cut when the first side
-    alone beats neither running best: not `max_cells` (a times the live
-    columns) nor `best` (S's weight on them).  Extending a prefix only
-    drops images, and the weights are non-negative, so that test only
-    gets easier while both bests only grow: every pair cut would fail it
-    at its leaf, and the same pairs reach the column search in the same
-    order.  sigma's weights grow with the prefix: leaves alone test them.
-    The column search extends T in increasing order, each column with
-    its image in tau, and is cut the same way, by the weight chosen plus
-    the column weights still reachable on each side.  Both bests change
-    only on a strict gain, so the first maximal pair in visit order
-    stays the witness.  Every float weight is p/2^L, so all sums run on
-    integer numerators over the largest such 2^L and are exact; the
-    value is their maximum divided once, correctly rounded.
+    weights, summed row by row.  A row that stays put (sigma[i] == S[i])
+    allows no column its own image.  A column kept in place stays so in
+    every larger T, so this drops only whole subtrees of non-disjoint
+    pairs: the walk reaches exactly the disjoint pairs, in the same
+    order, and tests none for disjointness.  A prefix is cut when the
+    first side alone beats neither running best: not `max_cells` (a
+    times the live columns) nor `best` (S's weight on them).  Extending
+    a prefix only drops images, and the weights are non-negative, so
+    that test only gets easier while both bests only grow: every pair
+    cut would fail it at its leaf, and the same pairs reach the column
+    search in the same order.  sigma's weights grow with the prefix:
+    leaves alone test them.  The column search extends T in increasing
+    order, each column with its image in tau, and is cut the same way,
+    by the weight chosen plus the column weights still reachable on each
+    side.  Both bests change only on a strict gain, so the first maximal
+    pair in visit order stays the witness.  Every float weight is p/2^L,
+    so all sums run on integer numerators over the largest such 2^L and
+    are exact; the value is their maximum divided once, correctly rounded.
     """
     _check_same_shape(table, mu)
     n1, n2 = table.shape
@@ -270,21 +275,18 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
     unit = max(q for row in ratios for _, q in row)  # every q is a power of two
     w = [[p * (unit // q) for p, q in row] for row in ratios]
     e = table.entries
-    # bit y' of images[x][x'][y] is set when e[x][y] == e[x'][y']
-    images = [
-        [
-            [sum(1 << yp for yp in range(n2) if e[x][y] == e[xp][yp]) for y in range(n2)]
-            for xp in range(n1)
-        ]
-        for x in range(n1)
-    ]
-    popcount = [bin(v).count("1") for v in range(1 << n2)]
     bits = [1 << y for y in range(n2)]
+    # bit y' of images[x][x'][y] is set when e[x][y] == e[x'][y'], and (x', y')
+    # is another cell: a row that stays put leaves no column in place
+    images = [[[sum(b for b, v in zip(bits, r) if v == u) for u in row] for r in e] for row in e]
+    for x, same in enumerate(images):
+        same[x] = [m & ~bit for m, bit in zip(same[x], bits)]
+    popcount = [bin(v).count("1") for v in range(1 << n2)]
     best, max_cells, witness = 0, 0, None
-    rows = colw2 = pairs2 = sigma = row_disjoint = None  # the pair `walk` hands to `search`
+    rows = colw2 = pairs2 = sigma = None  # the pair `walk` hands to `search`
     stack_t, stack_tau = [], []
 
-    def search(start, used, all_moved, w_first, w_second):
+    def search(start, used, w_first, w_second):
         """Extend T by columns y >= start, tau by images outside `used`;
         reads a, S, sigma and their column data from the walk."""
         nonlocal best, max_cells, witness
@@ -319,23 +321,21 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 yp = bit.bit_length() - 1
                 stack_t.append(y)
                 stack_tau.append(yp)
-                moved = all_moved and y != yp
                 nw2 = w_second + colw2[yp]
-                if row_disjoint or moved:
-                    if a * (depth + 1) > max_cells:
-                        max_cells = a * (depth + 1)
-                    if min(nw1, nw2) > best:
-                        best = min(nw1, nw2)
-                        witness = (S, tuple(stack_t), sigma, tuple(stack_tau))
+                if a * (depth + 1) > max_cells:
+                    max_cells = a * (depth + 1)
+                if min(nw1, nw2) > best:
+                    best = min(nw1, nw2)
+                    witness = (S, tuple(stack_t), sigma, tuple(stack_tau))
                 if depth + 1 < cap_cols:
-                    search(y + 1, used | bit, moved, nw1, nw2)
+                    search(y + 1, used | bit, nw1, nw2)
                 stack_t.pop()
                 stack_tau.pop()
 
     def walk(prefix, masks, weights2):
         """Extend sigma's prefix, whose column images and weights are
         `masks` and `weights2`, by each unused row."""
-        nonlocal rows, colw2, pairs2, sigma, row_disjoint
+        nonlocal rows, colw2, pairs2, sigma
         s = S[len(prefix)]
         for t in range(n1):
             if t in prefix:
@@ -356,8 +356,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
             elif not (cells_cut and sum(w2[y] for y in range(n2) if hit >> y & 1) <= best):
                 rows, colw2, sigma = m, w2, prefix + (t,)
                 pairs2 = sorted(zip(bits, w2), key=operator.itemgetter(1), reverse=True)
-                row_disjoint = all(map(operator.ne, S, sigma))
-                search(0, 0, True, 0, 0)
+                search(0, 0, 0, 0)
 
     for a in range(1, cap_rows + 1):
         for S in itertools.combinations(range(n1), a):

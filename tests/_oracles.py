@@ -232,28 +232,33 @@ def enumerated_pairs(table, mu, size_cap=None):
         for x in range(n1)
     ]
 
-    def extend(S, sigma, mask, row_disjoint, start, T, tau, w_first, w_second):
+    def extend(S, sigma, mask, row_disjoint, colw1, colw2, start, T, tau, w_first, w_second):
         for y in range(start, n2):
             for yp in range(n2):
                 if yp in tau or not mask >> (y * n2 + yp) & 1:
                     continue
                 T2, tau2 = T + (y,), tau + (yp,)
-                nw1 = w_first + sum(w[s][y] for s in S)
-                nw2 = w_second + sum(w[t][yp] for t in sigma)
+                nw1, nw2 = w_first + colw1[y], w_second + colw2[yp]
                 if row_disjoint or all(j != jp for j, jp in zip(T2, tau2)):
                     yield min(nw1, nw2), len(S) * len(T2), S, T2, sigma, tau2
                 if len(T2) < cap_cols:
-                    yield from extend(S, sigma, mask, row_disjoint, y + 1, T2, tau2, nw1, nw2)
+                    yield from extend(
+                        S, sigma, mask, row_disjoint, colw1, colw2, y + 1, T2, tau2, nw1, nw2
+                    )
 
     for a in range(1, cap_rows + 1):
         for S in itertools.combinations(range(n1), a):
+            colw1 = [sum(w[s][y] for s in S) for y in range(n2)]  # each column's weight on S
             for sigma in itertools.permutations(range(n1), a):
                 mask = (1 << (n2 * n2)) - 1
                 for s, t in zip(S, sigma):
                     mask &= row_mask[s][t]
                 if mask:
                     row_disjoint = all(s != t for s, t in zip(S, sigma))
-                    yield from extend(S, sigma, mask, row_disjoint, 0, (), (), 0, 0)
+                    colw2 = [sum(w[t][y] for t in sigma) for y in range(n2)]
+                    yield from extend(
+                        S, sigma, mask, row_disjoint, colw1, colw2, 0, (), (), 0, 0
+                    )
 
 
 def enumerated_alpha(table, mu, size_cap=None) -> AlphaResult:

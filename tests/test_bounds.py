@@ -8,6 +8,7 @@ import statistics
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -207,6 +208,32 @@ def test_alpha_matches_enumeration_property(case):
     assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
 
 
+def square_table(n, one):
+    return table_of([[int(one(i, j)) for j in range(n)] for i in range(n)])
+
+
+def zero_table_with(n, value, cells):
+    entries = [[0] * n for _ in range(n)]
+    for i, j in cells:
+        entries[i][j] = value
+    return table_of(entries)
+
+
+# n -> n x n table: near-constant tables have many interchangeable rows
+NAMED_SQUARE_TABLES = {
+    "single-1": lambda n: zero_table_with(n, 1, [(0, 0)]),
+    "one-undefined": lambda n: zero_table_with(n, None, [(0, 0)]),
+    "two-undefined": lambda n: zero_table_with(n, None, [(0, 0), (1, 1)]),
+    "constant": lambda n: square_table(n, lambda i, j: True),
+    "identity": lambda n: square_table(n, lambda i, j: i == j),
+    "greater-than": lambda n: square_table(n, lambda i, j: i > j),
+    "inner-product": lambda n: square_table(n, lambda i, j: bin(i & j).count("1") % 2),
+    "random-1": lambda n: random_table(random.Random(1), n, n),
+    "random-2": lambda n: random_table(random.Random(2), n, n),
+    "random-3": lambda n: random_table(random.Random(3), n, n),
+}
+
+
 ALPHA_6X6_CASES = [
     (1, "uniform", None),
     (2, "uniform-defined", None),
@@ -233,6 +260,28 @@ def test_alpha_matches_enumeration_on_6x6(seed, kind, size_cap):
     assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
 
 
+@pytest.mark.parametrize("name", ["single-1", "one-undefined", "constant"])
+def test_alpha_matches_enumeration_on_near_constant_4x4(name):
+    """Nearly every row pair of these tables is a row kept in place or an
+    equal row, so most similar pairs are not disjoint."""
+    table = NAMED_SQUARE_TABLES[name](4)
+    mu = InputDistribution.uniform_defined(table)
+    assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
+
+
+ALPHA_7X7_REPRS = json.loads((Path(__file__).parent / "alpha_7x7_reprs.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(ALPHA_7X7_REPRS))
+def test_alpha_keeps_the_recorded_7x7_results(name, monkeypatch):
+    """The reprs were recorded once from the walk that visited every
+    similar pair and tested each for disjointness; it took up to a
+    minute on the near-constant tables."""
+    monkeypatch.setattr(bounds, "ALPHA_DOMAIN_CAP", 7)
+    table = NAMED_SQUARE_TABLES[name](7)
+    assert repr(alpha(table, InputDistribution.uniform_defined(table))) == ALPHA_7X7_REPRS[name]
+
+
 def exact_weight(table, mu, rect):
     ri = {lbl: i for i, lbl in enumerate(table.rows)}
     ci = {lbl: j for j, lbl in enumerate(table.cols)}
@@ -252,10 +301,6 @@ def test_alpha_witness_has_the_largest_exact_weight():
     assert got.value == float(best)
     assert got.witness[0].rows == ("x0", "x1", "x2")
     assert got.witness[0].cols == ("y0", "y2")
-
-
-def square_table(n, one):
-    return table_of([[int(one(i, j)) for j in range(n)] for i in range(n)])
 
 
 def test_alpha_is_the_exact_sum_rounded_once(tmp_path, capsys):

@@ -364,6 +364,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
             for s in S:
                 colw1 = [c + v for c, v in zip(colw1, w[s])]
             walk((), None, [0] * n2)
+    search = walk = None  # each closure reaches itself through its cells: free them now
     return AlphaResult(best / unit, _labeled(table, *witness) if witness else None, max_cells)
 
 
@@ -436,6 +437,7 @@ def _max_clique_bits(adj: list[int]) -> int:
             expand(clique | (1 << v), size + 1, cand & adj[v])
 
     expand(0, 0, (1 << len(adj)) - 1)
+    expand = None  # the closure holds itself through its cell: free it now
     return best
 
 

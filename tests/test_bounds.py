@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import math
@@ -356,6 +357,27 @@ def test_stats_keeps_one_sampled_table_alive(monkeypatch):
     random_function_stats(1, 30, seed=2)
     assert len(tables) == 30
     assert most_alive == 1
+
+
+def test_alpha_and_the_clique_search_leave_no_garbage_cycles():
+    """Their recursive closures are freed by reference counting when the
+    call returns, so only the collector could find what they left."""
+    table = random_table(random.Random(4), 4, 4)
+    calls = (
+        lambda: alpha(table, InputDistribution.uniform(table)),
+        lambda: exact_smp_clique_sizes(table),
+        lambda: random_function_stats(2, 100, 1),
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_bound_command_computes_alpha_once(tmp_path, monkeypatch, capsys):

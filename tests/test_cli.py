@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -405,6 +406,108 @@ def test_reports_do_not_depend_on_the_blas_thread_count(argv):
         assert done.returncode == 0, done.stderr
         reports.append(done.stdout)
     assert reports[0] == reports[1]
+
+
+def collections_as_the_program(argv, modules) -> dict:
+    """How the collector ran while a fresh interpreter ran `cli.main()`
+    as the program, with sys.argv set to `argv`: the generation of each
+    collection begun before every module of `modules` had finished
+    loading, the number begun with a frozen heap, the modules of
+    `modules` in the order their imports began, and the collector's
+    state after main returned."""
+    script = (
+        "import contextlib, gc, io, json, sys\n"
+        "from psqm import cli\n"
+        f"modules = {list(modules)!r}\n"
+        "def loaded(name):\n"
+        "    module = sys.modules.get(name)\n"
+        "    return module is not None and not getattr(module.__spec__, '_initializing', False)\n"
+        "early, frozen, began = [], 0, []\n"
+        "class Recorder:\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name in modules:\n"
+        "            began.append(name)\n"
+        "sys.meta_path.insert(0, Recorder)\n"
+        "def record(phase, info):\n"
+        "    global frozen\n"
+        "    if phase != 'start':\n"
+        "        return\n"
+        "    if not all(map(loaded, modules)):\n"
+        "        early.append(info['generation'])\n"
+        "    frozen += gc.get_freeze_count() > 0\n"
+        "gc.callbacks.append(record)\n"
+        f"sys.argv = ['psqm', *{list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main()\n"
+        "print(json.dumps({'code': code, 'early': early, 'frozen': frozen, 'began': began,\n"
+        "                  'freeze_count': gc.get_freeze_count(), 'enabled': gc.isenabled()}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["verify", "--protocol", "sum2", "--k", "4"], ["psqm.protocols", "numpy", "psqm.verify"]),
+        (["bound", "--protocol", "dj", "--n", "4"], ["psqm.bounds"]),
+    ],
+    ids=["verify", "bound"],
+)
+def test_the_program_collects_nothing_until_its_modules_are_loaded(argv, modules):
+    """Importing numpy alone used to trigger some 30 collections, each
+    rescanning every object imported so far; the heap is frozen once the
+    modules are in, and again after the report, so shutdown skips it.
+    The modules load in the order the commands import them."""
+    seen = collections_as_the_program(argv, modules)
+    assert seen["code"] == 0
+    assert seen["began"] == modules
+    assert seen["early"] == []
+    assert seen["freeze_count"] > 0
+    assert seen["enabled"]
+
+
+def test_the_program_still_collects_what_its_command_allocates():
+    """Only the imported heap is frozen: the collector is back on, and
+    runs, while the command allocates."""
+    seen = collections_as_the_program(
+        ["stats", "--n", "2", "--trials", "300", "--seed", "1"], ["psqm.bounds"]
+    )
+    assert seen["code"] == 0
+    assert seen["frozen"] > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--protocol", "sum2", "--k", "2"], 0),
+        (["bound", "--protocol", "dj", "--n", "2"], 0),
+        (["verify", "--protocol", "sum2"], 2),
+        (["stats", "--n", "2", "--trials", "2", "--seed", "1"], 3),
+    ],
+    ids=["verify", "bound", "exit-2", "exit-3"],
+)
+def test_a_caller_passing_argv_keeps_its_collector(argv, code, enabled, monkeypatch, capsys):
+    """Tests, the in-process benchmark and library callers own their
+    collector: main neither enables, disables nor freezes it."""
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", broken)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        returned = cli.main(argv)
+        state = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert returned == code
+    assert state == (enabled, frozen)
 
 
 def test_stats_command_round_trip(capsys):

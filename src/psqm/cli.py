@@ -12,22 +12,18 @@ example), reported as one ``error:`` line on stderr.  OpenBLAS runs one
 thread per process unless OPENBLAS_NUM_THREADS is already set.
 
 Run as the program (``main()`` with no argv: the ``psqm`` console script
-and ``python -m psqm.cli``), main owns the cyclic garbage collector.  The
-objects the imports leave (~21,000 for run and verify) live until exit,
-yet each collection rescans them: the 30-odd collections that importing
-numpy sets off and those at shutdown cost about 20 ms of a 130-180 ms
-process.  So collection is off until the command's modules are loaded;
-the heap is then frozen and collection resumes on what the command
-allocates.  Once the report is written the heap is frozen again, so
-shutdown's collections skip it too.  A caller that passes argv (tests,
-library code) keeps its collector as it was.
+and ``python -m psqm.cli``), main keeps the cyclic garbage collector off
+until the command is done.  No command leaves a reference cycle per unit
+of work, so collections would only rescan what the imports and the
+parser leave, which lives until exit anyway.  The heap is then frozen and
+the collector turned back on, so shutdown's collections skip it too.  A
+caller that passes argv (tests, library code) keeps its collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import json
 import math
 import os
@@ -36,8 +32,7 @@ import time
 
 # Each command imports what it runs when it starts: `bound` and `stats` the
 # pure-Python bounds module, `run` and `verify` the numpy-backed modules
-# (see _build_protocol).  Neither side loads the other's.  Run as the
-# program, main loads them first (_COMMAND_MODULES) and then freezes them.
+# (see _build_protocol).  Neither side loads the other's.
 from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__
 
 
@@ -323,30 +318,21 @@ _COMMANDS = {
     "stats": cmd_stats,
 }
 
-# The psqm modules each command imports, in the order it imports them.
-_COMMAND_MODULES = {
-    "run": ("protocols",),
-    "verify": ("protocols", "verify"),
-    "bound": ("bounds",),
-    "stats": ("bounds",),
-}
-
 
 def main(argv=None) -> int:
     """Run the command `argv` names (sys.argv when None) and return its
     exit code; with argv None, main also owns the collector (see above)."""
-    own_process = argv is None
-    if own_process:
-        gc.disable()
+    if argv is not None:
+        return _main(argv)
+    gc.disable()
     try:
-        return _main(argv, own_process)
+        return _main(argv)
     finally:
-        if own_process:
-            gc.freeze()
-            gc.enable()
+        gc.freeze()
+        gc.enable()
 
 
-def _main(argv, own_process: bool) -> int:
+def _main(argv) -> int:
     if "numpy" not in sys.modules:
         # OpenBLAS sizes its pool when numpy loads.  psqm's work is serial
         # Python and small numpy calls, so a second thread mostly spins on
@@ -359,11 +345,6 @@ def _main(argv, own_process: bool) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if own_process:
-            for name in _COMMAND_MODULES[args.command]:
-                importlib.import_module(f".{name}", __package__)
-            gc.freeze()
-            gc.enable()
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         config, checks, cost = _COMMANDS[args.command](args)

@@ -160,6 +160,10 @@ class ProtocolInstance:
         over x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
         raise NotImplementedError
 
+    def _privacy_note(self, averages: dict) -> str | None:
+        """The privacy report's note, from each class's averaged message."""
+        return None
+
     def format_randomness(self, randomness) -> str:
         return str(randomness)
 
@@ -335,21 +339,17 @@ class _GhzMaskProtocol(ProtocolInstance):
         xmasks, zmasks = self._party_frames(parties, np.asarray(codes), randomness)
         return np.bitwise_xor.reduce(xmasks), np.bitwise_xor.reduce(zmasks)
 
-    def _decode(self, outcome_index: int):
-        """Referee outcome index -> protocol output: per block, the parity
-        of the leading bits and the last bit are two coordinate sums, read
-        into the 2l-bit sum that `_columns` maps to an output."""
-        p, v = self._parties, 0
-        for b in reversed(range(self.blocks)):
-            block = outcome_index >> (b * p) & ((1 << p) - 1)
-            v = v << 2 | int(_PARITY[block >> 1]) << 1 | block & 1
-        return self.output_domain[self._columns[v]]
-
     @functools.cached_property
     def _output_columns(self) -> np.ndarray:
-        """Column of output_domain that the referee decodes each outcome to."""
-        outputs = [self._decode(o) for o in range(1 << self._qubits)]
-        return np.array([self.output_domain.index(y) for y in outputs])
+        """Column of output_domain that the referee decodes each outcome to:
+        per block, the parity of the leading bits and the last bit are two
+        coordinate sums, and `_columns` maps the 2l-bit sum they form."""
+        p, outcomes = self._parties, np.arange(1 << self._qubits)
+        sums = np.zeros_like(outcomes)
+        for b in reversed(range(self.blocks)):
+            block = outcomes >> (b * p) & ((1 << p) - 1)
+            sums = sums << 2 | _PARITY[block >> 1] << 1 | block & 1
+        return self._columns[sums]
 
     def _outcomes(self, xmasks, zmasks) -> np.ndarray:
         """Referee outcome index under each frame X^xmask Z^zmask."""
@@ -367,7 +367,7 @@ class _GhzMaskProtocol(ProtocolInstance):
         outcome = int(self._outcomes(*frame)[0])
         return TranscriptRecord(
             outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
-            output_distribution={self._decode(outcome): 1.0},
+            output_distribution={self.output_domain[self._output_columns[outcome]]: 1.0},
             message_state=_framed_states(self._shared, *frame)[0],
         )
 
@@ -617,6 +617,16 @@ class DJProtocol(ProtocolInstance):
         overlaps = (signs @ signs.T / self.n) ** 2
         incl = overlaps.sum(axis=1)
         return float((incl - np.diag(overlaps)).max()), float(incl.max())
+
+    def _privacy_note(self, averages):
+        """The all-zero message's mass in the reject class's averaged law."""
+        if 0 not in averages:
+            return None
+        zero_mass = float(np.diag(averages[0]).real.reshape(self.n, self.n)[0, :].sum())
+        return (
+            "reject-class message pairs are uniform over ordered distinct "
+            f"values; the all-zero message carries mass {zero_mass:.6g}"
+        )
 
     def format_randomness(self, randomness):
         return f"{randomness[0]};{randomness[1]}"

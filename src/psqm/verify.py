@@ -5,7 +5,8 @@ sweeps are exhaustive while the domain fits the budget (default 2^16);
 larger domains fall back to a seeded stratified sample with at least 64
 inputs per output class, and reports carry a coverage label so partial
 sweeps are never silent.  A sample that draws the whole domain is the
-exhaustive sweep, in domain order and labelled as such.
+exhaustive sweep, in domain order and labelled as such.  Both sweeping
+checks first refuse a protocol whose per-input message stack is too big.
 
 Privacy, the purity bounds and the collision bound all read the
 randomness-averaged messages rho_x, so `check_messages` derives the three
@@ -55,6 +56,20 @@ PURITY_TOL = 1e-10
 _GRAM_INPUT_CAP = 256  # inputs in the informational witness of a skipped weight-sum check
 _SAMPLES_PER_CLASS = 64
 _VACUOUS = "reference is partial or degenerate; bound is vacuous"
+_STACK_BYTES_CAP = 128 << 20  # geq (2,5) needs 511.5 MiB, every other configuration <= 24 MiB
+
+
+def _preflight(protocol: ProtocolInstance) -> int:
+    """Bytes of the per-input stack that the checks build: R message states
+    of 2^cost complex amplitudes (dj: R message laws of 2^cost entries).
+    Above _STACK_BYTES_CAP a ValueError refuses the run before any sweep."""
+    size = len(protocol.randomness_domain) << protocol.cost()[0] << 4
+    if size > _STACK_BYTES_CAP:
+        raise ValueError(
+            f"one input's message stack would hold {size / (1 << 20):.1f} MiB,"
+            f" over the {_STACK_BYTES_CAP >> 20} MiB limit"
+        )
+    return size
 
 
 def _sweep(protocol: ProtocolInstance, budget: int, seed):
@@ -161,6 +176,7 @@ def check_correctness(
 ) -> CorrectnessReport:
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
+    _preflight(protocol)
     inputs, coverage = _sweep(protocol, budget, seed)  # promise inputs only
     if not len(inputs):
         raise ValueError("nothing to check: empty sweep")
@@ -358,6 +374,7 @@ def check_messages(
     tr(rho_bar^2) - sum_x mu(x)^2 tr(rho_x^2).  Requires a total,
     non-degenerate reference and beta > 0; otherwise skipped as vacuous.
     """
+    _preflight(protocol)
     inputs, weights, coverage = _distribution(protocol, mu, budget, seed)
     classes: dict = {}
     masses_by_class: dict = {}
@@ -394,22 +411,13 @@ def check_messages(
     for a, b in itertools.combinations(sorted(classes, key=repr), 2):
         prod = classes[a].matrix @ classes[b].matrix
         cross = max(cross, float(np.linalg.norm(prod)))
-    note = None
-    if protocol.name == "dj" and 0 in classes:
-        diag = np.diag(classes[0].matrix).real
-        n = 1 << protocol.m
-        zero_mass = float(diag.reshape(n, n)[0, :].sum())
-        note = (
-            "reject-class message pairs are uniform over ordered distinct "
-            f"values; the all-zero message carries mass {zero_mass:.6g}"
-        )
     privacy = PrivacyReport(
         passed=max_distance <= tol,
         classes=classes,
         max_distance=max_distance,
         cross_orthogonality=cross,
         coverage=coverage,
-        note=note,
+        note=protocol._privacy_note({y: c.matrix for y, c in classes.items()}),
         worst_input=worst_input,
     )
 

@@ -247,6 +247,21 @@ def test_config_errors_exit_two(argv, capsys):
     assert err.startswith("error:")
 
 
+def test_verify_refuses_what_cannot_finish_before_any_sweep(monkeypatch, capsys):
+    """geq (2,5) would build a 511.5 MiB state stack for each of 56,333
+    sampled inputs; it exits 2 at once, naming the size."""
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep began")
+
+    monkeypatch.setattr(verify, "_sweep", no_sweep)
+    argv = ["verify", "--protocol", "geq", "--k", "2", "--l", "5", "--seed", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: one input's message stack would hold 511.5 MiB, over the 128 MiB limit\n"
+
+
 def test_argparse_errors_exit_two(capsys):
     assert cli.main(["nonsense"]) == 2
     capsys.readouterr()
@@ -408,38 +423,34 @@ def test_reports_do_not_depend_on_the_blas_thread_count(argv):
     assert reports[0] == reports[1]
 
 
-def collections_as_the_program(argv, modules) -> dict:
+WATCHED = ["psqm.protocols", "numpy", "psqm.verify", "psqm.bounds"]
+
+
+def collections_as_the_program(argv) -> dict:
     """How the collector ran while a fresh interpreter ran `cli.main()`
     as the program, with sys.argv set to `argv`: the generation of each
-    collection begun before every module of `modules` had finished
-    loading, the number begun with a frozen heap, the modules of
-    `modules` in the order their imports began, and the collector's
-    state after main returned."""
+    collection begun inside main, the modules of WATCHED in the order
+    their imports began, and the collector's state after main returned."""
     script = (
         "import contextlib, gc, io, json, sys\n"
         "from psqm import cli\n"
-        f"modules = {list(modules)!r}\n"
-        "def loaded(name):\n"
-        "    module = sys.modules.get(name)\n"
-        "    return module is not None and not getattr(module.__spec__, '_initializing', False)\n"
-        "early, frozen, began = [], 0, []\n"
+        f"watched = {WATCHED!r}\n"
+        "began, collections, inside = [], [], False\n"
         "class Recorder:\n"
         "    def find_spec(name, path=None, target=None):\n"
-        "        if name in modules:\n"
+        "        if name in watched:\n"
         "            began.append(name)\n"
         "sys.meta_path.insert(0, Recorder)\n"
         "def record(phase, info):\n"
-        "    global frozen\n"
-        "    if phase != 'start':\n"
-        "        return\n"
-        "    if not all(map(loaded, modules)):\n"
-        "        early.append(info['generation'])\n"
-        "    frozen += gc.get_freeze_count() > 0\n"
+        "    if inside and phase == 'start':\n"
+        "        collections.append(info['generation'])\n"
         "gc.callbacks.append(record)\n"
         f"sys.argv = ['psqm', *{list(argv)!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    inside = True\n"
         "    code = cli.main()\n"
-        "print(json.dumps({'code': code, 'early': early, 'frozen': frozen, 'began': began,\n"
+        "    inside = False\n"
+        "print(json.dumps({'code': code, 'collections': collections, 'began': began,\n"
         "                  'freeze_count': gc.get_freeze_count(), 'enabled': gc.isenabled()}))\n"
     )
     done = subprocess.run(
@@ -449,34 +460,74 @@ def collections_as_the_program(argv, modules) -> dict:
 
 
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, code, modules",
     [
-        (["verify", "--protocol", "sum2", "--k", "4"], ["psqm.protocols", "numpy", "psqm.verify"]),
-        (["bound", "--protocol", "dj", "--n", "4"], ["psqm.bounds"]),
+        (
+            ["verify", "--protocol", "sum2", "--k", "5"],
+            0,
+            ["psqm.protocols", "numpy", "psqm.verify"],
+        ),
+        (["run", "--protocol", "sum2", "--k", "4"], 0, ["psqm.protocols", "numpy"]),
+        (["bound", "--protocol", "dj", "--n", "8"], 0, ["psqm.bounds"]),
+        (["stats", "--n", "2", "--trials", "300", "--seed", "1"], 0, ["psqm.bounds"]),
+        (["verify", "--protocol", "sum2"], 2, ["psqm.protocols", "numpy"]),
     ],
-    ids=["verify", "bound"],
+    ids=["verify", "run", "bound", "stats", "exit-2"],
 )
-def test_the_program_collects_nothing_until_its_modules_are_loaded(argv, modules):
-    """Importing numpy alone used to trigger some 30 collections, each
-    rescanning every object imported so far; the heap is frozen once the
-    modules are in, and again after the report, so shutdown skips it.
-    The modules load in the order the commands import them."""
-    seen = collections_as_the_program(argv, modules)
-    assert seen["code"] == 0
+def test_the_program_collects_nothing_and_freezes_once_done(argv, code, modules):
+    """Run as the program, main collects nothing, neither while numpy
+    loads (some 30 collections with the collector on) nor while the
+    command allocates (each of these commands sets off collections with
+    it on); once the command is done, with or without a report, the heap
+    is frozen and the collector is back on, so shutdown skips it.  Each
+    command loads its modules in its own import order."""
+    seen = collections_as_the_program(argv)
+    assert seen["code"] == code
     assert seen["began"] == modules
-    assert seen["early"] == []
+    assert seen["collections"] == []
     assert seen["freeze_count"] > 0
     assert seen["enabled"]
 
 
-def test_the_program_still_collects_what_its_command_allocates():
-    """Only the imported heap is frozen: the collector is back on, and
-    runs, while the command allocates."""
-    seen = collections_as_the_program(
-        ["stats", "--n", "2", "--trials", "300", "--seed", "1"], ["psqm.bounds"]
+def garbage_left_by(argv) -> int:
+    """Objects that gc.collect() finds once a fresh interpreter, its
+    collector off from the start, has imported psqm.cli and run `argv`."""
+    script = (
+        "import contextlib, gc, io\n"
+        "gc.disable()\n"
+        "from psqm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(gc.collect())\n"
     )
-    assert seen["code"] == 0
-    assert seen["frozen"] > 0
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return int(done.stdout)
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (
+            ["stats", "--n", "2", "--trials", "2", "--seed", "1"],
+            ["stats", "--n", "2", "--trials", "300", "--seed", "1"],
+        ),
+        (
+            ["verify", "--protocol", "sum2", "--k", "2"],
+            ["verify", "--protocol", "sum2", "--k", "4"],
+        ),
+        (["run", "--protocol", "sum2", "--k", "2"], ["run", "--protocol", "sum2", "--k", "4"]),
+        (["bound", "--protocol", "dj", "--n", "2"], ["bound", "--protocol", "dj", "--n", "4"]),
+    ],
+    ids=["stats", "verify", "run", "bound"],
+)
+def test_the_garbage_a_command_leaves_does_not_grow_with_its_work(small, large):
+    """The program runs with its collector off, so a reference cycle
+    left per input or trial would pile up until exit.  Only the parser
+    and the imports leave cyclic garbage, the same for any amount of
+    work."""
+    assert garbage_left_by(small) == garbage_left_by(large)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

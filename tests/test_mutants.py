@@ -1,7 +1,7 @@
 """Deliberately broken protocols that a check must catch.
 
 Each sum2 and geq mutant overrides a hook of the Pauli-frame path
-(`_party_frames`, `_decode`, `_averaged_matrix`) or narrows the
+(`_party_frames`, `_output_columns`, `_averaged_matrix`) or narrows the
 randomness domain; the package has no gate simulator, so nothing else
 can stand in for that path.  A mutant that models one party's
 misbehaviour overrides `_party_frames`, so the whole message and the
@@ -135,9 +135,9 @@ class FlippedDecodeSum2(Sum2Protocol):
     """sum2 whose referee flips the second output bit: the messages are
     untouched, so privacy holds, but every answer is wrong."""
 
-    def _decode(self, outcome_index):
-        first, second = super()._decode(outcome_index)
-        return first, second ^ 1
+    @property
+    def _output_columns(self):
+        return super()._output_columns ^ 1  # column 2a + b holds the output (a, b)
 
 
 def test_sum2_with_a_flipped_decoder_fails_correctness_only():

@@ -44,6 +44,7 @@ from _oracles import (
     input_strings,
     mix,
     phi_basis,
+    referee_output,
 )
 
 TOL = 1e-12
@@ -97,8 +98,9 @@ def joint_basis(proto, blocks) -> np.ndarray:
 
 
 def decoder(proto, dim) -> np.ndarray:
-    """One-hot (outcome, output) matrix of the referee's decoder."""
-    outputs = [proto._decode(o) for o in range(dim)]
+    """One-hot (outcome, output) matrix of the referee's decoder, read off
+    each outcome's bit string."""
+    outputs = [referee_output(proto, o) for o in range(dim)]
     return np.array([[y == out for out in proto.output_domain] for y in outputs], dtype=float)
 
 
@@ -232,8 +234,7 @@ def test_sum2_is_geq_under_the_identity_mask(k):
     unmasked = geq._randomness_ints([((s,), "10") for s in strings])
     want = geq._party_frames(parties, codes, unmasked)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    outcomes = range(1 << sum2._qubits)
-    assert [sum2._decode(o) == (0, 0) for o in outcomes] == [geq._decode(o) == 1 for o in outcomes]
+    assert np.array_equal(sum2._output_columns == 0, geq._output_columns == 1)
 
 
 @pytest.mark.parametrize("n", [2, 4])

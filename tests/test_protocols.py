@@ -283,8 +283,9 @@ CAPPED_GHZ = [("sum2", k, 1) for k in range(2, 11)] + [
 @pytest.mark.parametrize("name,k,l", CAPPED_GHZ, ids=str)
 def test_decode_matches_the_bit_string_rule(name, k, l):
     proto = sum2_protocol(k) if name == "sum2" else geq_protocol(k, l)
-    for o in range(1 << proto._qubits):
-        got, want = proto._decode(o), referee_output(proto, o)
+    assert len(proto._output_columns) == 1 << proto._qubits
+    for o, column in enumerate(proto._output_columns):
+        got, want = proto.output_domain[column], referee_output(proto, o)
         assert got == want
         assert all(type(v) is int for v in (got if name == "sum2" else (got,)))
 

@@ -77,6 +77,7 @@ def test_geq_privacy_classes(k, l):
     # accept class: uniform over 2^((p-2)l) orthogonal pure states
     accept_purity = report.classes[1].purity
     assert abs(accept_purity - 2.0 ** -((p - 2) * l)) < 1e-9
+    assert report.note is None  # only dj notes its reject class
 
 
 def test_correctness_reports():
@@ -577,3 +578,43 @@ def test_exhaustive_sweep_cap_boundary(monkeypatch):
         verify._sweep(proto, 16, None)
     # a sampled sweep is not capped, and one that draws every input is exhaustive
     assert verify._sweep(proto, 15, 1)[1] == "exhaustive:16"
+
+
+# every configuration the CLI accepts: sum2 and geq within the 10-qubit
+# cap (parties rounded up to even, l blocks of them), dj up to n = 16
+ACCEPTED = (
+    [("sum2", k) for k in range(2, 11)]
+    + [("geq", k, l) for k in range(2, 11) for l in range(1, 6) if (k + k % 2) * l <= 10]
+    + [("dj", n) for n in (2, 4, 8, 16)]
+)
+
+
+def test_the_preflight_refuses_only_geq_2_5():
+    """The estimate needs only the randomness domain and the cost, so every
+    accepted configuration is sized here without running it: geq (2,5)'s
+    32,736 states of 1,024 amplitudes take 511.5 MiB per input, and the
+    next largest, geq (9,1) and (10,1), take 24 MiB."""
+    assert len(ACCEPTED) == 28
+    build = {"sum2": sum2_protocol, "geq": geq_protocol, "dj": dj_protocol}
+    sizes, refused = {}, []
+    for name, *params in ACCEPTED:
+        try:
+            sizes[name, *params] = verify._preflight(build[name](*params))
+        except ValueError as exc:
+            refused.append((name, *params, str(exc)))
+    assert refused == [
+        ("geq", 2, 5, "one input's message stack would hold 511.5 MiB, over the 128 MiB limit")
+    ]
+    assert max(sizes.values()) == sizes["geq", 9, 1] == sizes["geq", 10, 1] == 24 << 20
+
+
+def test_both_sweeping_checks_refuse_before_they_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep began")
+
+    monkeypatch.setattr(verify, "_sweep", no_sweep)
+    monkeypatch.setattr(verify, "_distribution", no_sweep)
+    proto = geq_protocol(2, 5)
+    for check in (check_correctness, check_messages):
+        with pytest.raises(ValueError, match="511.5 MiB"):
+            check(proto, seed=1)

@@ -20,8 +20,6 @@ the collector turned back on, so shutdown's collections skip it too.  A
 caller that passes argv (tests, library code) keeps its collector.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -139,9 +137,8 @@ def _record(name, passed, witnesses, coverage=None) -> dict:
     return {"name": name, "pass": passed, "witnesses": witnesses, "coverage": coverage}
 
 
-def _transcript(protocol, inputs, randomness) -> dict:
+def _transcript(protocol, randomness, record) -> dict:
     """Report entry of one execution under one randomness value."""
-    record = protocol.run(inputs, randomness)
     entry = {
         "randomness": protocol.format_randomness(randomness),
         "outcomes": record.outcome_distribution,
@@ -175,32 +172,30 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
         detailed = False
     checks = []
     domain = protocol.randomness_domain
-    for codes, column in zip(requested.tolist(), protocol._reference(requested).tolist()):
-        inputs = protocol._input_strings(codes)
-        masses = protocol._output_masses(codes)
-        averaged = np.cumsum(masses / len(domain), axis=0)[-1]  # summed in domain order
-        witnesses = {
-            "reference": "promise-violation"
-            if column < 0
-            else protocol.format_output(protocol.output_domain[column]),
-            "output_distribution": {
-                protocol.format_output(o): p
-                for o, p in zip(protocol.output_domain, averaged.tolist())
-                if p > 0.0
-            },
-            "randomness_values": len(domain),
-        }
-        if detailed:
-            witnesses["per_randomness"] = [_transcript(protocol, inputs, r) for r in domain]
-        passed = column < 0 or bool(masses[:, column].min() >= 1.0 - args.tol)
-        checks.append(
-            _record(
-                f"run[{','.join(inputs)}]",
-                passed,
-                witnesses,
-                f"randomness-exhaustive:{len(domain)}",
-            )
-        )
+    columns = protocol._reference(requested).tolist()
+    for start, block in protocol._blocks(requested, 8 * len(protocol.output_domain)):
+        masses = protocol._output_masses(block)
+        averaged = np.cumsum(masses / len(domain), axis=1)[:, -1]  # summed in domain order
+        rows = zip(block.tolist(), columns[start : start + len(block)], masses, averaged.tolist())
+        for codes, column, law, row in rows:
+            inputs = protocol._input_strings(codes)
+            witnesses = {
+                "reference": "promise-violation"
+                if column < 0
+                else protocol.format_output(protocol.output_domain[column]),
+                "output_distribution": {
+                    protocol.format_output(o): p
+                    for o, p in zip(protocol.output_domain, row)
+                    if p > 0.0
+                },
+                "randomness_values": len(domain),
+            }
+            if detailed:
+                runs = zip(domain, protocol._runs(codes, domain))
+                witnesses["per_randomness"] = [_transcript(protocol, *run) for run in runs]
+            passed = column < 0 or bool(law[:, column].min() >= 1.0 - args.tol)
+            coverage = f"randomness-exhaustive:{len(domain)}"
+            checks.append(_record(f"run[{','.join(inputs)}]", passed, witnesses, coverage))
     config = _config_echo(args, _PROTO_KEYS) | {"inputs": args.inputs}
     return config, checks, protocol.cost()
 

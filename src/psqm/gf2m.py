@@ -9,10 +9,7 @@ field (`product_table`), so every degree is capped at MAX_TABLE_DEGREE,
 the widest field a protocol uses.  No inversion is provided or needed.
 """
 
-from __future__ import annotations
-
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +44,23 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """Monic irreducible degree-m modulus, packed into `encoding`."""
+class Modulus(tuple):
+    """Monic irreducible degree-m modulus, packed into `encoding`: the pair
+    (degree, encoding), checked when built, and equal and hashed by value
+    (`product_table`'s cache key)."""
 
-    degree: int
-    encoding: int
+    __slots__ = ()
+    degree = property(lambda self: self[0])
+    encoding = property(lambda self: self[1])
 
-    def __post_init__(self):
-        if not 1 <= self.degree <= MAX_TABLE_DEGREE:
-            raise ValueError(f"modulus degree {self.degree} outside 1..{MAX_TABLE_DEGREE}")
-        if degree(self.encoding) != self.degree:
+    def __new__(cls, degree: int, encoding: int):
+        if not 1 <= degree <= MAX_TABLE_DEGREE:
+            raise ValueError(f"modulus degree {degree} outside 1..{MAX_TABLE_DEGREE}")
+        if encoding.bit_length() - 1 != degree:
             raise ValueError("encoding degree does not match the declared degree")
-        if not is_irreducible(self.encoding):
-            raise ValueError(f"modulus {bin(self.encoding)} is reducible")
+        if not is_irreducible(encoding):
+            raise ValueError(f"modulus {bin(encoding)} is reducible")
+        return super().__new__(cls, (degree, encoding))
 
 
 def find_irreducible(m: int) -> Modulus:

@@ -16,24 +16,26 @@ Party inputs are bit strings at the public edge (`reference`,
 `output_masses`, `averaged_message`, `run`, `message_state`), where
 `_codes` validates each one and reads it, once, as a big-endian integer:
 its code.  Everything private takes codes: `input_domain` is an
-(N, party_count) code array and `_reference` maps a block of its rows to
-output columns at once.  Randomness components and classical messages
-are bit strings.  sum2 and geq share one implementation, defined party
-by party by the Pauli X and Z masks that each party applies to the
-qubits it sends (`_party_frames`); sum2 is its l = 1 case with the mask
-fixed to the field's 1, and each protocol holds only data.  Odd party
-counts are handled by an internal virtual party with the all-zero input
-whose qubits are sent by the last real party.  Outputs: sum2 yields the
-pair (sum of first bits, sum of second bits); geq and dj yield 1 for
-"all sums zero" / "equal" and 0 otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
+(N, party_count) code array, and `_reference`, `_output_masses` and
+`_averaged_matrix` each take a block of its rows at once (`_runs` takes
+one input under a list of randomness values).  `_blocks` sizes the
+blocks to at most _BLOCK_BYTES of states or masses, and each public
+method above calls a hook with a block of one row.  Randomness
+components and classical messages are bit strings.  sum2 and geq share
+one implementation, defined party by party by the Pauli X and Z masks
+that each party applies to the qubits it sends (`_party_frames`); sum2
+is its l = 1 case with the mask fixed to the field's 1, and each
+protocol holds only data.  Odd party counts are handled by an internal
+virtual party with the all-zero input whose qubits are sent by the last
+real party.  Outputs: sum2 yields the pair (sum of first bits, sum of
+second bits); geq and dj yield 1 for "all sums zero" / "equal" and 0
+otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
 distinguished non-output.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,8 +52,7 @@ PROMISE_VIOLATION = _PromiseViolation()
 _MAX_PROTOCOL_QUBITS = 10  # density matrices over the full message space stay desk-scale
 _MAX_DJ_QUBITS = 8
 _KEY_CHUNK = 1 << 21  # (input, randomness) keys that weight_sum_maxima holds at once
-# parities of every index within the cap; np.bitwise_count needs numpy 2
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _MAX_PROTOCOL_QUBITS)])
+_BLOCK_BYTES = 1 << 16  # a block's states or output masses; 1 << 18 raised verify's peak RSS 4%
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -69,6 +70,10 @@ def _popcount(values, bits: int):
     return sum((values >> b) & 1 for b in range(bits))
 
 
+# the parity of every index within the cap
+_PARITY = _popcount(np.arange(1 << _MAX_PROTOCOL_QUBITS), _MAX_PROTOCOL_QUBITS) & 1
+
+
 def _draw(rng, bits: int) -> int:
     """A code from `bits` calls of rng.getrandbits(1), the first most significant."""
     code = 0
@@ -77,14 +82,12 @@ def _draw(rng, bits: int) -> int:
     return code
 
 
-@dataclass
-class TranscriptRecord:
-    """One protocol execution under a fixed randomness value."""
-
-    outcome_distribution: dict
-    output_distribution: dict
-    message_state: np.ndarray | None = None  # amplitudes, big-endian
-    message_distribution: dict | None = None
+class TranscriptRecord(SimpleNamespace):
+    """One protocol execution under a fixed randomness value: its
+    outcome_distribution and output_distribution, and its message_state
+    (amplitudes, big-endian) or message_distribution (a classical law), the
+    other None.  No field is a class attribute: `bench/inproc.py --traced 1`
+    wraps this module's class attributes that share a layer's name."""
 
 
 class ProtocolInstance:
@@ -134,26 +137,37 @@ class ProtocolInstance:
         return np.arange(1 << self.input_lengths[party])
 
     def run(self, inputs, randomness) -> TranscriptRecord:
+        return next(self._runs(self._codes(inputs), [randomness]))
+
+    def _runs(self, codes, randomness_values):
+        """`run` of one input's codes under each randomness value, in turn."""
         raise NotImplementedError
 
     def output_masses(self, inputs) -> np.ndarray:
         """Exact output law under every randomness value: row i is for
         randomness_domain[i], column j the mass on output_domain[j]."""
-        return self._output_masses(self._codes(inputs))
+        return self._output_masses(np.array([self._codes(inputs)]))[0]
 
     def _output_masses(self, codes) -> np.ndarray:
-        """`output_masses` of one input's codes."""
+        """`output_masses` of each row of a block of codes, stacked."""
         raise NotImplementedError
 
     def _averaged_matrix(self, codes) -> np.ndarray:
-        """Randomness-averaged message of one input's codes as a complex
-        matrix, unvalidated: it is a convex combination of states, so PSD
-        by construction."""
+        """Randomness-averaged message of each row of a block of codes as a
+        complex matrix, stacked and unvalidated: each is a convex
+        combination of states, so PSD by construction."""
         raise NotImplementedError
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
         """The randomness-averaged message, validated."""
-        return qsim.DensityMatrix(self._averaged_matrix(self._codes(inputs)))
+        return qsim.DensityMatrix(self._averaged_matrix(np.array([self._codes(inputs)]))[0])
+
+    def _blocks(self, codes, item_bytes: int):
+        """(start, rows) slices of an (N, party_count) code array for the
+        block hooks, which hold item_bytes per input and randomness value:
+        at most _BLOCK_BYTES in all, and one row at least."""
+        step = max(1, _BLOCK_BYTES // (len(self.randomness_domain) * item_bytes))
+        return ((start, codes[start : start + step]) for start in range(0, len(codes), step))
 
     def weight_sum_maxima(self, party: int, own_inputs, randomness_values) -> tuple[float, float]:
         """Largest sums over z in own_inputs (codes) of |<psi(x;r)|psi(z;r')>|^2,
@@ -186,20 +200,22 @@ class ProtocolInstance:
 
 
 def _framed_states(amps: np.ndarray, xmasks: np.ndarray, zmasks: np.ndarray) -> np.ndarray:
-    """The real state `amps` under each operator X^xmask Z^zmask, one row
-    per mask pair, masks over big-endian index bits.
+    """The real state `amps` under each operator X^xmask Z^zmask, along a
+    new last axis of the mask arrays' shape, masks over big-endian index
+    bits.
 
     Z negates the amplitude at index i when |i & zmask| is odd, then X
     moves it to i ^ xmask.  Only real parts are written, so every zero
     stays +0.0.
     """
+    shape = xmasks.shape + amps.shape
+    xmasks, zmasks = xmasks.reshape(-1, 1), zmasks.reshape(-1, 1)
     support = np.flatnonzero(amps)
     values = amps.real[support]
-    odd = _PARITY[support & zmasks[:, None]]
+    odd = _PARITY[support & zmasks]
     states = np.zeros((len(xmasks), amps.size), dtype=complex)
-    rows = np.arange(len(xmasks))[:, None]
-    states.real[rows, support ^ xmasks[:, None]] = np.where(odd, -values, values)
-    return states
+    states.real[np.arange(len(xmasks))[:, None], support ^ xmasks] = np.where(odd, -values, values)
+    return states.reshape(shape)
 
 
 @functools.cache
@@ -332,12 +348,14 @@ class _GhzMaskProtocol(ProtocolInstance):
         return xmasks, zmasks
 
     def _frames(self, codes, randomness) -> tuple[np.ndarray, np.ndarray]:
-        """(xmasks, zmasks) of the message operator X^xmask Z^zmask for one
-        input's codes under each randomness value: the XOR of every party's
-        frame, exact because the parties act on disjoint qubits."""
-        parties = np.arange(self.party_count, dtype=np.int16)
-        xmasks, zmasks = self._party_frames(parties, np.asarray(codes), randomness)
-        return np.bitwise_xor.reduce(xmasks), np.bitwise_xor.reduce(zmasks)
+        """(xmasks, zmasks) of the message operator X^xmask Z^zmask of each row
+        of a block of codes under each randomness value: one `_party_frames`
+        call for all the block's parties, whose frames XOR to the message's
+        because they act on disjoint qubits."""
+        rows, k = codes.shape
+        parties = np.tile(np.arange(k, dtype=np.int16), rows)
+        frames = self._party_frames(parties, codes.ravel(), randomness)
+        return tuple(np.bitwise_xor.reduce(m.reshape(rows, k, -1), axis=1) for m in frames)
 
     @functools.cached_property
     def _output_columns(self) -> np.ndarray:
@@ -361,15 +379,24 @@ class _GhzMaskProtocol(ProtocolInstance):
     def message_state(self, inputs, randomness) -> np.ndarray:
         return self.run(inputs, randomness).message_state
 
-    def run(self, inputs, randomness) -> TranscriptRecord:
-        """One frame gives both the message amplitudes and the outcome."""
-        frame = self._frames(self._codes(inputs), self._randomness_ints([randomness]))
-        outcome = int(self._outcomes(*frame)[0])
-        return TranscriptRecord(
-            outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
-            output_distribution={self.output_domain[self._output_columns[outcome]]: 1.0},
-            message_state=_framed_states(self._shared, *frame)[0],
+    def _runs(self, codes, randomness_values):
+        """One frames call gives every outcome; the message amplitudes are
+        framed _BLOCK_BYTES at a time."""
+        (xmasks,), (zmasks,) = self._frames(
+            np.array([codes]), self._randomness_ints(randomness_values)
         )
+        outcomes = self._outcomes(xmasks, zmasks).tolist()
+        step = max(1, _BLOCK_BYTES // self._shared.nbytes)
+        for start in range(0, len(outcomes), step):
+            block = slice(start, start + step)
+            states = _framed_states(self._shared, xmasks[block], zmasks[block])
+            for outcome, state in zip(outcomes[block], states):
+                yield TranscriptRecord(
+                    outcome_distribution={format(outcome, f"0{self._qubits}b"): 1.0},
+                    output_distribution={self.output_domain[self._output_columns[outcome]]: 1.0},
+                    message_state=state,
+                    message_distribution=None,
+                )
 
     def _output_masses(self, codes) -> np.ndarray:
         outcomes = self._outcomes(*self._frames(codes, self._domain_ints))
@@ -377,8 +404,9 @@ class _GhzMaskProtocol(ProtocolInstance):
 
     def _averaged_matrix(self, codes) -> np.ndarray:
         states = _framed_states(self._shared, *self._frames(codes, self._domain_ints))
-        w = np.full(len(states), 1.0 / len(states))
-        return (states.T * w) @ states.conj()
+        w = np.full(states.shape[1], 1.0 / states.shape[1])
+        scaled = states.transpose(0, 2, 1) * w
+        return scaled @ np.conjugate(states, out=states)  # in place: one stack fewer
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Up to sign, a party state is fixed per block by which of its
@@ -576,18 +604,18 @@ class DJProtocol(ProtocolInstance):
         onehot = (self._masks(randomness_values)[:, :, None] == np.arange(self.n)).astype(float)
         return onehot.transpose(0, 2, 1) @ self._outcome_law(codes) @ onehot
 
-    def run(self, inputs, randomness) -> TranscriptRecord:
-        (law,) = self._message_laws(self._codes(inputs), [randomness])
+    def _runs(self, codes, randomness_values):
         bits = self._message_bits
-        msg_dist = {
-            (bits[a], bits[b]): float(law[a, b]) for a, b in zip(*np.nonzero(law > 1e-15))
-        }
-        accept = float(np.trace(law))
-        return TranscriptRecord(
-            outcome_distribution={"equal": accept, "different": 1.0 - accept},
-            output_distribution={1: accept, 0: 1.0 - accept},
-            message_distribution=msg_dist,
-        )
+        for law in self._message_laws(codes, randomness_values):
+            accept = float(np.trace(law))
+            yield TranscriptRecord(
+                outcome_distribution={"equal": accept, "different": 1.0 - accept},
+                output_distribution={1: accept, 0: 1.0 - accept},
+                message_state=None,
+                message_distribution={
+                    (bits[a], bits[b]): float(law[a, b]) for a, b in zip(*np.nonzero(law > 1e-15))
+                },
+            )
 
     def _domain_laws(self, codes) -> tuple[np.ndarray, np.ndarray]:
         """(output masses, averaged message law), computed once per x XOR y,
@@ -603,12 +631,15 @@ class DJProtocol(ProtocolInstance):
         return self._law_cache[w]
 
     def _output_masses(self, codes) -> np.ndarray:
-        return self._domain_laws(codes)[0]
+        return np.array([self._domain_laws(row)[0] for row in codes.tolist()])
 
     def _averaged_matrix(self, codes) -> np.ndarray:
-        """Randomness-averaged law of the message pair, as a diagonal
+        """Randomness-averaged law of each message pair, as a diagonal
         complex matrix indexed by a*n + b (field-encoded messages)."""
-        return np.diag(self._domain_laws(codes)[1].reshape(-1).astype(complex))
+        laws = np.array([self._domain_laws(row)[1].reshape(-1) for row in codes.tolist()])
+        matrices = np.zeros((len(laws), laws.shape[1] ** 2), dtype=complex)
+        matrices[:, :: laws.shape[1] + 1] = laws
+        return matrices.reshape(len(laws), laws.shape[1], -1)
 
     def weight_sum_maxima(self, party, own_inputs, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards

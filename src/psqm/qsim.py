@@ -12,8 +12,6 @@ encoded big-endian, so basis index b assigns qubit i the bit
 compare projectors so global phase is irrelevant.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 CONSTRUCTION_TOL = 1e-12

@@ -10,7 +10,10 @@ checks first refuse a protocol whose per-input message stack is too big.
 
 Privacy, the purity bounds and the collision bound all read the
 randomness-averaged messages rho_x, so `check_messages` derives the three
-reports from one walk that builds each rho_x once.  The walk reads the
+reports from one walk that builds each rho_x once, a block of inputs per
+`_averaged_matrix` call (correctness reads output masses by blocks too).
+The purity, the distance and the rho_bar sum stay per input, in sweep
+order, so reports keep their float noise bit for bit.  The walk reads the
 raw matrices: a convex combination of states is a density matrix by
 construction, so no rho_x is validated on the way.  Validation stays at
 the API edge: the public `averaged_message`, and each class
@@ -38,13 +41,11 @@ vacuous and is reported as skipped, with informational witnesses still
 attached; no check is skipped for size.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -147,14 +148,10 @@ def _kary_nondegenerate(protocol: ProtocolInstance) -> bool:
     return True
 
 
-@dataclass
-class CorrectnessReport:
-    passed: bool
-    min_mass: float
-    worst_input: tuple | None
-    worst_randomness: object
-    cases: int
-    coverage: str
+class CorrectnessReport(SimpleNamespace):
+    """passed, min_mass, worst_input (bit strings, or None), worst_randomness,
+    cases and coverage.  Each report class is a namespace of the keywords
+    it is built with, plus its `witnesses`."""
 
     def witnesses(self, protocol=None):
         fmt_r = protocol.format_randomness if protocol else str
@@ -181,12 +178,15 @@ def check_correctness(
     if not len(inputs):
         raise ValueError("nothing to check: empty sweep")
     domain = protocol.randomness_domain
+    targets = protocol._reference(inputs)
     min_mass, worst_x, worst_r = float("inf"), None, None
-    for x, target in zip(inputs.tolist(), protocol._reference(inputs).tolist()):
-        masses = protocol._output_masses(x)[:, target]
-        i = int(np.argmin(masses))  # the first minimum, so the witness is the first worst pair
-        if masses[i] < min_mass:
-            min_mass, worst_x, worst_r = float(masses[i]), x, domain[i]
+    for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
+        rows = np.arange(len(block))
+        masses = protocol._output_masses(block)[rows, :, targets[start + rows]]
+        i = int(np.argmin(masses))  # the first minimum in sweep order: the first worst pair
+        if masses.flat[i] < min_mass:
+            row, r = divmod(i, len(domain))
+            min_mass, worst_x, worst_r = float(masses.flat[i]), block[row].tolist(), domain[r]
     return CorrectnessReport(
         passed=min_mass >= 1.0 - tol,
         min_mass=min_mass,
@@ -197,13 +197,10 @@ def check_correctness(
     )
 
 
-@dataclass
-class PrivacyClass:
-    representative_input: tuple
-    matrix: np.ndarray  # the representative's averaged message, unvalidated
-    size: int
-    max_distance: float
-    purity: float
+class PrivacyClass(SimpleNamespace):
+    """representative_input, its averaged message `matrix` (unvalidated) and
+    purity, the class size, and max_distance, the largest distance of a
+    member's averaged message from the representative's."""
 
     @functools.cached_property
     def representative(self) -> qsim.DensityMatrix:
@@ -211,15 +208,9 @@ class PrivacyClass:
         return qsim.DensityMatrix(self.matrix)
 
 
-@dataclass
-class PrivacyReport:
-    passed: bool
-    classes: dict
-    max_distance: float
-    cross_orthogonality: float
-    coverage: str
-    note: str | None = None
-    worst_input: tuple | None = None
+class PrivacyReport(SimpleNamespace):
+    """passed, classes (output -> PrivacyClass), max_distance,
+    cross_orthogonality, coverage, note and worst_input (or None)."""
 
     def witnesses(self, protocol=None):
         fmt = protocol.format_output if protocol else str
@@ -243,16 +234,10 @@ class PrivacyReport:
         return out
 
 
-@dataclass
-class WeightSumReport:
-    passed: bool
-    party: int
-    max_excluding_self: float
-    max_including_self: float
-    pair_count: int
-    skipped: bool = False
-    reason: str | None = None
-    gram_inputs: int | None = None  # set when the informational witness is truncated
+class WeightSumReport(SimpleNamespace):
+    """passed, party, max_excluding_self, max_including_self, pair_count,
+    skipped, reason, and gram_inputs: set when the informational witness
+    is truncated, else None."""
 
     def witnesses(self, protocol=None):
         out = {
@@ -302,27 +287,15 @@ def check_weight_sums(
     )
 
 
-@dataclass
-class PurityBoundsReport:
-    passed: bool
-    purity: float
-    dim: int
-    coverage: str
+class PurityBoundsReport(SimpleNamespace):
+    """passed, purity, dim and coverage."""
 
     def witnesses(self, protocol=None):
         return {"purity": self.purity, "dim": self.dim, "floor": 1.0 / self.dim}
 
 
-@dataclass
-class CollisionBoundReport:
-    passed: bool
-    lhs: float
-    rhs: float
-    beta: float
-    cross_terms: float
-    coverage: str
-    skipped: bool = False
-    reason: str | None = None
+class CollisionBoundReport(SimpleNamespace):
+    """passed, lhs, rhs, beta, cross_terms, coverage, skipped and reason."""
 
     def witnesses(self, protocol=None):
         out = {
@@ -381,29 +354,32 @@ def check_messages(
     max_distance, worst_input = 0.0, None
     rho_bar = None
     self_terms = 0.0
-    targets = protocol._reference(inputs)  # _distribution holds promise inputs only
-    for x, column, w in zip(inputs.tolist(), targets.tolist(), weights):
-        y = protocol.output_domain[column]
-        rho = protocol._averaged_matrix(x)
-        rho_bar = w * rho if rho_bar is None else rho_bar + w * rho
-        purity = qsim.purity(rho)
-        self_terms += float(w) ** 2 * purity
-        masses_by_class.setdefault(y, []).append(float(w))
-        if y not in classes:
-            classes[y] = PrivacyClass(
-                representative_input=protocol._input_strings(x),
-                matrix=rho,
-                size=1,
-                max_distance=0.0,
-                purity=purity,
-            )
-            continue
-        cls = classes[y]
-        cls.size += 1
-        dist = qsim.matrix_distance(cls.matrix, rho)
-        cls.max_distance = max(cls.max_distance, dist)
-        if dist > max_distance:
-            max_distance, worst_input = dist, protocol._input_strings(x)
+    targets = protocol._reference(inputs).tolist()  # _distribution holds promise inputs only
+    for start, block in protocol._blocks(inputs, 16 << protocol.cost()[0]):
+        stop = start + len(block)
+        rhos = protocol._averaged_matrix(block)
+        rows = zip(block.tolist(), targets[start:stop], weights[start:stop], rhos)
+        for x, column, w, rho in rows:
+            y = protocol.output_domain[column]
+            rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
+            purity = qsim.purity(rho)
+            self_terms += float(w) ** 2 * purity
+            masses_by_class.setdefault(y, []).append(float(w))
+            if y not in classes:  # a copy, so that no block outlives its loop
+                classes[y] = PrivacyClass(
+                    representative_input=protocol._input_strings(x),
+                    matrix=rho.copy(),
+                    size=1,
+                    max_distance=0.0,
+                    purity=purity,
+                )
+                continue
+            cls = classes[y]
+            cls.size += 1
+            dist = qsim.matrix_distance(cls.matrix, rho)
+            cls.max_distance = max(cls.max_distance, dist)
+            if dist > max_distance:
+                max_distance, worst_input = dist, protocol._input_strings(x)
     if not classes:
         raise ValueError("nothing to check: empty sweep")
 

@@ -77,19 +77,29 @@ def test_verify_dj_skips_but_exits_zero(capsys):
     assert report["cost"] == {"value": 2, "unit": "bits"}
 
 
+def block_rows(argv, item_bytes) -> tuple:
+    """The protocol that argv names, and the rows per block that
+    `_blocks` gives its hooks when they hold item_bytes(protocol) bytes
+    per input and randomness value."""
+    proto = cli._build_protocol(cli.build_parser().parse_args(argv))
+    size = len(proto.randomness_domain) * item_bytes(proto)
+    return proto, max(1, protocols._BLOCK_BYTES // size)
+
+
 @pytest.mark.parametrize(
     "argv,count",
     [(["--protocol", "sum2", "--k", "3"], 4**3), (["--protocol", "dj", "--n", "4"], 112)],
     ids=["sum2-k3", "dj-n4"],
 )
 def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, capsys):
-    """Each input's averaged matrix is built once, and only class
-    representatives could become validated `DensityMatrix` objects."""
-    calls, validated = [], []
+    """Each input's averaged matrix is built once, in at most ceil(N / B)
+    block calls of B > 1 rows, and only class representatives could
+    become validated `DensityMatrix` objects."""
+    blocks, validated = [], []
     for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
-        def counted(self, inputs, _original=cls._averaged_matrix):
-            calls.append(tuple(inputs))
-            return _original(self, inputs)
+        def counted(self, codes, _original=cls._averaged_matrix):
+            blocks.append([tuple(row) for row in codes.tolist()])
+            return _original(self, codes)
 
         monkeypatch.setattr(cls, "_averaged_matrix", counted)
 
@@ -100,7 +110,10 @@ def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, caps
     monkeypatch.setattr(qsim.DensityMatrix, "__init__", counted_init)
     code, out, _ = run_main(["verify"] + argv, capsys)
     assert code == 0
-    assert len(calls) == len(set(calls)) == count
+    _, rows = block_rows(["verify"] + argv, lambda proto: 16 << proto.cost()[0])
+    assert rows > 1 and len(blocks) <= math.ceil(count / rows)
+    inputs = [x for block in blocks for x in block]
+    assert len(inputs) == len(set(inputs)) == count
     classes = parse(out)["checks"][1]["witnesses"]["classes"]
     assert len(validated) <= len(classes)
     assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
@@ -114,28 +127,47 @@ def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, caps
         (["verify", "--protocol", "dj", "--n", "4"], 112),
         (["run", "--protocol", "sum2", "--k", "3"], 4**3),
         (["run", "--protocol", "dj", "--n", "4"], 112),
+        (["run", "--protocol", "sum2", "--k", "3", "--inputs", "01,10,11"], 1),
+        (["run", "--protocol", "geq", "--k", "2", "--l", "2", "--inputs", "0110,1011"], 1),
+        (["run", "--protocol", "dj", "--n", "4", "--inputs", "0110,0101"], 1),
     ],
-    ids=["verify-sum2-k3", "verify-geq-k2-l1", "verify-dj-n4", "run-sum2-k3", "run-dj-n4"],
+    ids=[
+        "verify-sum2-k3", "verify-geq-k2-l1", "verify-dj-n4", "run-sum2-k3", "run-dj-n4",
+        "run-inputs-sum2-k3", "run-inputs-geq-k2-l2", "run-inputs-dj-n4",
+    ],
 )
 def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, capsys):
-    """Correctness, and `run` without --inputs, read each input's output
-    masses over the whole randomness domain in one call."""
-    calls, runs = [], []
+    """Correctness, and `run`, read every input's output masses over the
+    whole randomness domain once, in at most ceil(N / B) block calls, and
+    never call `run`: `run --inputs` takes all R transcripts of an input
+    from one `_runs` call."""
+    blocks, runs, transcripts = [], [], []
     for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
-        def counted(self, inputs, _original=cls._output_masses):
-            calls.append(tuple(inputs))
-            return _original(self, inputs)
+        def counted(self, codes, _original=cls._output_masses):
+            blocks.append([tuple(row) for row in codes.tolist()])
+            return _original(self, codes)
 
-        def run(self, inputs, randomness, _original=cls.run):
-            runs.append((tuple(inputs), randomness))
-            return _original(self, inputs, randomness)
+        def counted_runs(self, codes, randomness_values, _original=cls._runs):
+            transcripts.append(len(randomness_values))
+            return _original(self, codes, randomness_values)
 
         monkeypatch.setattr(cls, "_output_masses", counted)
-        monkeypatch.setattr(cls, "run", run)
+        monkeypatch.setattr(cls, "_runs", counted_runs)
+
+    def run(self, inputs, randomness, _original=protocols.ProtocolInstance.run):
+        runs.append((tuple(inputs), randomness))
+        return _original(self, inputs, randomness)
+
+    monkeypatch.setattr(protocols.ProtocolInstance, "run", run)
     code, _, _ = run_main(argv, capsys)
     assert code == 0
-    assert len(calls) == len(set(calls)) == count
+    proto, rows = block_rows(argv, lambda proto: 8 * len(proto.output_domain))
+    assert len(blocks) <= math.ceil(count / rows)
+    assert count == 1 or rows > 1
+    inputs = [x for block in blocks for x in block]
+    assert len(inputs) == len(set(inputs)) == count
     assert runs == []
+    assert transcripts == ([len(proto.randomness_domain)] if "--inputs" in argv else [])
 
 
 def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):

@@ -147,12 +147,12 @@ def test_sum2_with_a_flipped_decoder_fails_correctness_only():
 
 
 class HalvedAverageSum2(Sum2Protocol):
-    """sum2 whose averaged messages carry half their mass: every rho_x is
-    scaled alike, so privacy holds, and the referee's outcomes are
-    untouched, so correctness holds too."""
+    """sum2 whose averaged messages carry half their mass: every rho_x of
+    a block is scaled alike, so privacy holds, and the referee's outcomes
+    are untouched, so correctness holds too."""
 
-    def _averaged_matrix(self, inputs):
-        return super()._averaged_matrix(inputs) / 2
+    def _averaged_matrix(self, codes):
+        return super()._averaged_matrix(codes) / 2
 
 
 def test_sum2_with_halved_averages_fails_purity_bounds():

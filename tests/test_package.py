@@ -139,6 +139,21 @@ def test_verify_loads_protocols_before_numpy_and_verify():
     assert set(loaded) == set(NUMPY_SIDE)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--protocol", "geq", "--k", "2", "--l", "1", "--inputs", "01,11"],
+        ["verify", "--protocol", "geq", "--k", "2", "--l", "1"],
+        ["verify", "--protocol", "dj", "--n", "2"],
+    ],
+)
+def test_run_and_verify_load_no_dataclasses(argv):
+    """Transcripts, reports and GF(2^m) moduli are plain classes or named
+    tuples: building dataclasses cost every `run` and `verify` process
+    milliseconds."""
+    assert modules_loaded_by(argv, ("dataclasses",)) == []
+
+
 def test_collision_beta_has_one_source():
     assert bounds.collision_beta is verify.collision_beta is psqm.collision_beta
 

@@ -247,6 +247,30 @@ def test_weight_sum_rule_matches_key_counts_on_subsets(data):
 
 
 BLOCK_CONFIGS = [("sum2", 5), ("geq", 2, 3), ("geq", 3, 2)]
+AVERAGED_CONFIGS = [("sum2", k) for k in range(2, 7)] + [
+    ("geq", k, l) for k, l in ((2, 1), (3, 1), (4, 1), (2, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "config", AVERAGED_CONFIGS, ids=["-".join(map(str, c)) for c in AVERAGED_CONFIGS]
+)
+def test_block_averaged_matrices_equal_the_per_input_matmul_bit_for_bit(config):
+    """Every input's averaged matrix, from the blocks that `check_messages`
+    walks (one stacked matmul per block), equals the one 2-D matmul of
+    that input's R transcript states alone, in every bit: the float noise
+    that reports carry stays the same."""
+    proto = build(config)
+    domain = proto.randomness_domain
+    w = np.full(len(domain), 1.0 / len(domain))
+    sizes = []
+    for _, block in proto._blocks(proto.input_domain(), 16 << proto.cost()[0]):
+        sizes.append(len(block))
+        for codes, rho in zip(block.tolist(), proto._averaged_matrix(block)):
+            states = np.array([record.message_state for record in proto._runs(codes, domain)])
+            alone = (states.T * w) @ states.conj()
+            assert np.array_equal(rho.view(np.float64), alone.view(np.float64)), codes
+    assert max(sizes) > 1
 
 
 @pytest.mark.parametrize("config", BLOCK_CONFIGS, ids=["-".join(map(str, c)) for c in BLOCK_CONFIGS])

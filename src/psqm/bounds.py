@@ -229,7 +229,7 @@ def _labeled(table: FunctionTable, S, T, sigma, tau) -> tuple[Rectangle, Rectang
     return first, second
 
 
-def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaResult:
+def alpha(table: FunctionTable, mu: InputDistribution) -> AlphaResult:
     """Maximum min-weight over similar disjoint rectangle pairs (0 and
     no witness when none exists), with the largest pair's cell count.
 
@@ -267,10 +267,6 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
         raise ValueError(
             f"rectangle enumeration capped at {ALPHA_DOMAIN_CAP}x{ALPHA_DOMAIN_CAP} tables"
         )
-    if size_cap is not None and size_cap < 1:
-        raise ValueError("size cap must be at least 1")
-    cap_rows = min(size_cap, n1) if size_cap is not None else n1
-    cap_cols = min(size_cap, n2) if size_cap is not None else n2
     ratios = [[v.as_integer_ratio() for v in row] for row in mu.weights]
     unit = max(q for row in ratios for _, q in row)  # every q is a power of two
     w = [[p * (unit // q) for p, q in row] for row in ratios]
@@ -305,7 +301,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
         for bit, weight in pairs2:
             if hit & bit:
                 left2.append(left2[-1] + weight)
-        room = min(cap_cols - depth, len(left2) - 1)
+        room = len(left2) - 1  # `hit` holds no image in `used`: at most n2 - depth
         for i, y in enumerate(live):
             reach = min(room, len(live) - i)
             if (
@@ -327,7 +323,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 if min(nw1, nw2) > best:
                     best = min(nw1, nw2)
                     witness = (S, tuple(stack_t), sigma, tuple(stack_tau))
-                if depth + 1 < cap_cols:
+                if depth + 1 < n2:
                     search(y + 1, used | bit, nw1, nw2)
                 stack_t.pop()
                 stack_tau.pop()
@@ -346,7 +342,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 if row:
                     hit, live, bound1 = hit | row, live + 1, bound1 + weight
             # the first side's half of the leaf test below, for the whole subtree
-            cells_cut = a * min(cap_cols, live, popcount[hit]) <= max_cells
+            cells_cut = a * min(live, popcount[hit]) <= max_cells
             if cells_cut and bound1 <= best:
                 continue
             w2 = [c + v for c, v in zip(weights2, w[t])]
@@ -358,7 +354,7 @@ def alpha(table: FunctionTable, mu: InputDistribution, size_cap=None) -> AlphaRe
                 pairs2 = sorted(zip(bits, w2), key=operator.itemgetter(1), reverse=True)
                 search(0, 0, 0, 0)
 
-    for a in range(1, cap_rows + 1):
+    for a in range(1, n1 + 1):
         for S in itertools.combinations(range(n1), a):
             colw1 = [0] * n2  # each column's weight on S
             for s in S:

@@ -126,8 +126,8 @@ def _build_protocol(args):
     return protocols.dj_protocol(args.n)
 
 
-def _config_echo(args, keys) -> dict:
-    return {key: getattr(args, key, None) for key in keys}
+def _config_echo(args) -> dict:
+    return {key: getattr(args, key, None) for key in _PROTO_KEYS}
 
 
 _PROTO_KEYS = ("protocol", "k", "l", "n", "tol", "seed", "budget")
@@ -196,7 +196,7 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
             passed = column < 0 or bool(law[:, column].min() >= 1.0 - args.tol)
             coverage = f"randomness-exhaustive:{len(domain)}"
             checks.append(_record(f"run[{','.join(inputs)}]", passed, witnesses, coverage))
-    config = _config_echo(args, _PROTO_KEYS) | {"inputs": args.inputs}
+    config = _config_echo(args) | {"inputs": args.inputs}
     return config, checks, protocol.cost()
 
 
@@ -219,7 +219,7 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
         add(f"weight_sums_party{party}", rep, f"randomness-pairs:{rep.pair_count}")
     add("purity_bounds", purity, purity.coverage)
     add("collision_bound", collision, collision.coverage)
-    return _config_echo(args, _PROTO_KEYS), checks, protocol.cost()
+    return _config_echo(args), checks, protocol.cost()
 
 
 def _load_table(args):
@@ -276,7 +276,7 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
     # tuples serialize as lists, so the named fields are the witnesses as they stand
     step("cliques", lambda: bounds.exact_smp_clique_sizes(table), lambda c: c._asdict())
 
-    config = _config_echo(args, _PROTO_KEYS) | {
+    config = _config_echo(args) | {
         "table": args.table,
         "mu": "uniform-defined",
     }
@@ -299,7 +299,7 @@ def cmd_stats(args) -> tuple[dict, list, tuple | None]:
     checks = [
         _record("random_function_stats", True, summary, summary["coverage"])
     ]
-    config = _config_echo(args, _PROTO_KEYS) | {
+    config = _config_echo(args) | {
         "trials": args.trials,
         "exhaustive": args.exhaustive,
     }

@@ -11,6 +11,7 @@ randomness domains and deterministic input enumeration:
 * ``dj_protocol(n)``: two parties with n-bit inputs promised equal
   or at Hamming distance n/2; EPR-correlated measurements are masked
   into classical messages and executed in distribution (no sampling).
+  Every dj law depends on the inputs only through x XOR y.
 
 Party inputs are bit strings at the public edge (`reference`,
 `output_masses`, `averaged_message`, `run`, `message_state`), where
@@ -174,6 +175,23 @@ class ProtocolInstance:
         over x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def _kary_nondegenerate(self) -> bool:
+        """Whether the reference is total and every pair of one party's inputs
+        is distinguished by some assignment of the other parties: for a total
+        reference, whether each party's rows of the own x rest output table
+        are pairwise distinct.  One `_reference` call over the input domain,
+        whose rows run through every party's codes with party 0's slowest."""
+        if not self.reference_total:
+            return False
+        table = self._reference(self.input_domain())
+        table = table.reshape([1 << n for n in self.input_lengths])
+        for party in range(self.party_count):
+            rows = np.moveaxis(table, party, 0).reshape(table.shape[party], -1)
+            if len({row.tobytes() for row in rows}) < len(rows):
+                return False
+        return True
+
     def _privacy_note(self, averages: dict) -> str | None:
         """The privacy report's note, from each class's averaged message."""
         return None
@@ -248,12 +266,12 @@ def _ghz_blocks(width: int, blocks: int) -> np.ndarray:
     return functools.reduce(np.kron, [ghz] * blocks)
 
 
-def _hadamards(amps: np.ndarray, qubits) -> np.ndarray:
-    """Big-endian amplitudes with H applied to each of `qubits` in turn, by
-    the same tensordot per qubit as a dense gate simulator: the float
-    rounding of this fold shows in dj's reports."""
+def _hadamards(amps: np.ndarray) -> np.ndarray:
+    """Big-endian amplitudes with H applied to every qubit in turn, by the
+    same tensordot per qubit as a dense gate simulator: the float rounding
+    of this fold shows in dj's reports."""
     shape = [2] * (amps.size.bit_length() - 1)
-    for q in qubits:
+    for q in range(len(shape)):
         tensor = np.tensordot(_H, amps.reshape(shape), axes=([1], [q]))
         amps = np.moveaxis(tensor, 0, q).reshape(-1)
     return amps
@@ -509,7 +527,8 @@ class DJProtocol(ProtocolInstance):
     Hadamard-transformed and measured; the two m-bit outcomes are masked
     into classical messages p(r)p(outcome) + p(r') which agree exactly
     when the outcomes agree.  Execution is in distribution: every
-    transcript carries the exact joint law of the message pair.
+    transcript carries the exact joint law of the message pair.  Every
+    law depends on the inputs only through w = x XOR y, so the laws take w.
     """
 
     name = "dj"
@@ -527,9 +546,6 @@ class DJProtocol(ProtocolInstance):
         self.input_lengths = (n, n)
         self.output_domain = (0, 1)
         self.field = gf2m.find_irreducible(m)
-        self._shared = np.zeros(1 << (2 * m), dtype=complex)
-        for i in range(n):
-            self._shared[(i << m) | i] = 1 / np.sqrt(n)
         self.randomness_domain = tuple(
             (r, rp)
             for r in _bitstrings(m)
@@ -569,17 +585,14 @@ class DJProtocol(ProtocolInstance):
         flips = rng.sample(range(n), n // 2)
         return (x, x ^ sum(1 << (n - 1 - i) for i in flips))
 
-    def _phase_signs(self, x: int, y: int) -> np.ndarray:
-        """(-1)^(x_i + y_j) at index i*n + j, bit 0 the most significant."""
-        shifts = np.arange(self.n - 1, -1, -1)
-        parity = np.add.outer((x >> shifts) & 1, (y >> shifts) & 1) & 1
-        return 1 - 2 * parity.ravel()
-
-    def _outcome_law(self, codes) -> np.ndarray:
-        """Exact law of the two measured m-bit outcomes, an n-by-n matrix."""
-        amps = self._shared * self._phase_signs(*codes)
-        amps = _hadamards(amps, range(2 * self.m))
-        return (np.abs(amps) ** 2).reshape(self.n, self.n)
+    def _outcome_law(self, w: int) -> np.ndarray:
+        """Exact law of the two measured m-bit outcomes, an n-by-n matrix.
+        The shared state is diagonal, so the phase (-1)^(x_i + y_i) of its
+        entry i*n + i is (-1)^(w_i), bit 0 the most significant."""
+        n = self.n
+        amps = np.zeros(n * n, dtype=complex)
+        amps[:: n + 1] = (1 - 2 * ((w >> np.arange(n - 1, -1, -1)) & 1)) / np.sqrt(n)
+        return (np.abs(_hadamards(amps)) ** 2).reshape(n, n)
 
     @functools.cached_property
     def _message_bits(self) -> list[str]:
@@ -594,7 +607,7 @@ class DJProtocol(ProtocolInstance):
         r, rp = (np.array([int(s[i], 2) for s in randomness_values]) for i in (0, 1))
         return packed[gf2m.product_table(self.field)[r] ^ rp[:, None]]
 
-    def _message_laws(self, codes, randomness_values) -> np.ndarray:
+    def _message_laws(self, w: int, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
         value, an (R, n, n) array: the outcome law P pushed through that
         value's masks as 0/1 matrices, M^T P M.  For r != 0 the mask is a
@@ -602,11 +615,11 @@ class DJProtocol(ProtocolInstance):
         exact zeros: the law is P permuted, bit for bit.  A mask that is
         not a bijection adds the masses of the outcomes it merges."""
         onehot = (self._masks(randomness_values)[:, :, None] == np.arange(self.n)).astype(float)
-        return onehot.transpose(0, 2, 1) @ self._outcome_law(codes) @ onehot
+        return onehot.transpose(0, 2, 1) @ self._outcome_law(w) @ onehot
 
     def _runs(self, codes, randomness_values):
         bits = self._message_bits
-        for law in self._message_laws(codes, randomness_values):
+        for law in self._message_laws(codes[0] ^ codes[1], randomness_values):
             accept = float(np.trace(law))
             yield TranscriptRecord(
                 outcome_distribution={"equal": accept, "different": 1.0 - accept},
@@ -617,13 +630,12 @@ class DJProtocol(ProtocolInstance):
                 },
             )
 
-    def _domain_laws(self, codes) -> tuple[np.ndarray, np.ndarray]:
-        """(output masses, averaged message law), computed once per x XOR y,
-        the only thing about the inputs that they depend on."""
-        w = codes[0] ^ codes[1]
+    def _domain_laws(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """(output masses, averaged message law) of the inputs with
+        x XOR y = w, computed once per w."""
         if w not in self._law_cache:
             domain = self.randomness_domain
-            laws = self._message_laws(codes, domain)
+            laws = self._message_laws(w, domain)
             accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
             masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
             masses.flags.writeable = False  # shared by every input with this x XOR y
@@ -631,12 +643,14 @@ class DJProtocol(ProtocolInstance):
         return self._law_cache[w]
 
     def _output_masses(self, codes) -> np.ndarray:
-        return np.array([self._domain_laws(row)[0] for row in codes.tolist()])
+        xors = (codes[:, 0] ^ codes[:, 1]).tolist()
+        return np.array([self._domain_laws(w)[0] for w in xors])
 
     def _averaged_matrix(self, codes) -> np.ndarray:
         """Randomness-averaged law of each message pair, as a diagonal
         complex matrix indexed by a*n + b (field-encoded messages)."""
-        laws = np.array([self._domain_laws(row)[1].reshape(-1) for row in codes.tolist()])
+        xors = (codes[:, 0] ^ codes[:, 1]).tolist()
+        laws = np.array([self._domain_laws(w)[1].reshape(-1) for w in xors])
         matrices = np.zeros((len(laws), laws.shape[1] ** 2), dtype=complex)
         matrices[:, :: laws.shape[1] + 1] = laws
         return matrices.reshape(len(laws), laws.shape[1], -1)

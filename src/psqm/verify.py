@@ -35,10 +35,11 @@ reference function) do not hold for every protocol: the per-party weight
 sums and the collision bound on averaged purity.  The hypothesis is
 decided exactly, with no size cap: a total reference is non-degenerate
 when, for every party, the rows of its own-input x other-inputs table are
-pairwise distinct, so one pass over the input domain decides it.  When
-the hypothesis fails (dj's promise reference is partial) the check is
-vacuous and is reported as skipped, with informational witnesses still
-attached; no check is skipped for size.
+pairwise distinct, so one pass over the input domain decides it, once
+per protocol (`_kary_nondegenerate`).  When the hypothesis fails (dj's
+promise reference is partial) the check is vacuous and is reported as
+skipped, with informational witnesses still attached; no check is
+skipped for size.
 """
 
 import functools
@@ -130,35 +131,16 @@ def _distribution(protocol, mu, budget, seed):
     return inputs, weights, coverage
 
 
-@functools.lru_cache(maxsize=1)  # one verify asks once per weight-sum party and once more
-def _kary_nondegenerate(protocol: ProtocolInstance) -> bool:
-    """Whether the reference is total and every pair of one party's inputs
-    is distinguished by some assignment of the other parties: for a total
-    reference, whether each party's rows of the own x rest output table
-    are pairwise distinct.  One `_reference` call over the input domain,
-    whose rows run through every party's codes with party 0's slowest."""
-    if not protocol.reference_total:
-        return False
-    table = protocol._reference(protocol.input_domain())
-    table = table.reshape([1 << n for n in protocol.input_lengths])
-    for party in range(protocol.party_count):
-        rows = np.moveaxis(table, party, 0).reshape(table.shape[party], -1)
-        if len({row.tobytes() for row in rows}) < len(rows):
-            return False
-    return True
-
-
 class CorrectnessReport(SimpleNamespace):
     """passed, min_mass, worst_input (bit strings, or None), worst_randomness,
     cases and coverage.  Each report class is a namespace of the keywords
     it is built with, plus its `witnesses`."""
 
-    def witnesses(self, protocol=None):
-        fmt_r = protocol.format_randomness if protocol else str
+    def witnesses(self, protocol):
         return {
             "min_mass": self.min_mass,
             "worst_input": ",".join(self.worst_input) if self.worst_input else None,
-            "worst_randomness": fmt_r(self.worst_randomness)
+            "worst_randomness": protocol.format_randomness(self.worst_randomness)
             if self.worst_randomness is not None
             else None,
             "cases": self.cases,
@@ -212,13 +194,12 @@ class PrivacyReport(SimpleNamespace):
     """passed, classes (output -> PrivacyClass), max_distance,
     cross_orthogonality, coverage, note and worst_input (or None)."""
 
-    def witnesses(self, protocol=None):
-        fmt = protocol.format_output if protocol else str
+    def witnesses(self, protocol):
         out = {
             "max_distance": self.max_distance,
             "cross_orthogonality": self.cross_orthogonality,
             "classes": {
-                fmt(y): {
+                protocol.format_output(y): {
                     "size": c.size,
                     "max_distance": c.max_distance,
                     "purity": c.purity,
@@ -239,7 +220,7 @@ class WeightSumReport(SimpleNamespace):
     skipped, reason, and gram_inputs: set when the informational witness
     is truncated, else None."""
 
-    def witnesses(self, protocol=None):
+    def witnesses(self, protocol):
         out = {
             "party": self.party,
             "max_excluding_self": self.max_excluding_self,
@@ -269,7 +250,7 @@ def check_weight_sums(
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
-    reason = None if _kary_nondegenerate(protocol) else _VACUOUS
+    reason = None if protocol._kary_nondegenerate else _VACUOUS
     domain = protocol.randomness_domain
     own = protocol.party_inputs(party)
     full = reason is None
@@ -290,14 +271,14 @@ def check_weight_sums(
 class PurityBoundsReport(SimpleNamespace):
     """passed, purity, dim and coverage."""
 
-    def witnesses(self, protocol=None):
+    def witnesses(self, protocol):
         return {"purity": self.purity, "dim": self.dim, "floor": 1.0 / self.dim}
 
 
 class CollisionBoundReport(SimpleNamespace):
     """passed, lhs, rhs, beta, cross_terms, coverage, skipped and reason."""
 
-    def witnesses(self, protocol=None):
+    def witnesses(self, protocol):
         out = {
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -406,7 +387,7 @@ def check_messages(
         coverage=coverage,
     )
 
-    if not _kary_nondegenerate(protocol):
+    if not protocol._kary_nondegenerate:
         collision = CollisionBoundReport(
             passed=True, lhs=0.0, rhs=0.0, beta=0.0, cross_terms=0.0,
             coverage="none", skipped=True, reason=_VACUOUS,

@@ -210,7 +210,7 @@ def oracle_alpha(entries, weights) -> float:
     return best
 
 
-def enumerated_pairs(table, mu, size_cap=None):
+def enumerated_pairs(table, mu):
     """Yield (min_weight, cells, S, T, sigma, tau) index tuples for every
     pair of similar disjoint rectangles, in `bounds.alpha`'s visit order.
 
@@ -219,8 +219,6 @@ def enumerated_pairs(table, mu, size_cap=None):
     second rectangle.  Weights are exact `Fraction` sums.
     """
     n1, n2 = len(table.entries), len(table.entries[0])
-    cap_rows = min(size_cap, n1) if size_cap is not None else n1
-    cap_cols = min(size_cap, n2) if size_cap is not None else n2
     e = table.entries
     w = [[Fraction(v) for v in row] for row in mu.weights]
     # bit y * n2 + y' of row_mask[x][x'] is set when e[x][y] == e[x'][y']
@@ -241,12 +239,12 @@ def enumerated_pairs(table, mu, size_cap=None):
                 nw1, nw2 = w_first + colw1[y], w_second + colw2[yp]
                 if row_disjoint or all(j != jp for j, jp in zip(T2, tau2)):
                     yield min(nw1, nw2), len(S) * len(T2), S, T2, sigma, tau2
-                if len(T2) < cap_cols:
+                if len(T2) < n2:
                     yield from extend(
                         S, sigma, mask, row_disjoint, colw1, colw2, y + 1, T2, tau2, nw1, nw2
                     )
 
-    for a in range(1, cap_rows + 1):
+    for a in range(1, n1 + 1):
         for S in itertools.combinations(range(n1), a):
             colw1 = [sum(w[s][y] for s in S) for y in range(n2)]  # each column's weight on S
             for sigma in itertools.permutations(range(n1), a):
@@ -261,12 +259,12 @@ def enumerated_pairs(table, mu, size_cap=None):
                     )
 
 
-def enumerated_alpha(table, mu, size_cap=None) -> AlphaResult:
+def enumerated_alpha(table, mu) -> AlphaResult:
     """alpha by visiting every pair: the first pair of largest min-weight
     is the witness, and max_cells is the largest pair's cell count; the
     value is the exact maximum rounded once to a float."""
     best, witness, max_cells = 0, None, 0
-    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu, size_cap):
+    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu):
         max_cells = max(max_cells, cells)
         if value > best:
             best, witness = value, (S, T, sigma, tau)

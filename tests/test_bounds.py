@@ -58,9 +58,9 @@ def random_table(rng, n1, n2, partial=False):
     )
 
 
-def similar_disjoint_pairs(table, mu, size_cap=None):
+def similar_disjoint_pairs(table, mu):
     """Yield (min_weight, cells, (R, R')) with labeled rectangles."""
-    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu, size_cap):
+    for value, cells, S, T, sigma, tau in enumerated_pairs(table, mu):
         yield value, cells, bounds._labeled(table, S, T, sigma, tau)
 
 
@@ -154,17 +154,6 @@ def test_alpha_on_rectangular_table():
         assert abs(got - oracle_alpha(table.entries, mu.weights)) < 1e-12
 
 
-def test_alpha_size_cap_monotone():
-    rng = random.Random(8)
-    table = random_table(rng, 4, 4)
-    mu = InputDistribution.uniform(table)
-    values = [alpha(table, mu, size_cap=c).value for c in (1, 2, 3, 4)]
-    assert values == sorted(values)
-    assert values[-1] == alpha(table, mu).value
-    with pytest.raises(ValueError):
-        alpha(table, mu, size_cap=0)
-
-
 def test_alpha_domain_cap():
     table = table_of([[0] * 7 for _ in range(7)])
     with pytest.raises(ValueError):
@@ -187,7 +176,7 @@ def distribution(table, kind, raw=None):
 
 @st.composite
 def alpha_cases(draw):
-    """(table, mu, size_cap): 1x1 to 5x5, partial or total, with uniform,
+    """(table, mu): 1x1 to 5x5, partial or total, with uniform,
     uniform-defined or random positive weights."""
     n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     values = st.sampled_from([0, 1, None] if draw(st.booleans()) else [0, 1])
@@ -197,7 +186,7 @@ def alpha_cases(draw):
     assume(kind != "uniform-defined" or any(v is not None for row in entries for v in row))
     cell = st.integers(1, 1000)
     raw = draw(st.lists(st.lists(cell, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
-    return table, distribution(table, kind, raw), draw(st.sampled_from([None, 1, 2, 3, 4]))
+    return table, distribution(table, kind, raw)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -205,8 +194,8 @@ def alpha_cases(draw):
 def test_alpha_matches_enumeration_property(case):
     """The pruned search gives the enumeration's value bits, witness and
     max_cells; random weights are not dyadic."""
-    table, mu, size_cap = case
-    assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
+    table, mu = case
+    assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
 
 
 def square_table(n, one):
@@ -236,29 +225,26 @@ NAMED_SQUARE_TABLES = {
 
 
 ALPHA_6X6_CASES = [
-    (1, "uniform", None),
-    (2, "uniform-defined", None),
-    (3, "random", None),
-    (4, "uniform", 2),
-    (5, "random", 3),
-    (6, "uniform-defined", 4),
-    (7, "random", None),
-    (8, "uniform-defined", None),
+    (1, "uniform"),
+    (2, "uniform-defined"),
+    (3, "random"),
+    (4, "uniform"),
+    (6, "uniform-defined"),
+    (7, "random"),
+    (8, "uniform-defined"),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed,kind,size_cap",
-    ALPHA_6X6_CASES,
-    ids=[f"{s}-{k}" + (f"-cap{c}" if c else "") for s, k, c in ALPHA_6X6_CASES],
+    "seed,kind", ALPHA_6X6_CASES, ids=[f"{s}-{k}" for s, k in ALPHA_6X6_CASES]
 )
-def test_alpha_matches_enumeration_on_6x6(seed, kind, size_cap):
+def test_alpha_matches_enumeration_on_6x6(seed, kind):
     """Six rows give sigma prefixes of up to five rows to cut; random
     weights are not dyadic, and uniform-defined tables are partial."""
     rng = random.Random(seed)
     table = random_table(rng, 6, 6, partial=kind == "uniform-defined")
     mu = distribution(table, kind, [[rng.random() for _ in range(6)] for _ in range(6)])
-    assert repr(alpha(table, mu, size_cap)) == repr(enumerated_alpha(table, mu, size_cap))
+    assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
 
 
 @pytest.mark.parametrize("name", ["single-1", "one-undefined", "constant"])

@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -177,9 +179,9 @@ def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):
     calls = []
     laws = protocols.DJProtocol._message_laws
 
-    def counted(self, inputs, randomness_values):
-        calls.append(inputs[0] ^ inputs[1])
-        return laws(self, inputs, randomness_values)
+    def counted(self, w, randomness_values):
+        calls.append(w)
+        return laws(self, w, randomness_values)
 
     monkeypatch.setattr(protocols.DJProtocol, "_message_laws", counted)
     code, _, _ = run_main(["verify", "--protocol", "dj", "--n", "4"], capsys)
@@ -187,14 +189,74 @@ def test_dj_verify_computes_message_laws_once_per_xor(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == 7
 
 
-def test_verify_enumerates_nondegeneracy_once(capsys):
-    """Each weight-sum party and the collision bound ask whether the
-    reference is non-degenerate; the enumeration runs for the first only."""
-    verify._kary_nondegenerate.cache_clear()
-    code, _, _ = run_main(["verify", "--protocol", "geq", "--k", "3", "--l", "1"], capsys)
+# SHA-256 of each report, recorded before dj's private laws took x XOR y in
+# place of the input pair; no benchmark golden reaches dj's transcripts
+DJ_REPORT_SHA256 = {
+    "run --protocol dj --n 2 --inputs 01,10":
+        "c722bb36c2f9041d197961e8d022de5305fde30a6a105509c190b923b926784b",
+    "run --protocol dj --n 4 --inputs 0110,0101":
+        "a2cda6f9f4bf6989d89bbf138f712815df587b1c6416cbe084d0586ad056bd7a",
+    "run --protocol dj --n 8 --inputs 00001111,00110011":
+        "ce5a2cab846d156825343b940330f7725ab0d135abecfb4b4bebd4b785deed20",
+    "verify --protocol dj --n 2":
+        "bd5cd1e2441d822cf80580ffd442b2322349641742c39053af0354219ab9a829",
+    "verify --protocol dj --n 4":
+        "7563d0cc34865750db1479fb2c0c9bb8b38b25f109ee94dee09c005110097655",
+}
+
+
+@pytest.mark.parametrize("command", DJ_REPORT_SHA256)
+def test_dj_reports_keep_their_bytes(command, capsys):
+    """`run --inputs` prints every transcript's message law; 01,10 is off
+    the promise."""
+    code, out, _ = run_main(command.split(), capsys)
     assert code == 0
-    info = verify._kary_nondegenerate.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DJ_REPORT_SHA256[command]
+
+
+def test_verify_enumerates_nondegeneracy_once(monkeypatch, capsys):
+    """Each of the five weight-sum parties and the collision bound ask
+    whether the reference is non-degenerate; the enumeration runs for the
+    first only.  A sampled sweep reads no full domain, so every full-domain
+    `_reference` call is that enumeration: one per verify."""
+    full = []
+    reference = protocols.Sum2Protocol._reference
+
+    def counted(self, codes):
+        full.append(len(codes) == self.domain_size())
+        return reference(self, codes)
+
+    monkeypatch.setattr(protocols.Sum2Protocol, "_reference", counted)
+    argv = ["verify", "--protocol", "sum2", "--k", "5", "--budget", "1", "--seed", "1"]
+    for _ in range(2):
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0 and '"coverage":"sampled:' in out
+    assert full.count(True) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--protocol", "dj", "--n", "4"],
+        ["verify", "--protocol", "geq", "--k", "3", "--l", "1"],
+        ["run", "--protocol", "dj", "--n", "4", "--inputs", "0110,0101"],
+    ],
+)
+def test_no_protocol_outlives_main(argv, monkeypatch, capsys):
+    """Nothing caches a protocol past the `main()` call that built it."""
+    refs = []
+    build = cli._build_protocol
+
+    def tracked(args):
+        protocol = build(args)
+        refs.append(weakref.ref(protocol))
+        return protocol
+
+    monkeypatch.setattr(cli, "_build_protocol", tracked)
+    code, _, _ = run_main(argv, capsys)
+    assert code == 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_run_explicit_inputs(capsys):

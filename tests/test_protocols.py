@@ -298,20 +298,20 @@ def test_dj_joint_outcomes_match_oracle(n):
     proto = dj_protocol(n)
     for x in bitstrings(n):
         for y in bitstrings(n):
-            got = proto._outcome_law((int(x, 2), int(y, 2)))
+            got = proto._outcome_law(int(x, 2) ^ int(y, 2))
             np.testing.assert_allclose(got, dj_joint_outcome(x, y), atol=1e-12)
 
 
 def test_dj_equal_inputs_diagonal_uniform():
     proto = dj_protocol(4)
-    pkl = proto._outcome_law((0b0110, 0b0110))
+    pkl = proto._outcome_law(0b0110 ^ 0b0110)
     np.testing.assert_allclose(pkl, np.eye(4) / 4, atol=1e-12)
 
 
 def test_dj_half_distance_zero_diagonal():
     proto = dj_protocol(4)
     for x, y in [(0b0000, 0b0011), (0b1010, 0b0110)]:
-        pkl = proto._outcome_law((x, y))
+        pkl = proto._outcome_law(x ^ y)
         assert np.abs(np.diag(pkl)).max() < 1e-12
 
 
@@ -414,12 +414,13 @@ def test_dj_masks_and_laws_match_oracle_property(case):
         for v in range(proto.n)
     ]
     assert row.tolist() == expected
-    pkl = proto._outcome_law(inputs)
+    w = inputs[0] ^ inputs[1]
+    pkl = proto._outcome_law(w)
     pushed = np.zeros((proto.n, proto.n))
     for k in range(proto.n):
         for l in range(proto.n):
             pushed[expected[k], expected[l]] += pkl[k, l]
-    np.testing.assert_array_equal(proto._message_laws(inputs, [(r, rp)])[0], pushed)
+    np.testing.assert_array_equal(proto._message_laws(w, [(r, rp)])[0], pushed)
 
 
 def test_dj_run_message_law_by_hand():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from psqm import cli, protocols, verify
 from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
 from psqm.verify import (
-    _kary_nondegenerate,
     check_correctness,
     check_messages,
     check_weight_sums,
@@ -333,7 +332,7 @@ def test_dj_weight_sums_skipped_with_witnesses():
     assert abs(rep.max_excluding_self - 3.0) < 1e-9
     assert rep.pair_count == 1
     # all 16 inputs fit the informational Gram, so no truncation is reported
-    assert rep.gram_inputs is None and "gram_inputs" not in rep.witnesses()
+    assert rep.gram_inputs is None and "gram_inputs" not in rep.witnesses(proto)
 
 
 # ------------------------------------------------- purity and collisions
@@ -473,9 +472,9 @@ def test_kary_nondegeneracy():
         (dj_protocol(2), False),
         (dj_protocol(4), False),
     ):
-        assert _kary_nondegenerate(proto) is pairwise_nondegenerate(proto) is want
+        assert proto._kary_nondegenerate is pairwise_nondegenerate(proto) is want
     # 2^16 inputs, past the 2^20 input pairs the pairwise test allowed
-    assert _kary_nondegenerate(geq_protocol(2, 4)) is True
+    assert geq_protocol(2, 4)._kary_nondegenerate is True
 
 
 def test_geq_2_4_weight_sums_are_evaluated():
@@ -499,7 +498,7 @@ class DegenerateReferenceSum2(protocols.Sum2Protocol):
 def test_degenerate_total_reference_makes_the_bounds_vacuous():
     proto = DegenerateReferenceSum2(3)
     assert proto.reference_total
-    assert _kary_nondegenerate(proto) is False
+    assert proto._kary_nondegenerate is False
     assert pairwise_nondegenerate(proto) is False
     for party in range(3):
         rep = check_weight_sums(proto, party)
@@ -538,7 +537,7 @@ def small_tables(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(small_tables())
 def test_distinct_rows_match_pairwise_enumeration(proto):
-    assert _kary_nondegenerate(proto) is pairwise_nondegenerate(proto)
+    assert proto._kary_nondegenerate is pairwise_nondegenerate(proto)
 
 
 def test_sampled_sweep_requires_seed_and_is_deterministic():

@@ -39,8 +39,8 @@ STATS_N_CAP = 2
 
 
 class FunctionTable:
-    """Partial binary function as an explicit labeled table; immutable,
-    compared and hashed by value."""
+    """Partial binary function as an explicit labeled table of tuples, built
+    from any sequences; immutable, compared and hashed by value."""
 
     __slots__ = ("rows", "cols", "entries", "__weakref__")
     rows: tuple[str, ...]
@@ -48,9 +48,9 @@ class FunctionTable:
     entries: tuple[tuple, ...]  # values 0, 1 or None
 
     def __init__(self, rows, cols, entries):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "entries", tuple(map(tuple, entries)))
         if not self.rows or not self.cols:
             raise ValueError("table needs at least one row and one column")
         if not all(isinstance(label, str) for label in self.rows + self.cols):
@@ -94,15 +94,11 @@ class FunctionTable:
         )
 
     @classmethod
-    def build(cls, rows, cols, entries) -> "FunctionTable":
-        return cls(tuple(rows), tuple(cols), tuple(tuple(r) for r in entries))
-
-    @classmethod
     def from_json(cls, obj) -> "FunctionTable":
         try:
             if not all(isinstance(obj[key], list) for key in ("rows", "cols", "entries")):
                 raise TypeError("rows, cols and entries must be lists")
-            return cls.build(obj["rows"], obj["cols"], obj["entries"])
+            return cls(obj["rows"], obj["cols"], obj["entries"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed function table: {exc}") from exc
 
@@ -490,7 +486,7 @@ def dj_table(n: int) -> FunctionTable:
             dist = sum(a != b for a, b in zip(x, y))
             row.append(1 if dist == 0 else 0 if dist * 2 == n else None)
         entries.append(row)
-    return FunctionTable.build(labels, labels, entries)
+    return FunctionTable(labels, labels, entries)
 
 
 def _median(values: list[float]) -> float:
@@ -516,7 +512,7 @@ def random_function_stats(n: int, trials: int, seed, exhaustive: bool = False) -
         entries = [
             [(bits >> (i * side + j)) & 1 for j in range(side)] for i in range(side)
         ]
-        return FunctionTable.build(labels, labels, entries)
+        return FunctionTable(labels, labels, entries)
 
     if exhaustive:
         if n != 1:

@@ -207,18 +207,16 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     kwargs = dict(budget=args.budget, seed=args.seed)
     checks = []
 
-    def add(name, rep, coverage):
-        checks.append(_record(name, rep.passed, rep.witnesses(protocol), coverage))
+    def add(name, rep):
+        checks.append(_record(name, rep.passed, rep.witnesses(protocol), rep.coverage))
 
-    rep = verify.check_correctness(protocol, tol=args.tol, **kwargs)
-    add("correctness", rep, rep.coverage)
+    add("correctness", verify.check_correctness(protocol, tol=args.tol, **kwargs))
     privacy, purity, collision = verify.check_messages(protocol, tol=args.tol, **kwargs)
-    add("privacy", privacy, privacy.coverage)
+    add("privacy", privacy)
     for party in range(protocol.party_count):
-        rep = verify.check_weight_sums(protocol, party, tol=args.tol)
-        add(f"weight_sums_party{party}", rep, f"randomness-pairs:{rep.pair_count}")
-    add("purity_bounds", purity, purity.coverage)
-    add("collision_bound", collision, collision.coverage)
+        add(f"weight_sums_party{party}", verify.check_weight_sums(protocol, party, tol=args.tol))
+    add("purity_bounds", purity)
+    add("collision_bound", collision)
     return _config_echo(args), checks, protocol.cost()
 
 
@@ -286,6 +284,8 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
 def cmd_stats(args) -> tuple[dict, list, tuple | None]:
     if args.n is None:
         raise ValueError("stats needs --n")
+    if args.exhaustive and args.trials is not None:
+        raise ValueError("--exhaustive enumerates every table; drop --trials")
     if not args.exhaustive:
         if args.trials is None:
             raise ValueError("stats needs --trials (or --exhaustive for n=1)")
@@ -342,6 +342,8 @@ def _main(argv) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
+        if args.budget < 0:
+            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
         config, checks, cost = _COMMANDS[args.command](args)
         report = {
             "version": __version__,

@@ -1,7 +1,8 @@
 """Concrete private simultaneous-message protocols.
 
 Three referee-style protocols are provided, each with exhaustive
-randomness domains and deterministic input enumeration:
+randomness domains and deterministic input enumeration.  The factory
+names are the classes, which share one set of public methods:
 
 * ``sum2_protocol(k)``: k parties, 2-bit inputs, one shared GHZ state
   masked by a parity-constrained random string; the referee measures in
@@ -14,7 +15,7 @@ randomness domains and deterministic input enumeration:
   Every dj law depends on the inputs only through x XOR y.
 
 Party inputs are bit strings at the public edge (`reference`,
-`output_masses`, `averaged_message`, `run`, `message_state`), where
+`output_masses`, `averaged_message`, `run`), where
 `_codes` validates each one and reads it, once, as a big-endian integer:
 its code.  Everything private takes codes: `input_domain` is an
 (N, party_count) code array, and `_reference`, `_output_masses` and
@@ -394,9 +395,6 @@ class _GhzMaskProtocol(ProtocolInstance):
         outcomes |= zs.take(zmasks)
         return outcomes
 
-    def message_state(self, inputs, randomness) -> np.ndarray:
-        return self.run(inputs, randomness).message_state
-
     def _runs(self, codes, randomness_values):
         """One frames call gives every outcome; the message amplitudes are
         framed _BLOCK_BYTES at a time."""
@@ -498,7 +496,6 @@ class GeqProtocol(_GhzMaskProtocol):
     def __init__(self, k: int, l: int):
         if l < 1:
             raise ValueError("need at least one block")
-        self.l = l
         self._setup(k, blocks=l)
         self.field = gf2m.find_irreducible(2 * l)
         masks = [s for s in _bitstrings(2 * l) if s != "0" * 2 * l]
@@ -677,13 +674,4 @@ class DJProtocol(ProtocolInstance):
         return f"{randomness[0]};{randomness[1]}"
 
 
-def sum2_protocol(k: int) -> Sum2Protocol:
-    return Sum2Protocol(k)
-
-
-def geq_protocol(k: int, l: int) -> GeqProtocol:
-    return GeqProtocol(k, l)
-
-
-def dj_protocol(n: int) -> DJProtocol:
-    return DJProtocol(n)
+sum2_protocol, geq_protocol, dj_protocol = Sum2Protocol, GeqProtocol, DJProtocol

@@ -36,11 +36,6 @@ class DensityMatrix:
         if np.linalg.eigvalsh(mat).min() < -DERIVED_TOL:
             raise ValueError("matrix has a negative eigenvalue")
         self.matrix = mat
-        self.qubit_count = d.bit_length() - 1
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def purity(rho: np.ndarray) -> float:

@@ -16,15 +16,15 @@ The purity, the distance and the rho_bar sum stay per input, in sweep
 order, so reports keep their float noise bit for bit.  The walk reads the
 raw matrices: a convex combination of states is a density matrix by
 construction, so no rho_x is validated on the way.  Validation stays at
-the API edge: the public `averaged_message`, and each class
-representative of the privacy report when it is read, are
-`qsim.DensityMatrix` objects, and the purity bounds gate the average.
-Inputs are checked at the edge too: a sweep holds rows of integer codes
-from the protocol's own input domain or sampler, so only the bit strings
-that key a supplied mu are parsed, once each, and report fields
-(`worst_input`, `representative_input`) are formatted back to bit
-strings.  A sweep's reference values come from one vectorised
-`_reference` call, not one call per input.
+the API edge: the public `averaged_message` is the one route to a
+validated `qsim.DensityMatrix`, a privacy class holds raw data, and the
+purity bounds gate the average.  Inputs are checked at the edge too: a
+sweep holds rows of integer codes from the protocol's own input domain
+or sampler, so only the bit strings that key a supplied mu are parsed,
+once each, and report fields (`worst_input`, `representative_input`)
+are formatted back to bit strings.  Both sweeping checks take their
+inputs from `_distribution`, which refuses an empty sweep and reads
+their reference values in one vectorised `_reference` call.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -42,7 +42,6 @@ skipped, with informational witnesses still attached; no check is
 skipped for size.
 """
 
-import functools
 import itertools
 import math
 import random
@@ -112,7 +111,8 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
 
 
 def _distribution(protocol, mu, budget, seed):
-    """(codes, weights, coverage); uniform over the sweep when mu is None."""
+    """(codes, targets, weights, coverage): the inputs, their reference
+    columns and weights, uniform over the sweep when mu is None."""
     if mu is not None:
         if not mu:
             raise ValueError("mu is empty")
@@ -122,13 +122,16 @@ def _distribution(protocol, mu, budget, seed):
         if not finite or weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mu must be finite, nonnegative and sum to 1")
         inputs = np.array([protocol._codes(x) for x in keys])
-        off = np.flatnonzero(protocol._reference(inputs) < 0)
+        targets = protocol._reference(inputs)
+        off = np.flatnonzero(targets < 0)
         if off.size:
             raise ValueError(f"mu puts weight on promise-violating input {keys[off[0]]}")
-        return inputs, weights, f"supplied:{len(inputs)}"
-    inputs, coverage = _sweep(protocol, budget, seed)
+        return inputs, targets, weights, f"supplied:{len(inputs)}"
+    inputs, coverage = _sweep(protocol, budget, seed)  # promise inputs only
+    if not len(inputs):
+        raise ValueError("nothing to check: empty sweep")
     weights = np.full(len(inputs), 1.0 / len(inputs))
-    return inputs, weights, coverage
+    return inputs, protocol._reference(inputs), weights, coverage
 
 
 class CorrectnessReport(SimpleNamespace):
@@ -156,11 +159,8 @@ def check_correctness(
     """Referee output mass on the reference value, worst case over the
     sweep and over every randomness value."""
     _preflight(protocol)
-    inputs, coverage = _sweep(protocol, budget, seed)  # promise inputs only
-    if not len(inputs):
-        raise ValueError("nothing to check: empty sweep")
+    inputs, targets, _, coverage = _distribution(protocol, None, budget, seed)
     domain = protocol.randomness_domain
-    targets = protocol._reference(inputs)
     min_mass, worst_x, worst_r = float("inf"), None, None
     for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
         rows = np.arange(len(block))
@@ -183,11 +183,6 @@ class PrivacyClass(SimpleNamespace):
     """representative_input, its averaged message `matrix` (unvalidated) and
     purity, the class size, and max_distance, the largest distance of a
     member's averaged message from the representative's."""
-
-    @functools.cached_property
-    def representative(self) -> qsim.DensityMatrix:
-        """The representative's averaged message, validated when first read."""
-        return qsim.DensityMatrix(self.matrix)
 
 
 class PrivacyReport(SimpleNamespace):
@@ -217,8 +212,8 @@ class PrivacyReport(SimpleNamespace):
 
 class WeightSumReport(SimpleNamespace):
     """passed, party, max_excluding_self, max_including_self, pair_count,
-    skipped, reason, and gram_inputs: set when the informational witness
-    is truncated, else None."""
+    coverage, skipped, reason, and gram_inputs: set when the informational
+    witness is truncated, else None."""
 
     def witnesses(self, protocol):
         out = {
@@ -256,12 +251,14 @@ def check_weight_sums(
     full = reason is None
     shown = own if full else own[:_GRAM_INPUT_CAP]
     excl, incl = protocol.weight_sum_maxima(party, shown, domain if full else domain[:1])
+    pair_count = len(domain) ** 2 if full else 1
     return WeightSumReport(
         passed=not full or (excl <= 1.0 + tol and incl <= 1.0 + tol),
         party=party,
         max_excluding_self=excl,
         max_including_self=incl,
-        pair_count=len(domain) ** 2 if full else 1,
+        pair_count=pair_count,
+        coverage=f"randomness-pairs:{pair_count}",
         skipped=not full,
         reason=reason,
         gram_inputs=len(shown) if len(shown) < len(own) else None,
@@ -329,17 +326,16 @@ def check_messages(
     non-degenerate reference and beta > 0; otherwise skipped as vacuous.
     """
     _preflight(protocol)
-    inputs, weights, coverage = _distribution(protocol, mu, budget, seed)
+    inputs, targets, weights, coverage = _distribution(protocol, mu, budget, seed)
     classes: dict = {}
     masses_by_class: dict = {}
     max_distance, worst_input = 0.0, None
     rho_bar = None
     self_terms = 0.0
-    targets = protocol._reference(inputs).tolist()  # _distribution holds promise inputs only
     for start, block in protocol._blocks(inputs, 16 << protocol.cost()[0]):
         stop = start + len(block)
         rhos = protocol._averaged_matrix(block)
-        rows = zip(block.tolist(), targets[start:stop], weights[start:stop], rhos)
+        rows = zip(block.tolist(), targets[start:stop].tolist(), weights[start:stop], rhos)
         for x, column, w, rho in rows:
             y = protocol.output_domain[column]
             rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
@@ -361,8 +357,6 @@ def check_messages(
             cls.max_distance = max(cls.max_distance, dist)
             if dist > max_distance:
                 max_distance, worst_input = dist, protocol._input_strings(x)
-    if not classes:
-        raise ValueError("nothing to check: empty sweep")
 
     cross = 0.0
     for a, b in itertools.combinations(sorted(classes, key=repr), 2):

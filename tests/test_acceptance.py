@@ -198,7 +198,7 @@ def test_criterion_7_purity_and_collision_bounds():
 
 
 def test_criterion_8_eq1_golden_values():
-    table = FunctionTable.build(["0", "1"], ["0", "1"], [[1, 0], [0, 1]])
+    table = FunctionTable(["0", "1"], ["0", "1"], [[1, 0], [0, 1]])
     entries = [[1, 0], [0, 1]]
     mu = InputDistribution.uniform(table)
     weights = mu.weights
@@ -239,7 +239,7 @@ def test_criterion_9_clique_characterization():
     mismatches = 0
     for _ in range(100):
         entries = [[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]
-        table = FunctionTable.build(
+        table = FunctionTable(
             [f"r{i}" for i in range(4)], [f"c{j}" for j in range(4)], entries
         )
         result = bounds.exact_smp_clique_sizes(table)

@@ -45,7 +45,7 @@ from _oracles import (
 def table_of(entries, prefix=("x", "y")):
     rows = [f"{prefix[0]}{i}" for i in range(len(entries))]
     cols = [f"{prefix[1]}{j}" for j in range(len(entries[0]))]
-    return FunctionTable.build(rows, cols, entries)
+    return FunctionTable(rows, cols, entries)
 
 
 EQ1 = table_of([[1, 0], [0, 1]])
@@ -603,11 +603,11 @@ def test_function_table_json_round_trip():
 
 def test_function_table_validation():
     with pytest.raises(ValueError):
-        FunctionTable.build(["a", "a"], ["b"], [[1], [0]])
+        FunctionTable(["a", "a"], ["b"], [[1], [0]])
     with pytest.raises(ValueError):
-        FunctionTable.build(["a"], ["b"], [[2]])
+        FunctionTable(["a"], ["b"], [[2]])
     with pytest.raises(ValueError):
-        FunctionTable.build(["a"], ["b", "c"], [[1]])
+        FunctionTable(["a"], ["b", "c"], [[1]])
     with pytest.raises(ValueError, match="malformed"):
         FunctionTable.from_json({"rows": ["a"]})
     with pytest.raises(ValueError, match="malformed"):
@@ -646,6 +646,23 @@ def test_function_table_is_an_immutable_value():
     assert ref() is table
     for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
         assert clone == table and type(clone) is FunctionTable
+
+
+def test_function_table_from_lists_stores_tuples():
+    """Lists are copied into tuples, so a table built from them is the same
+    hashable value as its tuple-built twin, and no list it was given can
+    change it."""
+    rows, cols, entries = ["x0", "x1"], ["y0"], [[1], [None]]
+    table = FunctionTable(rows, cols, entries)
+    twin = FunctionTable(("x0", "x1"), ("y0",), ((1,), (None,)))
+    assert (table.rows, table.cols, table.entries) == (("x0", "x1"), ("y0",), ((1,), (None,)))
+    assert all(type(row) is tuple for row in table.entries)
+    assert table == twin and hash(table) == hash(twin)
+    rows.append("x2")
+    entries[0][0] = 0
+    assert table == twin
+    for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert clone == twin and hash(clone) == hash(twin)
 
 
 @pytest.mark.parametrize(

@@ -332,6 +332,7 @@ def test_exit_one_on_check_failure(monkeypatch, capsys):
         ["verify", "--protocol", "sum2", "--k", "2", "--tol", "nan"],
         ["verify", "--protocol", "sum2", "--k", "2", "--tol", "-1"],
         ["verify", "--protocol", "sum2", "--k", "2", "--tol", "inf"],
+        ["stats", "--n", "1", "--exhaustive", "--trials", "7"],  # --exhaustive ignores --trials
     ],
 )
 def test_config_errors_exit_two(argv, capsys):
@@ -339,6 +340,21 @@ def test_config_errors_exit_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--protocol", "sum2", "--k", "3", "--budget", "-5"],
+        ["verify", "--protocol", "sum2", "--k", "3", "--budget", "-5", "--seed", "1"],
+        ["stats", "--n", "1", "--exhaustive", "--budget", "-5"],
+    ],
+    ids=["run", "verify", "stats"],
+)
+def test_negative_budget_exits_two(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be nonnegative, got -5\n"
 
 
 def test_verify_refuses_what_cannot_finish_before_any_sweep(monkeypatch, capsys):

@@ -29,7 +29,7 @@ def assert_privacy_names_a_leaking_input(proto, privacy):
     assert not privacy.passed
     worst = tuple(privacy.witnesses(proto)["worst_input"].split(","))
     assert worst in domain_strings(proto)
-    rep = privacy.classes[proto.reference(worst)].representative
+    rep = proto.averaged_message(privacy.classes[proto.reference(worst)].representative_input)
     distance = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
     assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
 
@@ -158,16 +158,14 @@ class HalvedAverageSum2(Sum2Protocol):
 def test_sum2_with_halved_averages_fails_purity_bounds():
     """The true average is maximally mixed on 4 qubits, purity 1/16, so
     the halved one has purity 1/64, under the floor 1/dim.  No rho_x is
-    validated during the walk; reading a class representative, like the
-    public averaged_message, still rejects the trace of 1/2."""
+    validated during the walk; the public averaged_message still rejects
+    the trace of 1/2."""
     proto = HalvedAverageSum2(3)
     assert check_correctness(proto).passed
     privacy, purity, _ = check_messages(proto)
     assert privacy.passed
     assert not purity.passed
     assert purity.dim == 16 and purity.purity == pytest.approx(1 / 64, abs=1e-15)
-    with pytest.raises(ValueError, match="trace"):
-        privacy.classes[(0, 0)].representative
     with pytest.raises(ValueError, match="trace"):
         proto.averaged_message(("00",) * 3)
 

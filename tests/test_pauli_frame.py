@@ -173,7 +173,7 @@ def cases(draw):
 def test_fast_path_matches_dense_fold_property(case):
     proto, inputs, r = case
     dense = dense_message(proto, message_operations(proto, inputs, r))
-    assert np.abs(proto.message_state(inputs, r) - dense).max() <= TOL
+    assert np.abs(proto.run(inputs, r).message_state - dense).max() <= TOL
 
 
 def party_frame_mismatches(proto, seed) -> list:

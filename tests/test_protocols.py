@@ -77,7 +77,7 @@ def test_sum2_message_state_formula(k):
     for inputs, r in cases:
         internal = list(inputs) + (["00"] if p > k else [])
         expected = expected_sum2_state(internal, r)
-        got = proto.message_state(inputs, r)
+        got = proto.run(inputs, r).message_state
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_local_operations_compose_to_message_state():
                 state = apply_gate(state, gate, qubit)
         np.testing.assert_allclose(
             state.amplitudes,
-            proto.message_state(inputs, r),
+            proto.run(inputs, r).message_state,
             atol=1e-12,
         )
 
@@ -185,7 +185,7 @@ def test_geq_message_state_formula(k, l):
         r = rng.choice(proto.randomness_domain)
         internal = list(inputs) + (["0" * 2 * l] if p > k else [])
         expected = expected_geq_state(internal, r, l)
-        got = proto.message_state(inputs, r)
+        got = proto.run(inputs, r).message_state
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -52,7 +52,9 @@ def test_sum2_privacy_class_states(k):
     assert report.cross_orthogonality <= 1e-9
     for output, cls in report.classes.items():
         expected = sum2_class_state(k, output)
-        assert np.abs(cls.representative.matrix - expected).max() < 1e-10
+        rho = proto.averaged_message(cls.representative_input)
+        for matrix in (rho.matrix, cls.matrix):
+            assert np.abs(matrix - expected).max() < 1e-10
         assert abs(cls.purity - 2.0 ** -(k - 2)) < 1e-9
         assert cls.size == 4 ** k // 4
 
@@ -641,3 +643,23 @@ def test_both_sweeping_checks_refuse_before_they_sweep(monkeypatch):
     for check in (check_correctness, check_messages):
         with pytest.raises(ValueError, match="511.5 MiB"):
             check(proto, seed=1)
+
+
+class OffPromiseDJ(protocols.DJProtocol):
+    """dj whose sampler only draws (0, 1), at distance 1: off the promise
+    for n = 4, so a sampled sweep keeps none of its draws."""
+
+    def sample_input(self, rng):
+        return (0, 1)
+
+
+def test_both_sweeping_checks_refuse_an_empty_sampled_sweep(monkeypatch):
+    """The sampler spends its whole attempt cap drawing nothing, once; both
+    checks then get that same empty sweep and refuse it."""
+    proto = OffPromiseDJ(4)
+    empty = verify._sweep(proto, budget=1, seed=1)
+    assert empty[0].shape == (0, 2) and empty[1] == "sampled:0"
+    monkeypatch.setattr(verify, "_sweep", lambda *args: empty)
+    for check in (check_correctness, check_messages):
+        with pytest.raises(ValueError, match="^nothing to check: empty sweep$"):
+            check(proto, budget=1, seed=1)

@@ -3,13 +3,16 @@
 Four subcommands: ``run`` executes a protocol on given or enumerated
 inputs, ``verify`` runs the full check suite, ``bound`` evaluates the
 combinatorial quantities on a function table, ``stats`` samples random
-small tables.  Every command writes one canonical JSON report (sorted
-keys, floats rounded to 12 significant digits) to --out or stdout, so
-re-runs with the same seed are byte-identical; wall-clock time and a
-human summary go to stderr.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 configuration error, 3 any other error (out of memory, for
-example), reported as one ``error:`` line on stderr.  OpenBLAS runs one
-thread per process unless OPENBLAS_NUM_THREADS is already set.
+small tables.  Each command takes only its own options (``_READS``), and
+each protocol only its own sizes (``_SIZES``); any other exits 2.  Every
+command writes one canonical JSON report (sorted keys, floats rounded to
+12 significant digits, a config that echoes ``_PROTO_KEYS``) to --out or
+stdout, so re-runs with the same seed are byte-identical; wall-clock
+time and a human summary go to stderr.  Exit codes: 0 all checks passed,
+1 a check failed, 2 configuration error, 3 any other error (out of
+memory, for example), reported as one ``error:`` line on stderr.
+OpenBLAS runs one thread per process unless OPENBLAS_NUM_THREADS is
+already set.
 
 Run as the program (``main()`` with no argv: the ``psqm`` console script
 and ``python -m psqm.cli``), main keeps the cyclic garbage collector off
@@ -34,38 +37,41 @@ import time
 from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__
 
 
+# Each option once; a command takes those its list names and --out, no other.
+_OPTIONS = {
+    "protocol": {"choices": ["sum2", "geq", "dj"]},
+    "k": {"type": int, "help": "number of parties (sum2, geq)"},
+    "l": {"type": int, "help": "number of blocks (geq)"},
+    "n": {"type": int, "help": "input length (dj) or table size (stats)"},
+    "tol": {"type": float, "default": DEFAULT_TOL},
+    "seed": {"type": int},
+    "budget": {"type": int, "default": DEFAULT_BUDGET},
+    "inputs": {"help": "comma-separated per-party bit strings"},
+    "table": {"help": "path to a function-table JSON file"},
+    "trials": {"type": int},
+    "exhaustive": {"action": "store_true"},
+    "out": {"help": "write the JSON report here instead of stdout"},
+}
+_READS = {
+    "run": ("execute one protocol", "protocol k l n tol budget inputs"),
+    "verify": ("run the full check suite", "protocol k l n tol seed budget"),
+    "bound": ("combinatorial quantities of a table", "protocol n table"),
+    "stats": ("random small-table statistics", "n seed budget trials exhaustive"),
+}
+_SIZES = {"sum2": ("k",), "geq": ("k", "l"), "dj": ("n",)}  # the size options each reads
+_PROTO_KEYS = ("protocol", "k", "l", "n", "tol", "seed", "budget")  # every config echoes them
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psqm",
         description="simulate, verify and bound small private simultaneous-message protocols",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--protocol", choices=["sum2", "geq", "dj"])
-        p.add_argument("--k", type=int, help="number of parties (sum2, geq)")
-        p.add_argument("--l", type=int, help="number of blocks (geq)")
-        p.add_argument("--n", type=int, help="input length (dj) or table size (stats)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p_run = sub.add_parser("run", help="execute one protocol")
-    common(p_run)
-    p_run.add_argument("--inputs", help="comma-separated per-party bit strings")
-
-    p_verify = sub.add_parser("verify", help="run the full check suite")
-    common(p_verify)
-
-    p_bound = sub.add_parser("bound", help="combinatorial quantities of a table")
-    common(p_bound)
-    p_bound.add_argument("--table", help="path to a function-table JSON file")
-
-    p_stats = sub.add_parser("stats", help="random small-table statistics")
-    common(p_stats)
-    p_stats.add_argument("--trials", type=int)
-    p_stats.add_argument("--exhaustive", action="store_true")
+    for command, (text, names) in _READS.items():
+        p = sub.add_parser(command, help=text)
+        for name in [*names.split(), "out"]:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
     return parser
 
 
@@ -113,24 +119,18 @@ def _build_protocol(args):
 
     if not args.protocol:
         raise ValueError("--protocol is required")
-    if args.protocol == "sum2":
-        if args.k is None:
-            raise ValueError("sum2 needs --k")
-        return protocols.sum2_protocol(args.k)
-    if args.protocol == "geq":
-        if args.k is None or args.l is None:
-            raise ValueError("geq needs --k and --l")
-        return protocols.geq_protocol(args.k, args.l)
-    if args.n is None:
-        raise ValueError("dj needs --n")
-    return protocols.dj_protocol(args.n)
+    names = _SIZES[args.protocol]
+    for name in "kln":
+        if name not in names and getattr(args, name) is not None:
+            raise ValueError(f"{args.protocol} takes no --{name}")
+    sizes = [getattr(args, name) for name in names]
+    if None in sizes:
+        raise ValueError(f"{args.protocol} needs " + " and ".join(f"--{s}" for s in names))
+    return getattr(protocols, f"{args.protocol}_protocol")(*sizes)
 
 
-def _config_echo(args) -> dict:
-    return {key: getattr(args, key, None) for key in _PROTO_KEYS}
-
-
-_PROTO_KEYS = ("protocol", "k", "l", "n", "tol", "seed", "budget")
+def _config_echo(args) -> dict:  # a command that takes no tol or budget echoes its default
+    return {key: getattr(args, key, _OPTIONS[key].get("default")) for key in _PROTO_KEYS}
 
 
 def _record(name, passed, witnesses, coverage=None) -> dict:
@@ -225,6 +225,8 @@ def _load_table(args):
     from . import bounds
 
     if args.table:
+        if args.protocol or args.n is not None:
+            raise ValueError("bound takes --table FILE or --protocol dj --n N, not both")
         with open(args.table, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
@@ -274,18 +276,16 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
     # tuples serialize as lists, so the named fields are the witnesses as they stand
     step("cliques", lambda: bounds.exact_smp_clique_sizes(table), lambda c: c._asdict())
 
-    config = _config_echo(args) | {
-        "table": args.table,
-        "mu": "uniform-defined",
-    }
+    config = _config_echo(args) | {"table": args.table, "mu": "uniform-defined"}
     return config, checks, None
 
 
 def cmd_stats(args) -> tuple[dict, list, tuple | None]:
     if args.n is None:
         raise ValueError("stats needs --n")
-    if args.exhaustive and args.trials is not None:
-        raise ValueError("--exhaustive enumerates every table; drop --trials")
+    for name in ("trials", "seed"):
+        if args.exhaustive and getattr(args, name) is not None:
+            raise ValueError(f"--exhaustive enumerates every table; drop --{name}")
     if not args.exhaustive:
         if args.trials is None:
             raise ValueError("stats needs --trials (or --exhaustive for n=1)")
@@ -296,13 +296,8 @@ def cmd_stats(args) -> tuple[dict, list, tuple | None]:
     summary = bounds.random_function_stats(
         args.n, args.trials or 0, args.seed, exhaustive=args.exhaustive
     )
-    checks = [
-        _record("random_function_stats", True, summary, summary["coverage"])
-    ]
-    config = _config_echo(args) | {
-        "trials": args.trials,
-        "exhaustive": args.exhaustive,
-    }
+    checks = [_record("random_function_stats", True, summary, summary["coverage"])]
+    config = _config_echo(args) | {"trials": args.trials, "exhaustive": args.exhaustive}
     return config, checks, None
 
 
@@ -340,9 +335,9 @@ def _main(argv) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
-        if args.budget < 0:
+        if "budget" in args and args.budget < 0:
             raise ValueError(f"--budget must be nonnegative, got {args.budget}")
         config, checks, cost = _COMMANDS[args.command](args)
         report = {

@@ -86,25 +86,24 @@ def _sweep(protocol: ProtocolInstance, budget: int, seed):
     if seed is None:
         raise ValueError("seed required once the input sweep is sampled")
     rng = random.Random(seed)
-    chosen = []
-    seen = set()
-    per_class = [0] * len(protocol.output_domain)
-    attempts = 0
-    cap = 200_000
+    chosen, drawn = [], set()  # the inputs kept; every input drawn so far
+    short = [_SAMPLES_PER_CLASS] * len(protocol.output_domain)  # per class, inputs still wanted
+    attempts, cap = 0, 200_000
     # a small domain may hold fewer than _SAMPLES_PER_CLASS inputs of a class
-    while attempts < cap and len(chosen) < size and any(
-        c < _SAMPLES_PER_CLASS for c in per_class
-    ):
-        attempts += 1
-        x = protocol.sample_input(rng)
-        if x in seen:
-            continue
-        (y,) = protocol._reference(np.array([x]))
-        if y < 0:
-            continue
-        seen.add(x)
-        chosen.append(x)
-        per_class[y] += 1
+    while attempts < cap and len(chosen) < size and any(short):
+        # No draw but a batch's last can end the sweep, so it draws what one
+        # draw at a time would, with one `_reference` call for its new inputs.
+        batch = min(cap - attempts, sum(short), size - len(chosen))
+        draws = [protocol.sample_input(rng) for _ in range(batch)]
+        attempts += batch
+        new = list(dict.fromkeys(x for x in draws if x not in drawn))
+        drawn.update(new)
+        refs = dict(zip(new, protocol._reference(np.array(new)).tolist())) if new else {}
+        for x in draws:
+            y = refs.pop(x, -1)  # -1: off the promise, or drawn before
+            if y >= 0:
+                chosen.append(x)
+                short[y] = max(short[y] - 1, 0)
     if len(chosen) == size:  # a sample that holds the whole domain is the exhaustive sweep
         return protocol.input_domain(), f"exhaustive:{size}"
     return np.array(chosen).reshape(-1, protocol.party_count), f"sampled:{len(chosen)}"

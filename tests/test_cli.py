@@ -357,6 +357,72 @@ def test_negative_budget_exits_two(argv, capsys):
     assert err == "error: --budget must be nonnegative, got -5\n"
 
 
+TAKES = {
+    "run": ["protocol", "k", "l", "n", "tol", "budget", "inputs"],
+    "verify": ["protocol", "k", "l", "n", "tol", "seed", "budget"],
+    "bound": ["protocol", "n", "table"],
+    "stats": ["n", "seed", "budget", "trials", "exhaustive"],
+}
+VALID = {
+    "run": ["run", "--protocol", "sum2", "--k", "2"],
+    "verify": ["verify", "--protocol", "sum2", "--k", "2"],
+    "bound": ["bound", "--protocol", "dj", "--n", "2"],
+    "stats": ["stats", "--n", "1", "--exhaustive"],
+}
+VALUES = {"protocol": "dj", "tol": "0.5", "inputs": "01,10", "table": "t.json"}
+
+
+def option_argv(name) -> list[str]:
+    return [f"--{name}"] if name == "exhaustive" else [f"--{name}", VALUES.get(name, "3")]
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_command_takes_only_the_options_it_reads(command, capsys):
+    """Every option that another command reads is refused by argparse, as
+    an unknown option is: exit 2, nothing on stdout.  The command's own
+    options, and --out, still parse."""
+    parser = cli.build_parser()
+    for name in [*TAKES[command], "out"]:
+        parser.parse_args(VALID[command] + option_argv(name))
+    others = {name for names in TAKES.values() for name in names} - set(TAKES[command])
+    for name in sorted(others):
+        code, out, err = run_main(VALID[command] + option_argv(name), capsys)
+        assert (code, out) == (2, ""), name
+        assert f"unrecognized arguments: --{name}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--protocol", "sum2", "--k", "3", "--l", "2"], "sum2 takes no --l"),
+        (["run", "--protocol", "sum2", "--k", "3", "--n", "4"], "sum2 takes no --n"),
+        (["verify", "--protocol", "geq", "--k", "2", "--l", "1", "--n", "4"], "geq takes no --n"),
+        (["verify", "--protocol", "dj", "--n", "4", "--k", "9"], "dj takes no --k"),
+        (["run", "--protocol", "dj", "--n", "4", "--l", "1"], "dj takes no --l"),
+        (
+            ["bound", "--table", "t.json", "--protocol", "dj", "--n", "4"],
+            "bound takes --table FILE or --protocol dj --n N, not both",
+        ),
+        (
+            ["bound", "--table", "t.json", "--n", "4"],
+            "bound takes --table FILE or --protocol dj --n N, not both",
+        ),
+        (
+            ["stats", "--n", "1", "--exhaustive", "--seed", "4"],
+            "--exhaustive enumerates every table; drop --seed",
+        ),
+    ],
+    ids=[
+        "sum2-l", "sum2-n", "geq-n", "dj-k", "dj-l", "bound-table-dj", "bound-table-n",
+        "stats-exhaustive-seed",
+    ],
+)
+def test_options_the_protocol_or_mode_does_not_read_exit_two(argv, message, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_verify_refuses_what_cannot_finish_before_any_sweep(monkeypatch, capsys):
     """geq (2,5) would build a 511.5 MiB state stack for each of 56,333
     sampled inputs; it exits 2 at once, naming the size."""

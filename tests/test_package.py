@@ -61,7 +61,7 @@ def test_dir_lists_exports_and_unknown_names_raise():
 def test_default_budget_has_one_source():
     assert verify.DEFAULT_BUDGET is psqm.DEFAULT_BUDGET == 1 << 16
     assert verify.DEFAULT_TOL is psqm.DEFAULT_TOL == 1e-9
-    args = cli.build_parser().parse_args(["bound", "--protocol", "dj", "--n", "2"])
+    args = cli.build_parser().parse_args(["verify", "--protocol", "sum2", "--k", "2"])
     assert args.budget == psqm.DEFAULT_BUDGET
     assert args.tol is psqm.DEFAULT_TOL
 

@@ -663,3 +663,26 @@ def test_both_sweeping_checks_refuse_an_empty_sampled_sweep(monkeypatch):
     for check in (check_correctness, check_messages):
         with pytest.raises(ValueError, match="^nothing to check: empty sweep$"):
             check(proto, budget=1, seed=1)
+
+
+def test_a_sampled_sweep_takes_references_by_batch(monkeypatch):
+    """The draws' references come a batch at a time, and only for inputs
+    not drawn before: the empty sweep of OffPromiseDJ(4) draws exactly its
+    200,000-attempt cap with a handful of `_reference` calls, not one per
+    draw."""
+    proto = OffPromiseDJ(4)
+    calls, draws = [], []
+
+    def counted(self, codes, _original=OffPromiseDJ._reference):
+        calls.append(len(codes))
+        return _original(self, codes)
+
+    def sample(rng, _original=proto.sample_input):
+        draws.append(_original(rng))
+        return draws[-1]
+
+    monkeypatch.setattr(OffPromiseDJ, "_reference", counted)
+    proto.sample_input = sample
+    assert verify._sweep(proto, budget=1, seed=1)[1] == "sampled:0"
+    assert len(draws) == 200_000
+    assert len(calls) <= 300

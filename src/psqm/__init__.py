@@ -35,8 +35,7 @@ _EXPORTS = {
     "dj_protocol": "protocols",
     "geq_protocol": "protocols",
     "sum2_protocol": "protocols",
-    "check_correctness": "verify",
-    "check_messages": "verify",
+    "check_sweep": "verify",
     "check_weight_sums": "verify",
     "FunctionTable": "bounds",
     "InputDistribution": "bounds",

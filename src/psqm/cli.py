@@ -204,19 +204,18 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
     from . import verify
 
-    kwargs = dict(budget=args.budget, seed=args.seed)
     checks = []
 
     def add(name, rep):
         checks.append(_record(name, rep.passed, rep.witnesses(protocol), rep.coverage))
 
-    add("correctness", verify.check_correctness(protocol, tol=args.tol, **kwargs))
-    privacy, purity, collision = verify.check_messages(protocol, tol=args.tol, **kwargs)
-    add("privacy", privacy)
+    sweep = verify.check_sweep(protocol, tol=args.tol, budget=args.budget, seed=args.seed)
+    add("correctness", sweep.correctness)
+    add("privacy", sweep.privacy)
     for party in range(protocol.party_count):
         add(f"weight_sums_party{party}", verify.check_weight_sums(protocol, party, tol=args.tol))
-    add("purity_bounds", purity)
-    add("collision_bound", collision)
+    add("purity_bounds", sweep.purity_bounds)
+    add("collision_bound", sweep.collision_bound)
     return _config_echo(args), checks, protocol.cost()
 
 

@@ -5,13 +5,16 @@ sweeps are exhaustive while the domain fits the budget (default 2^16);
 larger domains fall back to a seeded stratified sample with at least 64
 inputs per output class, and reports carry a coverage label so partial
 sweeps are never silent.  A sample that draws the whole domain is the
-exhaustive sweep, in domain order and labelled as such.  Both sweeping
-checks first refuse a protocol whose per-input message stack is too big.
+exhaustive sweep, in domain order and labelled as such.
 
-Privacy, the purity bounds and the collision bound all read the
-randomness-averaged messages rho_x, so `check_messages` derives the three
-reports from one walk that builds each rho_x once, a block of inputs per
-`_averaged_matrix` call (correctness reads output masses by blocks too).
+`check_sweep` derives correctness, privacy, the purity bounds and the
+collision bound from one sweep and one walk over it.  It first refuses a
+protocol whose per-input message stack is too big, then takes its inputs
+from `_distribution`, which refuses an empty sweep and reads their
+reference values in one vectorised `_reference` call.  The walk reads
+output masses a block of inputs per `_output_masses` call, and splits
+each block into the smaller blocks whose randomness-averaged messages
+rho_x one `_averaged_matrix` call builds, so each rho_x is built once.
 The purity, the distance and the rho_bar sum stay per input, in sweep
 order, so reports keep their float noise bit for bit.  The walk reads the
 raw matrices: a convex combination of states is a density matrix by
@@ -22,9 +25,7 @@ purity bounds gate the average.  Inputs are checked at the edge too: a
 sweep holds rows of integer codes from the protocol's own input domain
 or sampler, so only the bit strings that key a supplied mu are parsed,
 once each, and report fields (`worst_input`, `representative_input`)
-are formatted back to bit strings.  Both sweeping checks take their
-inputs from `_distribution`, which refuses an empty sweep and reads
-their reference values in one vectorised `_reference` call.
+are formatted back to bit strings.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -149,35 +150,6 @@ class CorrectnessReport(SimpleNamespace):
         }
 
 
-def check_correctness(
-    protocol: ProtocolInstance,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    seed=None,
-) -> CorrectnessReport:
-    """Referee output mass on the reference value, worst case over the
-    sweep and over every randomness value."""
-    _preflight(protocol)
-    inputs, targets, _, coverage = _distribution(protocol, None, budget, seed)
-    domain = protocol.randomness_domain
-    min_mass, worst_x, worst_r = float("inf"), None, None
-    for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
-        rows = np.arange(len(block))
-        masses = protocol._output_masses(block)[rows, :, targets[start + rows]]
-        i = int(np.argmin(masses))  # the first minimum in sweep order: the first worst pair
-        if masses.flat[i] < min_mass:
-            row, r = divmod(i, len(domain))
-            min_mass, worst_x, worst_r = float(masses.flat[i]), block[row].tolist(), domain[r]
-    return CorrectnessReport(
-        passed=min_mass >= 1.0 - tol,
-        min_mass=min_mass,
-        worst_input=protocol._input_strings(worst_x),
-        worst_randomness=worst_r,
-        cases=len(inputs) * len(domain),
-        coverage=f"{coverage} x randomness-exhaustive:{len(domain)}",
-    )
-
-
 class PrivacyClass(SimpleNamespace):
     """representative_input, its averaged message `matrix` (unvalidated) and
     purity, the class size, and max_distance, the largest distance of a
@@ -286,24 +258,30 @@ class CollisionBoundReport(SimpleNamespace):
         return out
 
 
-class MessageReports(NamedTuple):
+class SweepReports(NamedTuple):
+    correctness: CorrectnessReport
     privacy: PrivacyReport
     purity_bounds: PurityBoundsReport
     collision_bound: CollisionBoundReport
 
 
-def check_messages(
+def check_sweep(
     protocol: ProtocolInstance,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     seed=None,
     mu=None,
-) -> MessageReports:
-    """Privacy, purity bounds and the collision bound, from one walk over
-    the inputs that builds each randomness-averaged message rho_x once.
+) -> SweepReports:
+    """Correctness, privacy, purity bounds and the collision bound, from one
+    walk over the inputs that reads each input's output masses and builds
+    its randomness-averaged message rho_x once.
 
     The inputs are mu's keys with its weights, or the sweep with uniform
-    weights when mu is None; all three reports share that coverage.
+    weights when mu is None; all four reports cover those inputs.
+
+    Correctness: the referee's output mass on the reference value, worst
+    case over the inputs and over every randomness value; the first
+    minimum in sweep order names the worst pair.
 
     Privacy: rho_x must agree within each output class.  Each rho_x is
     compared to its class representative in Frobenius distance, and a
@@ -326,36 +304,54 @@ def check_messages(
     """
     _preflight(protocol)
     inputs, targets, weights, coverage = _distribution(protocol, mu, budget, seed)
+    domain = protocol.randomness_domain
+    message_bytes = 16 << protocol.cost()[0]
+    min_mass, worst_x, worst_r = float("inf"), None, None
     classes: dict = {}
     masses_by_class: dict = {}
     max_distance, worst_input = 0.0, None
     rho_bar = None
     self_terms = 0.0
-    for start, block in protocol._blocks(inputs, 16 << protocol.cost()[0]):
-        stop = start + len(block)
-        rhos = protocol._averaged_matrix(block)
-        rows = zip(block.tolist(), targets[start:stop].tolist(), weights[start:stop], rhos)
-        for x, column, w, rho in rows:
-            y = protocol.output_domain[column]
-            rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
-            purity = qsim.purity(rho)
-            self_terms += float(w) ** 2 * purity
-            masses_by_class.setdefault(y, []).append(float(w))
-            if y not in classes:  # a copy, so that no block outlives its loop
-                classes[y] = PrivacyClass(
-                    representative_input=protocol._input_strings(x),
-                    matrix=rho.copy(),
-                    size=1,
-                    max_distance=0.0,
-                    purity=purity,
-                )
-                continue
-            cls = classes[y]
-            cls.size += 1
-            dist = qsim.matrix_distance(cls.matrix, rho)
-            cls.max_distance = max(cls.max_distance, dist)
-            if dist > max_distance:
-                max_distance, worst_input = dist, protocol._input_strings(x)
+    for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
+        rows = np.arange(len(block))
+        masses = protocol._output_masses(block)[rows, :, targets[start + rows]]
+        i = int(np.argmin(masses))  # the first minimum in sweep order: the first worst pair
+        if masses.flat[i] < min_mass:
+            row, r = divmod(i, len(domain))
+            min_mass, worst_x, worst_r = float(masses.flat[i]), block[row].tolist(), domain[r]
+        for offset, part in protocol._blocks(block, message_bytes):
+            span = slice(start + offset, start + offset + len(part))
+            entries = zip(part.tolist(), targets[span].tolist(), weights[span])
+            for (x, column, w), rho in zip(entries, protocol._averaged_matrix(part)):
+                y = protocol.output_domain[column]
+                rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
+                purity = qsim.purity(rho)
+                self_terms += float(w) ** 2 * purity
+                masses_by_class.setdefault(y, []).append(float(w))
+                if y not in classes:  # a copy, so that no block outlives its loop
+                    classes[y] = PrivacyClass(
+                        representative_input=protocol._input_strings(x),
+                        matrix=rho.copy(),
+                        size=1,
+                        max_distance=0.0,
+                        purity=purity,
+                    )
+                    continue
+                cls = classes[y]
+                cls.size += 1
+                dist = qsim.matrix_distance(cls.matrix, rho)
+                cls.max_distance = max(cls.max_distance, dist)
+                if dist > max_distance:
+                    max_distance, worst_input = dist, protocol._input_strings(x)
+
+    correctness = CorrectnessReport(
+        passed=min_mass >= 1.0 - tol,
+        min_mass=min_mass,
+        worst_input=protocol._input_strings(worst_x),
+        worst_randomness=worst_r,
+        cases=len(inputs) * len(domain),
+        coverage=f"{coverage} x randomness-exhaustive:{len(domain)}",
+    )
 
     cross = 0.0
     for a, b in itertools.combinations(sorted(classes, key=repr), 2):
@@ -400,4 +396,4 @@ def check_messages(
             skipped=vacuous,
             reason="beta is zero; inequality is vacuous" if vacuous else None,
         )
-    return MessageReports(privacy, purity_bounds, collision)
+    return SweepReports(correctness, privacy, purity_bounds, collision)

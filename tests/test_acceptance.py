@@ -42,7 +42,7 @@ def test_criterion_1_sum2_correctness():
     worst = 1.0
     ok = True
     for k in (2, 3, 4, 5):
-        rep = verify.check_correctness(sum2_protocol(k), tol=TOL)
+        rep = verify.check_sweep(sum2_protocol(k), tol=TOL).correctness
         ok &= rep.passed and rep.coverage.startswith("exhaustive:")
         worst = min(worst, rep.min_mass)
     elapsed = time.perf_counter() - started
@@ -59,7 +59,7 @@ def test_criterion_2_sum2_privacy():
     ok = True
     details = []
     for k in (2, 4):
-        rep = verify.check_messages(sum2_protocol(k), tol=TOL).privacy
+        rep = verify.check_sweep(sum2_protocol(k), tol=TOL).privacy
         purities = {y: c.purity for y, c in rep.classes.items()}
         target = 2.0 ** -(k - 2)
         ok &= rep.passed and rep.max_distance <= TOL
@@ -81,8 +81,7 @@ def test_criterion_3_geq_correctness_privacy_cost():
         proto = geq_protocol(k, l)
         want_cost = k * l if k % 2 == 0 else (k + 1) * l
         ok &= proto.cost() == (want_cost, "qubits")
-        corr = verify.check_correctness(proto, tol=TOL)
-        priv = verify.check_messages(proto, tol=TOL).privacy
+        corr, priv, _, _ = verify.check_sweep(proto, tol=TOL)
         ok &= corr.passed and corr.coverage.startswith("exhaustive:")
         ok &= priv.passed and priv.max_distance <= TOL
         details.append(f"({k},{l}): cost {want_cost}")
@@ -128,7 +127,7 @@ def test_criterion_5_dj():
         proto = dj_protocol(n)
         m = n.bit_length() - 1
         ok &= proto.cost() == (2 * m, "bits")
-        corr = verify.check_correctness(proto, tol=TOL)
+        corr = verify.check_sweep(proto, tol=TOL).correctness
         ok &= corr.passed and corr.coverage.startswith("exhaustive:")
         worst_tv = 0.0
         accept_target = np.zeros(n * n)
@@ -185,7 +184,7 @@ def test_criterion_7_purity_and_collision_bounds():
     ]
     for label, factory in factories:
         proto = factory()
-        _, pur, col = verify.check_messages(proto, tol=TOL)
+        _, _, pur, col = verify.check_sweep(proto, tol=TOL)
         ok &= pur.passed
         ok &= col.passed and not col.skipped and col.lhs <= col.rhs + TOL
         details.append(f"{label}: purity {pur.purity:.4g}")

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import json
@@ -119,6 +120,46 @@ def test_verify_builds_each_averaged_message_once(argv, count, monkeypatch, caps
     classes = parse(out)["checks"][1]["witnesses"]["classes"]
     assert len(validated) <= len(classes)
     assert parse(out)["checks"][1]["coverage"] == f"exhaustive:{count}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--protocol", "sum2", "--k", "3"],
+        ["--protocol", "geq", "--k", "2", "--l", "1"],
+        ["--protocol", "dj", "--n", "4"],
+    ],
+    ids=["sum2-k3", "geq-k2-l1", "dj-n4"],
+)
+def test_verify_sizes_draws_and_walks_its_sweep_once(argv, monkeypatch, capsys):
+    """One `_preflight`, one `_distribution` and one walk per `verify`:
+    the rows of the `_output_masses` calls, and those of the
+    `_averaged_matrix` calls, are the sweep's rows once each, in order."""
+    seen = collections.defaultdict(list)
+
+    def recorded(name, original, rows_of):
+        def wrapper(*args):
+            result = original(*args)
+            seen[name].append(rows_of(args, result))
+            return result
+
+        return wrapper
+
+    for name, rows_of in (
+        ("_preflight", lambda args, result: result),
+        ("_distribution", lambda args, result: result[0].tolist()),  # the sweep's codes
+    ):
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name), rows_of))
+    for cls in (protocols._GhzMaskProtocol, protocols.DJProtocol):
+        for hook in ("_output_masses", "_averaged_matrix"):
+            wrapped = recorded(hook, getattr(cls, hook), lambda args, result: args[1].tolist())
+            monkeypatch.setattr(cls, hook, wrapped)
+    code, _, _ = run_main(["verify"] + argv, capsys)
+    assert code == 0
+    assert len(seen["_preflight"]) == 1
+    (sweep,) = seen["_distribution"]
+    for hook in ("_output_masses", "_averaged_matrix"):
+        assert [row for rows in seen[hook] for row in rows] == sweep, hook
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ Each sum2 and geq mutant overrides a hook of the Pauli-frame path
 randomness domain; the package has no gate simulator, so nothing else
 can stand in for that path.  A mutant that models one party's
 misbehaviour overrides `_party_frames`, so the whole message and the
-weight sums both see it.  The dj mutant adds zero masks to its randomness domain.
+weight sums both see it.  The dj mutants add zero masks to their
+randomness domain or fix its r.
 """
 
 import numpy as np
@@ -13,14 +14,15 @@ import pytest
 
 from psqm import qsim
 from psqm.protocols import DJProtocol, GeqProtocol, Sum2Protocol
-from psqm.verify import check_correctness, check_messages, check_weight_sums
+from psqm.verify import check_sweep, check_weight_sums
 
 from _oracles import domain_strings, weight_sum_maxima
 
 def restrict_randomness(proto, keep):
     """Narrow the randomness domain of a protocol no check has read yet:
-    sum2 and geq parse their domain once, on first use (`_domain_ints`)."""
-    assert "_domain_ints" not in vars(proto)
+    sum2 and geq parse their domain once, on first use (`_domain_ints`),
+    and dj caches the laws it reads from it (`_law_cache`)."""
+    assert "_domain_ints" not in vars(proto) and not vars(proto).get("_law_cache")
     proto.randomness_domain = tuple(r for r in proto.randomness_domain if keep(r))
     return proto
 
@@ -43,11 +45,10 @@ def test_sum2_with_one_randomness_value_leaks_inputs():
     first = Sum2Protocol(4).randomness_domain[0]
     proto = restrict_randomness(Sum2Protocol(4), lambda r: r == first)
 
-    correctness = check_correctness(proto)
+    correctness, privacy, purity, collision = check_sweep(proto)
     assert correctness.passed
     assert correctness.cases == 4**4
 
-    privacy, purity, collision = check_messages(proto)
     assert_privacy_names_a_leaking_input(proto, privacy)
     assert purity.passed
     assert not collision.passed and not collision.skipped
@@ -61,9 +62,8 @@ def test_geq_with_the_field_mask_fixed_to_one_leaks_sums():
     referee learns the coordinate sums, not only whether they vanish."""
     proto = restrict_randomness(GeqProtocol(2, 1), lambda r: r[1] == "10")
     assert len(proto.randomness_domain) == 2
-    assert check_correctness(proto).passed
-
-    privacy = check_messages(proto).privacy
+    correctness, privacy, _, _ = check_sweep(proto)
+    assert correctness.passed
     assert_privacy_names_a_leaking_input(proto, privacy)
     assert proto.reference(privacy.worst_input) == 0
     assert privacy.classes[1].max_distance == 0.0  # accept-class messages still agree
@@ -88,7 +88,7 @@ class DroppedZGeq(GeqProtocol):
 
 
 def assert_correctness_names_a_wrong_run(proto):
-    report = check_correctness(proto)
+    report = check_sweep(proto).correctness
     assert not report.passed
     assert report.min_mass == 0.0
     witness = report.witnesses(proto)
@@ -143,7 +143,7 @@ class FlippedDecodeSum2(Sum2Protocol):
 def test_sum2_with_a_flipped_decoder_fails_correctness_only():
     proto = FlippedDecodeSum2(4)
     assert_correctness_names_a_wrong_run(proto)
-    assert check_messages(proto).privacy.passed
+    assert check_sweep(proto).privacy.passed
 
 
 class HalvedAverageSum2(Sum2Protocol):
@@ -161,8 +161,8 @@ def test_sum2_with_halved_averages_fails_purity_bounds():
     validated during the walk; the public averaged_message still rejects
     the trace of 1/2."""
     proto = HalvedAverageSum2(3)
-    assert check_correctness(proto).passed
-    privacy, purity, _ = check_messages(proto)
+    correctness, privacy, purity, _ = check_sweep(proto)
+    assert correctness.passed
     assert privacy.passed
     assert not purity.passed
     assert purity.dim == 16 and purity.purity == pytest.approx(1 / 64, abs=1e-15)
@@ -178,7 +178,7 @@ def test_dj_with_a_zero_mask_fails_correctness():
     proto = DJProtocol(4)
     zero = tuple(("00", format(v, "02b")) for v in range(4))
     proto.randomness_domain += zero
-    report = check_correctness(proto)
+    report = check_sweep(proto).correctness
     assert not report.passed and report.min_mass < 1e-9
     x, y = report.worst_input
     assert sum(a != b for a, b in zip(x, y)) == 2
@@ -187,3 +187,64 @@ def test_dj_with_a_zero_mask_fails_correctness():
     law = proto.run(report.worst_input, report.worst_randomness).message_distribution
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(law) == 1
+
+
+def test_a_supplied_mu_reaches_correctness():
+    """Correctness covers mu's inputs, as the message checks do: on the
+    flipped decoder the one input fails correctness and is named, while
+    its messages stay private; honest sum2 passes on the same input."""
+    x = ("01", "10", "11")
+    correctness, privacy, _, _ = check_sweep(FlippedDecodeSum2(3), mu={x: 1.0})
+    assert not correctness.passed and correctness.worst_input == x
+    assert correctness.coverage == "supplied:1 x randomness-exhaustive:8"
+    assert privacy.passed and privacy.coverage == "supplied:1"
+    honest = check_sweep(Sum2Protocol(3), mu={x: 1.0}).correctness
+    assert honest.passed and honest.coverage == correctness.coverage
+
+
+def test_geq_with_party_0_dropping_its_z_fails_weight_sums():
+    """At l = 2 party 0's dropped Z's leave four of its inputs with each
+    local state, a weight of 4 where the bound allows 1; party 1 is
+    honest."""
+    proto = DroppedZGeq(2, 2)
+    report = check_weight_sums(proto, 0)
+    assert not report.passed and not report.skipped
+    assert report.max_excluding_self == report.max_including_self == 4.0
+    assert check_weight_sums(proto, 1).passed
+
+
+@pytest.mark.parametrize("k,rhs", [(3, 0.05), (4, 0.0595238095238)])
+def test_geq_with_one_randomness_value_fails_the_collision_bound(k, rhs):
+    """Under its first randomness value alone geq stays correct, but its
+    averaged messages spread over more orthogonal states than the output
+    allows, so their average is purer than the cross terms bound.  (At
+    k = 2 the two sides meet within 3e-17 and the bound holds.)"""
+    first = GeqProtocol(k, 1).randomness_domain[0]
+    proto = restrict_randomness(GeqProtocol(k, 1), lambda r: r == first)
+    correctness, _, purity, collision = check_sweep(proto)
+    assert correctness.passed and purity.passed
+    assert not collision.passed and not collision.skipped
+    assert collision.lhs == pytest.approx(0.0625)
+    assert collision.rhs == pytest.approx(rhs)
+
+
+@pytest.mark.parametrize(
+    "n,distance,worst",
+    [(4, 0.5**0.5, ("0000", "0101")), (8, 0.5, ("00000000", "00110011"))],
+)
+def test_dj_with_r_fixed_to_one_leaks_inputs(n, distance, worst):
+    """With r fixed to the field's 1 (constant term first) and r' still
+    uniform, each mask is still a bijection, so dj stays correct, but the
+    reject class's message laws then differ from input to input.  Every
+    other fixed r leaks as much."""
+    one = "1".ljust(n.bit_length() - 1, "0")
+    proto = restrict_randomness(DJProtocol(n), lambda r: r[0] == one)
+    assert len(proto.randomness_domain) == n
+    correctness, privacy, _, _ = check_sweep(proto)
+    assert correctness.passed
+    assert not privacy.passed
+    assert privacy.max_distance == pytest.approx(distance)
+    assert privacy.worst_input == worst
+    rep = proto.averaged_message(privacy.classes[0].representative_input)
+    got = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
+    assert got == pytest.approx(distance)

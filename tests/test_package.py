@@ -14,7 +14,7 @@ from psqm import bounds, cli, verify
 
 EXPORTS = {
     "protocols": ("PROMISE_VIOLATION", "dj_protocol", "geq_protocol", "sum2_protocol"),
-    "verify": ("check_correctness", "check_messages", "check_weight_sums"),
+    "verify": ("check_sweep", "check_weight_sums"),
     "bounds": (
         "FunctionTable",
         "InputDistribution",

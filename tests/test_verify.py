@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from psqm import cli, protocols, verify
 from psqm.protocols import dj_protocol, geq_protocol, sum2_protocol
-from psqm.verify import (
-    check_correctness,
-    check_messages,
-    check_weight_sums,
-)
+from psqm.verify import check_sweep, check_weight_sums
 
 from _oracles import (
     domain_strings,
@@ -46,7 +42,7 @@ def sum2_class_state(k: int, output) -> np.ndarray:
 @pytest.mark.parametrize("k", [2, 4])
 def test_sum2_privacy_class_states(k):
     proto = sum2_protocol(k)
-    report = check_messages(proto).privacy
+    report = check_sweep(proto).privacy
     assert report.passed
     assert report.max_distance <= 1e-9
     assert report.cross_orthogonality <= 1e-9
@@ -69,7 +65,7 @@ def test_sum2_averaged_message_direct():
 @pytest.mark.parametrize("k,l", [(2, 1), (3, 1)])
 def test_geq_privacy_classes(k, l):
     proto = geq_protocol(k, l)
-    report = check_messages(proto).privacy
+    report = check_sweep(proto).privacy
     assert report.passed
     p = proto.cost()[0] // l
     sizes = {y: cls.size for y, cls in report.classes.items()}
@@ -83,7 +79,7 @@ def test_geq_privacy_classes(k, l):
 
 def test_correctness_reports():
     proto = sum2_protocol(2)
-    rep = check_correctness(proto)
+    rep = check_sweep(proto).correctness
     assert rep.passed and abs(rep.min_mass - 1.0) < 1e-9
     assert rep.coverage == "exhaustive:16 x randomness-exhaustive:2"
     assert rep.cases == 16 * 2
@@ -116,7 +112,7 @@ def test_dj_reject_class_distribution():
 
 def test_dj_privacy_report():
     proto = dj_protocol(4)
-    report = check_messages(proto).privacy
+    report = check_sweep(proto).privacy
     assert report.passed
     assert report.note is not None and "0.25" in report.note
     assert abs(report.classes[1].purity - 0.25) < 1e-9
@@ -257,10 +253,11 @@ AVERAGED_CONFIGS = [("sum2", k) for k in range(2, 7)] + [
     "config", AVERAGED_CONFIGS, ids=["-".join(map(str, c)) for c in AVERAGED_CONFIGS]
 )
 def test_block_averaged_matrices_equal_the_per_input_matmul_bit_for_bit(config):
-    """Every input's averaged matrix, from the blocks that `check_messages`
-    walks (one stacked matmul per block), equals the one 2-D matmul of
-    that input's R transcript states alone, in every bit: the float noise
-    that reports carry stays the same."""
+    """Every input's averaged matrix, from blocks of the size that
+    `check_sweep` builds them in (one stacked matmul per block), equals the
+    one 2-D matmul of that input's R transcript states alone, in every
+    bit: the float noise that reports carry stays the same, wherever a
+    block starts."""
     proto = build(config)
     domain = proto.randomness_domain
     w = np.full(len(domain), 1.0 / len(domain))
@@ -343,14 +340,14 @@ def test_dj_weight_sums_skipped_with_witnesses():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sum2_purity_floor_is_exact(k):
     proto = sum2_protocol(k)
-    rep = check_messages(proto).purity_bounds
+    rep = check_sweep(proto).purity_bounds
     assert rep.passed
     # averaging over everything hits the maximally mixed state
     assert abs(rep.purity - 1.0 / rep.dim) < 1e-12
 
 
 def test_geq_purity_bounds():
-    rep = check_messages(geq_protocol(2, 1)).purity_bounds
+    rep = check_sweep(geq_protocol(2, 1)).purity_bounds
     assert rep.passed
     assert 1.0 / rep.dim - 1e-10 <= rep.purity <= 1.0 + 1e-10
 
@@ -361,8 +358,9 @@ def test_purity_with_supplied_mu():
     mu = {x: 0.0 for x in inputs}
     mu[("00", "00")] = 0.5
     mu[("01", "11")] = 0.5
-    reports = check_messages(proto, mu=mu)
-    assert all(rep.coverage == "supplied:16" for rep in reports)
+    reports = check_sweep(proto, mu=mu)
+    assert reports.correctness.coverage == "supplied:16 x randomness-exhaustive:2"
+    assert all(rep.coverage == "supplied:16" for rep in reports[1:])
     assert all(rep.passed for rep in reports)
     # privacy reads every key of mu, weighted or not
     assert sum(cls.size for cls in reports.privacy.classes.values()) == 16
@@ -371,18 +369,18 @@ def test_purity_with_supplied_mu():
     assert abs(reports.purity_bounds.purity - want) < 1e-12
     assert reports.collision_bound.lhs == reports.purity_bounds.purity
     only = {("10", "01"): 1.0}
-    rep = check_messages(proto, mu=only).privacy
+    rep = check_sweep(proto, mu=only).privacy
     assert rep.coverage == "supplied:1"
     assert [cls.representative_input for cls in rep.classes.values()] == [("10", "01")]
     with pytest.raises(ValueError):
-        check_messages(proto, mu={("00", "00"): 0.7})
+        check_sweep(proto, mu={("00", "00"): 0.7})
     # a NaN weight fails no comparison, so it needs its own test
     with pytest.raises(ValueError, match="finite"):
-        check_messages(proto, mu={("00", "00"): float("nan"), ("01", "11"): 1.0})
+        check_sweep(proto, mu={("00", "00"): float("nan"), ("01", "11"): 1.0})
     with pytest.raises(ValueError, match="mu is empty"):
-        check_messages(proto, mu={})
+        check_sweep(proto, mu={})
     with pytest.raises(ValueError):
-        check_messages(dj_protocol(2), mu={("00", "11"): 1.0})  # promise violation
+        check_sweep(dj_protocol(2), mu={("00", "11"): 1.0})  # promise violation
 
 
 def counting_input_checks(monkeypatch) -> collections.Counter:
@@ -407,10 +405,10 @@ def test_verify_validates_inputs_only_at_the_edge(monkeypatch, capsys):
     assert sum(seen.values()) == 0
     proto = sum2_protocol(2)
     mu = {x: 1.0 / 16 for x in domain_strings(proto)}
-    check_messages(proto, mu=mu)
+    check_sweep(proto, mu=mu)
     assert seen == collections.Counter(mu.keys())
     with pytest.raises(ValueError, match="bad 2-bit input"):
-        check_messages(proto, mu={("0", "00"): 1.0})
+        check_sweep(proto, mu={("0", "00"): 1.0})
 
 
 @pytest.mark.parametrize(
@@ -423,7 +421,7 @@ def test_verify_validates_inputs_only_at_the_edge(monkeypatch, capsys):
 )
 def test_collision_bound_cross_terms_literal(factory):
     proto = factory()
-    rep = check_messages(proto).collision_bound
+    rep = check_sweep(proto).collision_bound
     assert rep.passed and not rep.skipped
     inputs = domain_strings(proto)
     w = 1.0 / len(inputs)
@@ -439,7 +437,7 @@ def test_collision_bound_cross_terms_literal(factory):
 
 
 def test_collision_bound_sum2_k2_is_tight():
-    rep = check_messages(sum2_protocol(2)).collision_bound
+    rep = check_sweep(sum2_protocol(2)).collision_bound
     assert abs(rep.lhs - 0.25) < 1e-12
     assert abs(rep.rhs - 0.25) < 1e-9
     assert abs(rep.beta - 0.75) < 1e-12
@@ -447,7 +445,7 @@ def test_collision_bound_sum2_k2_is_tight():
 
 def test_collision_bound_beta_matches_class_masses():
     proto = sum2_protocol(3)
-    rep = check_messages(proto).collision_bound
+    rep = check_sweep(proto).collision_bound
     inputs = domain_strings(proto)
     sizes: dict = {}
     for x in inputs:
@@ -457,7 +455,7 @@ def test_collision_bound_beta_matches_class_masses():
 
 
 def test_collision_bound_skipped_for_dj():
-    rep = check_messages(dj_protocol(2)).collision_bound
+    rep = check_sweep(dj_protocol(2)).collision_bound
     assert rep.skipped and rep.passed
     assert "partial" in rep.reason
 
@@ -506,7 +504,7 @@ def test_degenerate_total_reference_makes_the_bounds_vacuous():
         rep = check_weight_sums(proto, party)
         assert rep.skipped and rep.passed and rep.pair_count == 1
         assert rep.reason == "reference is partial or degenerate; bound is vacuous"
-    collision = check_messages(proto).collision_bound
+    collision = check_sweep(proto).collision_bound
     assert collision.skipped and collision.passed
     assert collision.reason == "reference is partial or degenerate; bound is vacuous"
 
@@ -545,9 +543,9 @@ def test_distinct_rows_match_pairwise_enumeration(proto):
 def test_sampled_sweep_requires_seed_and_is_deterministic():
     proto = dj_protocol(8)
     with pytest.raises(ValueError):
-        check_correctness(proto, budget=500)
-    rep1 = check_correctness(proto, budget=500, seed=3)
-    rep2 = check_correctness(proto, budget=500, seed=3)
+        check_sweep(proto, budget=500)
+    rep1 = check_sweep(proto, budget=500, seed=3).correctness
+    rep2 = check_sweep(proto, budget=500, seed=3).correctness
     assert rep1.coverage == rep2.coverage
     assert rep1.coverage.startswith("sampled:")
     assert rep1.min_mass == rep2.min_mass
@@ -583,7 +581,7 @@ def test_sampled_sweep_stops_once_it_has_every_input(config):
 
 
 def test_exhaustive_sweep_below_budget():
-    rep = check_correctness(dj_protocol(4))
+    rep = check_sweep(dj_protocol(4)).correctness
     assert rep.coverage.startswith("exhaustive:112")
     assert rep.passed
 
@@ -633,16 +631,14 @@ def test_the_preflight_refuses_only_geq_2_5():
     assert max(sizes.values()) == sizes["geq", 9, 1] == sizes["geq", 10, 1] == 24 << 20
 
 
-def test_both_sweeping_checks_refuse_before_they_sweep(monkeypatch):
+def test_the_sweep_refuses_before_it_sweeps(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("the sweep began")
 
     monkeypatch.setattr(verify, "_sweep", no_sweep)
     monkeypatch.setattr(verify, "_distribution", no_sweep)
-    proto = geq_protocol(2, 5)
-    for check in (check_correctness, check_messages):
-        with pytest.raises(ValueError, match="511.5 MiB"):
-            check(proto, seed=1)
+    with pytest.raises(ValueError, match="511.5 MiB"):
+        check_sweep(geq_protocol(2, 5), seed=1)
 
 
 class OffPromiseDJ(protocols.DJProtocol):
@@ -653,16 +649,14 @@ class OffPromiseDJ(protocols.DJProtocol):
         return (0, 1)
 
 
-def test_both_sweeping_checks_refuse_an_empty_sampled_sweep(monkeypatch):
-    """The sampler spends its whole attempt cap drawing nothing, once; both
-    checks then get that same empty sweep and refuse it."""
+def test_the_sweep_refuses_an_empty_sampled_sweep():
+    """The sampler spends its whole attempt cap drawing nothing, and the
+    sweep refuses the empty sample."""
     proto = OffPromiseDJ(4)
     empty = verify._sweep(proto, budget=1, seed=1)
     assert empty[0].shape == (0, 2) and empty[1] == "sampled:0"
-    monkeypatch.setattr(verify, "_sweep", lambda *args: empty)
-    for check in (check_correctness, check_messages):
-        with pytest.raises(ValueError, match="^nothing to check: empty sweep$"):
-            check(proto, budget=1, seed=1)
+    with pytest.raises(ValueError, match="^nothing to check: empty sweep$"):
+        check_sweep(proto, budget=1, seed=1)
 
 
 def test_a_sampled_sweep_takes_references_by_batch(monkeypatch):

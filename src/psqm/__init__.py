@@ -5,7 +5,8 @@ bounds.
 The re-exported names below resolve on first use (PEP 562), so that
 `import psqm` loads only the modules a caller touches: the pure-Python
 `bounds` needs no numpy, while `protocols` and `verify` load it.  What
-both sides share is defined here, so neither loads the other."""
+both sides share is defined here, so neither loads the other: the
+defaults, `collision_beta` and `check_record`."""
 
 import importlib
 
@@ -28,6 +29,12 @@ def collision_beta(masses_by_class: dict) -> float:
     if best is None:
         raise ValueError("no output class has positive mass")
     return best
+
+
+def check_record(name: str, passed: bool, witnesses, coverage=None) -> dict:
+    """One entry of a report's `checks` list, as `verify`'s checks return
+    it and every CLI command prints it."""
+    return {"name": name, "pass": passed, "witnesses": witnesses, "coverage": coverage}
 
 
 _EXPORTS = {

@@ -34,7 +34,7 @@ import time
 # Each command imports what it runs when it starts: `bound` and `stats` the
 # pure-Python bounds module, `run` and `verify` the numpy-backed modules
 # (see _build_protocol).  Neither side loads the other's.
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__, check_record
 
 
 # Each option once; a command takes those its list names and --out, no other.
@@ -133,10 +133,6 @@ def _config_echo(args) -> dict:  # a command that takes no tol or budget echoes 
     return {key: getattr(args, key, _OPTIONS[key].get("default")) for key in _PROTO_KEYS}
 
 
-def _record(name, passed, witnesses, coverage=None) -> dict:
-    return {"name": name, "pass": passed, "witnesses": witnesses, "coverage": coverage}
-
-
 def _transcript(protocol, randomness, record) -> dict:
     """Report entry of one execution under one randomness value."""
     entry = {
@@ -195,7 +191,7 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
                 witnesses["per_randomness"] = [_transcript(protocol, *run) for run in runs]
             passed = column < 0 or bool(law[:, column].min() >= 1.0 - args.tol)
             coverage = f"randomness-exhaustive:{len(domain)}"
-            checks.append(_record(f"run[{','.join(inputs)}]", passed, witnesses, coverage))
+            checks.append(check_record(f"run[{','.join(inputs)}]", passed, witnesses, coverage))
     config = _config_echo(args) | {"inputs": args.inputs}
     return config, checks, protocol.cost()
 
@@ -204,18 +200,14 @@ def cmd_verify(args) -> tuple[dict, list, tuple | None]:
     protocol = _build_protocol(args)
     from . import verify
 
-    checks = []
-
-    def add(name, rep):
-        checks.append(_record(name, rep.passed, rep.witnesses(protocol), rep.coverage))
-
     sweep = verify.check_sweep(protocol, tol=args.tol, budget=args.budget, seed=args.seed)
-    add("correctness", sweep.correctness)
-    add("privacy", sweep.privacy)
-    for party in range(protocol.party_count):
-        add(f"weight_sums_party{party}", verify.check_weight_sums(protocol, party, tol=args.tol))
-    add("purity_bounds", sweep.purity_bounds)
-    add("collision_bound", sweep.collision_bound)
+    checks = [
+        sweep.correctness,
+        sweep.privacy,
+        *(verify.check_weight_sums(protocol, j, tol=args.tol) for j in range(protocol.party_count)),
+        sweep.purity_bounds,
+        sweep.collision_bound,
+    ]
     return _config_echo(args), checks, protocol.cost()
 
 
@@ -252,9 +244,9 @@ def cmd_bound(args) -> tuple[dict, list, tuple | None]:
         try:
             value = compute()
         except ValueError as exc:
-            checks.append(_record(name, True, {"value": None, "skipped": str(exc)}))
+            checks.append(check_record(name, True, {"value": None, "skipped": str(exc)}))
             return None
-        checks.append(_record(name, True, witnesses(value)))
+        checks.append(check_record(name, True, witnesses(value)))
         return value
 
     def alpha_witnesses(result):
@@ -292,10 +284,14 @@ def cmd_stats(args) -> tuple[dict, list, tuple | None]:
             raise ValueError(f"--trials {args.trials} exceeds --budget {args.budget}")
     from . import bounds
 
+    if args.exhaustive and 1 <= args.n <= bounds.STATS_N_CAP:
+        tables = 1 << 4**args.n  # every table on n-bit inputs
+        if tables > args.budget:
+            raise ValueError(f"--exhaustive's {tables} tables exceed --budget {args.budget}")
     summary = bounds.random_function_stats(
         args.n, args.trials or 0, args.seed, exhaustive=args.exhaustive
     )
-    checks = [_record("random_function_stats", True, summary, summary["coverage"])]
+    checks = [check_record("random_function_stats", True, summary, summary["coverage"])]
     config = _config_echo(args) | {"trials": args.trials, "exhaustive": args.exhaustive}
     return config, checks, None
 

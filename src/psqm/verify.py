@@ -5,7 +5,9 @@ sweeps are exhaustive while the domain fits the budget (default 2^16);
 larger domains fall back to a seeded stratified sample with at least 64
 inputs per output class, and reports carry a coverage label so partial
 sweeps are never silent.  A sample that draws the whole domain is the
-exhaustive sweep, in domain order and labelled as such.
+exhaustive sweep, in domain order and labelled as such.  Each check
+returns its record (`psqm.check_record`): the entry that `psqm verify`
+prints in its report's `checks`, before the floats are rounded.
 
 `check_sweep` derives correctness, privacy, the purity bounds and the
 collision bound from one sweep and one walk over it.  It first refuses a
@@ -20,8 +22,9 @@ order, so reports keep their float noise bit for bit.  The walk reads the
 raw matrices: a convex combination of states is a density matrix by
 construction, so no rho_x is validated on the way.  Validation stays at
 the API edge: the public `averaged_message` is the one route to a
-validated `qsim.DensityMatrix`, a privacy class holds raw data, and the
-purity bounds gate the average.  Inputs are checked at the edge too: a
+validated `qsim.DensityMatrix`, a privacy class's witnesses name its
+representative input and keep no matrix, and the purity bounds gate the
+average.  Inputs are checked at the edge too: a
 sweep holds rows of integer codes from the protocol's own input domain
 or sampler, so only the bit strings that key a supplied mu are parsed,
 once each, and report fields (`worst_input`, `representative_input`)
@@ -46,12 +49,11 @@ skipped for size.
 import itertools
 import math
 import random
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, collision_beta, qsim
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, check_record, collision_beta, qsim
 from .protocols import ProtocolInstance
 
 PURITY_TOL = 1e-10
@@ -134,75 +136,7 @@ def _distribution(protocol, mu, budget, seed):
     return inputs, protocol._reference(inputs), weights, coverage
 
 
-class CorrectnessReport(SimpleNamespace):
-    """passed, min_mass, worst_input (bit strings, or None), worst_randomness,
-    cases and coverage.  Each report class is a namespace of the keywords
-    it is built with, plus its `witnesses`."""
-
-    def witnesses(self, protocol):
-        return {
-            "min_mass": self.min_mass,
-            "worst_input": ",".join(self.worst_input) if self.worst_input else None,
-            "worst_randomness": protocol.format_randomness(self.worst_randomness)
-            if self.worst_randomness is not None
-            else None,
-            "cases": self.cases,
-        }
-
-
-class PrivacyClass(SimpleNamespace):
-    """representative_input, its averaged message `matrix` (unvalidated) and
-    purity, the class size, and max_distance, the largest distance of a
-    member's averaged message from the representative's."""
-
-
-class PrivacyReport(SimpleNamespace):
-    """passed, classes (output -> PrivacyClass), max_distance,
-    cross_orthogonality, coverage, note and worst_input (or None)."""
-
-    def witnesses(self, protocol):
-        out = {
-            "max_distance": self.max_distance,
-            "cross_orthogonality": self.cross_orthogonality,
-            "classes": {
-                protocol.format_output(y): {
-                    "size": c.size,
-                    "max_distance": c.max_distance,
-                    "purity": c.purity,
-                    "representative_input": ",".join(c.representative_input),
-                }
-                for y, c in self.classes.items()
-            },
-        }
-        if self.note:
-            out["note"] = self.note
-        if not self.passed and self.worst_input is not None:
-            out["worst_input"] = ",".join(self.worst_input)
-        return out
-
-
-class WeightSumReport(SimpleNamespace):
-    """passed, party, max_excluding_self, max_including_self, pair_count,
-    coverage, skipped, reason, and gram_inputs: set when the informational
-    witness is truncated, else None."""
-
-    def witnesses(self, protocol):
-        out = {
-            "party": self.party,
-            "max_excluding_self": self.max_excluding_self,
-            "max_including_self": self.max_including_self,
-            "randomness_pairs": self.pair_count,
-        }
-        if self.skipped:
-            out["skipped"] = self.reason
-        if self.gram_inputs is not None:
-            out["gram_inputs"] = self.gram_inputs
-        return out
-
-
-def check_weight_sums(
-    protocol: ProtocolInstance, party: int, tol: float = DEFAULT_TOL
-) -> WeightSumReport:
+def check_weight_sums(protocol: ProtocolInstance, party: int, tol: float = DEFAULT_TOL) -> dict:
     """Summed squared overlaps of one party's message states.
 
     For every randomness pair (r, r') and every input x of the party,
@@ -212,57 +146,39 @@ def check_weight_sums(
     outcomes, dj uses its closed-form overlap.  The bound is an
     implication of a total, non-degenerate reference, so when that
     hypothesis fails the check is vacuous: it is reported as skipped with
-    one informational pair, over at most the party's first 256 inputs.
+    one informational pair, over at most the party's first 256 inputs
+    (`gram_inputs` says how many when that truncates the party's inputs).
+    Returns the check record `weight_sums_party{party}`.
     """
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
-    reason = None if protocol._kary_nondegenerate else _VACUOUS
+    full = protocol._kary_nondegenerate
     domain = protocol.randomness_domain
     own = protocol.party_inputs(party)
-    full = reason is None
     shown = own if full else own[:_GRAM_INPUT_CAP]
     excl, incl = protocol.weight_sum_maxima(party, shown, domain if full else domain[:1])
     pair_count = len(domain) ** 2 if full else 1
-    return WeightSumReport(
-        passed=not full or (excl <= 1.0 + tol and incl <= 1.0 + tol),
-        party=party,
-        max_excluding_self=excl,
-        max_including_self=incl,
-        pair_count=pair_count,
-        coverage=f"randomness-pairs:{pair_count}",
-        skipped=not full,
-        reason=reason,
-        gram_inputs=len(shown) if len(shown) < len(own) else None,
+    witnesses = {
+        "party": party,
+        "max_excluding_self": excl,
+        "max_including_self": incl,
+        "randomness_pairs": pair_count,
+    }
+    if not full:
+        witnesses["skipped"] = _VACUOUS
+    if len(shown) < len(own):
+        witnesses["gram_inputs"] = len(shown)
+    passed = not full or (excl <= 1.0 + tol and incl <= 1.0 + tol)
+    return check_record(
+        f"weight_sums_party{party}", passed, witnesses, f"randomness-pairs:{pair_count}"
     )
 
 
-class PurityBoundsReport(SimpleNamespace):
-    """passed, purity, dim and coverage."""
-
-    def witnesses(self, protocol):
-        return {"purity": self.purity, "dim": self.dim, "floor": 1.0 / self.dim}
-
-
-class CollisionBoundReport(SimpleNamespace):
-    """passed, lhs, rhs, beta, cross_terms, coverage, skipped and reason."""
-
-    def witnesses(self, protocol):
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "beta": self.beta,
-            "cross_terms": self.cross_terms,
-        }
-        if self.skipped:
-            out["skipped"] = self.reason
-        return out
-
-
 class SweepReports(NamedTuple):
-    correctness: CorrectnessReport
-    privacy: PrivacyReport
-    purity_bounds: PurityBoundsReport
-    collision_bound: CollisionBoundReport
+    correctness: dict
+    privacy: dict
+    purity_bounds: dict
+    collision_bound: dict
 
 
 def check_sweep(
@@ -277,7 +193,8 @@ def check_sweep(
     its randomness-averaged message rho_x once.
 
     The inputs are mu's keys with its weights, or the sweep with uniform
-    weights when mu is None; all four reports cover those inputs.
+    weights when mu is None; all four check records cover those inputs.
+    A check that is vacuous passes and names why in its `skipped` witness.
 
     Correctness: the referee's output mass on the reference value, worst
     case over the inputs and over every randomness value; the first
@@ -307,9 +224,10 @@ def check_sweep(
     domain = protocol.randomness_domain
     message_bytes = 16 << protocol.cost()[0]
     min_mass, worst_x, worst_r = float("inf"), None, None
-    classes: dict = {}
+    classes: dict = {}  # output -> the witnesses of its privacy class
+    representatives: dict = {}  # output -> its class representative's rho_x
     masses_by_class: dict = {}
-    max_distance, worst_input = 0.0, None
+    max_distance, farthest = 0.0, None
     rho_bar = None
     self_terms = 0.0
     for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
@@ -329,71 +247,67 @@ def check_sweep(
                 self_terms += float(w) ** 2 * purity
                 masses_by_class.setdefault(y, []).append(float(w))
                 if y not in classes:  # a copy, so that no block outlives its loop
-                    classes[y] = PrivacyClass(
-                        representative_input=protocol._input_strings(x),
-                        matrix=rho.copy(),
-                        size=1,
-                        max_distance=0.0,
-                        purity=purity,
-                    )
+                    representatives[y] = rho.copy()
+                    classes[y] = {
+                        "size": 1,
+                        "max_distance": 0.0,
+                        "purity": purity,
+                        "representative_input": ",".join(protocol._input_strings(x)),
+                    }
                     continue
                 cls = classes[y]
-                cls.size += 1
-                dist = qsim.matrix_distance(cls.matrix, rho)
-                cls.max_distance = max(cls.max_distance, dist)
+                cls["size"] += 1
+                dist = qsim.matrix_distance(representatives[y], rho)
+                cls["max_distance"] = max(cls["max_distance"], dist)
                 if dist > max_distance:
-                    max_distance, worst_input = dist, protocol._input_strings(x)
+                    max_distance, farthest = dist, x
 
-    correctness = CorrectnessReport(
-        passed=min_mass >= 1.0 - tol,
-        min_mass=min_mass,
-        worst_input=protocol._input_strings(worst_x),
-        worst_randomness=worst_r,
-        cases=len(inputs) * len(domain),
-        coverage=f"{coverage} x randomness-exhaustive:{len(domain)}",
+    correctness = check_record(
+        "correctness",
+        min_mass >= 1.0 - tol,
+        {
+            "min_mass": min_mass,
+            "worst_input": ",".join(protocol._input_strings(worst_x)),
+            "worst_randomness": protocol.format_randomness(worst_r),
+            "cases": len(inputs) * len(domain),
+        },
+        f"{coverage} x randomness-exhaustive:{len(domain)}",
     )
 
     cross = 0.0
-    for a, b in itertools.combinations(sorted(classes, key=repr), 2):
-        prod = classes[a].matrix @ classes[b].matrix
+    for a, b in itertools.combinations(sorted(representatives, key=repr), 2):
+        prod = representatives[a] @ representatives[b]
         cross = max(cross, float(np.linalg.norm(prod)))
-    privacy = PrivacyReport(
-        passed=max_distance <= tol,
-        classes=classes,
-        max_distance=max_distance,
-        cross_orthogonality=cross,
-        coverage=coverage,
-        note=protocol._privacy_note({y: c.matrix for y, c in classes.items()}),
-        worst_input=worst_input,
-    )
+    witnesses = {
+        "max_distance": max_distance,
+        "cross_orthogonality": cross,
+        "classes": {protocol.format_output(y): c for y, c in classes.items()},
+    }
+    note = protocol._privacy_note(representatives)
+    if note:
+        witnesses["note"] = note
+    passed = max_distance <= tol
+    if not passed and farthest is not None:
+        witnesses["worst_input"] = ",".join(protocol._input_strings(farthest))
+    privacy = check_record("privacy", passed, witnesses, coverage)
 
     lhs = qsim.purity(rho_bar)
     dim = len(rho_bar)
-    purity_bounds = PurityBoundsReport(
-        passed=(1.0 / dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL,
-        purity=lhs,
-        dim=dim,
-        coverage=coverage,
-    )
+    passed = (1.0 / dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL
+    witnesses = {"purity": lhs, "dim": dim, "floor": 1.0 / dim}
+    purity_bounds = check_record("purity_bounds", passed, witnesses, coverage)
 
     if not protocol._kary_nondegenerate:
-        collision = CollisionBoundReport(
-            passed=True, lhs=0.0, rhs=0.0, beta=0.0, cross_terms=0.0,
-            coverage="none", skipped=True, reason=_VACUOUS,
-        )
+        witnesses = {"lhs": 0.0, "rhs": 0.0, "beta": 0.0, "cross_terms": 0.0, "skipped": _VACUOUS}
+        collision = check_record("collision_bound", True, witnesses, "none")
     else:
         beta = collision_beta(masses_by_class)
         cross_terms = lhs - self_terms
         vacuous = beta <= 0.0
         rhs = 0.0 if vacuous else cross_terms / beta
-        collision = CollisionBoundReport(
-            passed=vacuous or lhs <= rhs + tol,
-            lhs=lhs,
-            rhs=rhs,
-            beta=beta,
-            cross_terms=cross_terms,
-            coverage=coverage,
-            skipped=vacuous,
-            reason="beta is zero; inequality is vacuous" if vacuous else None,
-        )
+        witnesses = {"lhs": lhs, "rhs": rhs, "beta": beta, "cross_terms": cross_terms}
+        if vacuous:
+            witnesses["skipped"] = "beta is zero; inequality is vacuous"
+        passed = vacuous or lhs <= rhs + tol
+        collision = check_record("collision_bound", passed, witnesses, coverage)
     return SweepReports(correctness, privacy, purity_bounds, collision)

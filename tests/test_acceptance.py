@@ -43,8 +43,8 @@ def test_criterion_1_sum2_correctness():
     ok = True
     for k in (2, 3, 4, 5):
         rep = verify.check_sweep(sum2_protocol(k), tol=TOL).correctness
-        ok &= rep.passed and rep.coverage.startswith("exhaustive:")
-        worst = min(worst, rep.min_mass)
+        ok &= rep["pass"] and rep["coverage"].startswith("exhaustive:")
+        worst = min(worst, rep["witnesses"]["min_mass"])
     elapsed = time.perf_counter() - started
     ok &= worst >= 1.0 - TOL and elapsed < 10.0
     assert announce(
@@ -60,15 +60,16 @@ def test_criterion_2_sum2_privacy():
     details = []
     for k in (2, 4):
         rep = verify.check_sweep(sum2_protocol(k), tol=TOL).privacy
-        purities = {y: c.purity for y, c in rep.classes.items()}
+        w = rep["witnesses"]
+        purities = {y: c["purity"] for y, c in w["classes"].items()}
         target = 2.0 ** -(k - 2)
-        ok &= rep.passed and rep.max_distance <= TOL
+        ok &= rep["pass"] and w["max_distance"] <= TOL
         ok &= all(abs(p - target) <= TOL for p in purities.values())
-        ok &= rep.cross_orthogonality <= TOL
+        ok &= w["cross_orthogonality"] <= TOL
         details.append(
-            f"k={k}: dist {rep.max_distance:.2e}, purity err "
+            f"k={k}: dist {w['max_distance']:.2e}, purity err "
             f"{max(abs(p - target) for p in purities.values()):.2e}, "
-            f"cross {rep.cross_orthogonality:.2e}"
+            f"cross {w['cross_orthogonality']:.2e}"
         )
     assert announce(2, "sum2 privacy, k in {2,4}", ok, "; ".join(details))
 
@@ -82,8 +83,8 @@ def test_criterion_3_geq_correctness_privacy_cost():
         want_cost = k * l if k % 2 == 0 else (k + 1) * l
         ok &= proto.cost() == (want_cost, "qubits")
         corr, priv, _, _ = verify.check_sweep(proto, tol=TOL)
-        ok &= corr.passed and corr.coverage.startswith("exhaustive:")
-        ok &= priv.passed and priv.max_distance <= TOL
+        ok &= corr["pass"] and corr["coverage"].startswith("exhaustive:")
+        ok &= priv["pass"] and priv["witnesses"]["max_distance"] <= TOL
         details.append(f"({k},{l}): cost {want_cost}")
     elapsed = time.perf_counter() - started
     ok &= elapsed < 120.0
@@ -128,7 +129,7 @@ def test_criterion_5_dj():
         m = n.bit_length() - 1
         ok &= proto.cost() == (2 * m, "bits")
         corr = verify.check_sweep(proto, tol=TOL).correctness
-        ok &= corr.passed and corr.coverage.startswith("exhaustive:")
+        ok &= corr["pass"] and corr["coverage"].startswith("exhaustive:")
         worst_tv = 0.0
         accept_target = np.zeros(n * n)
         for a in range(n):
@@ -141,7 +142,7 @@ def test_criterion_5_dj():
             target = accept_target if x == y else reject_target
             worst_tv = max(worst_tv, 0.5 * np.abs(diag - target).sum())
         ok &= worst_tv <= TOL
-        details.append(f"n={n}: min mass {corr.min_mass:.12f}, tv {worst_tv:.2e}")
+        details.append(f"n={n}: min mass {corr['witnesses']['min_mass']:.12f}, tv {worst_tv:.2e}")
     elapsed = time.perf_counter() - started
     ok &= elapsed < 300.0
     assert announce(
@@ -160,8 +161,9 @@ def test_criterion_6_weight_sums():
     for proto, _ in configs:
         for party in range(proto.party_count):
             rep = verify.check_weight_sums(proto, party, tol=TOL)
-            ok &= rep.passed and not rep.skipped
-            worst = max(worst, rep.max_excluding_self, rep.max_including_self)
+            w = rep["witnesses"]
+            ok &= rep["pass"] and "skipped" not in w
+            worst = max(worst, w["max_excluding_self"], w["max_including_self"])
     ok &= worst <= 1.0 + TOL
     assert announce(
         6,
@@ -185,9 +187,10 @@ def test_criterion_7_purity_and_collision_bounds():
     for label, factory in factories:
         proto = factory()
         _, _, pur, col = verify.check_sweep(proto, tol=TOL)
-        ok &= pur.passed
-        ok &= col.passed and not col.skipped and col.lhs <= col.rhs + TOL
-        details.append(f"{label}: purity {pur.purity:.4g}")
+        ok &= pur["pass"]
+        lhs, rhs = col["witnesses"]["lhs"], col["witnesses"]["rhs"]
+        ok &= col["pass"] and "skipped" not in col["witnesses"] and lhs <= rhs + TOL
+        details.append(f"{label}: purity {pur['witnesses']['purity']:.4g}")
     assert announce(
         7,
         "purity bounds and collision inequality",

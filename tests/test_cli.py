@@ -13,6 +13,8 @@ import pytest
 
 from psqm import bounds, cli, protocols, qsim, verify
 
+from test_mutants import FlippedDecodeSum2
+
 
 def run_main(argv, capsys):
     code = cli.main(argv)
@@ -67,6 +69,35 @@ def test_verify_sum2_report_shape(capsys):
     assert all(c["pass"] for c in report["checks"])
     assert report["cost"] == {"value": 2, "unit": "qubits"}
     assert "elapsed_ms" in err and "elapsed_ms" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, mutant, want",
+    [
+        (["--protocol", "sum2", "--k", "3"], None, 0),
+        (["--protocol", "geq", "--k", "2", "--l", "1"], None, 0),
+        (["--protocol", "dj", "--n", "4"], None, 0),
+        (["--protocol", "sum2", "--k", "3"], FlippedDecodeSum2, 1),
+    ],
+    ids=["sum2-3", "geq-2-1", "dj-4", "flipped-decode-sum2-3"],
+)
+def test_verify_prints_the_library_check_records(argv, mutant, want, monkeypatch, capsys):
+    """`psqm verify`'s checks are the library's check records, in report
+    order, rounded by canonical_json and nothing else."""
+    if mutant is not None:
+        monkeypatch.setattr(cli, "_build_protocol", lambda args: mutant(args.k))
+    code, out, _ = run_main(["verify", *argv], capsys)
+    assert code == want
+    proto = cli._build_protocol(cli.build_parser().parse_args(["verify", *argv]))
+    sweep = verify.check_sweep(proto)
+    records = [
+        sweep.correctness,
+        sweep.privacy,
+        *(verify.check_weight_sums(proto, j) for j in range(proto.party_count)),
+        sweep.purity_bounds,
+        sweep.collision_bound,
+    ]
+    assert parse(out)["checks"] == json.loads(cli.canonical_json(records))
 
 
 def test_verify_dj_skips_but_exits_zero(capsys):
@@ -806,6 +837,23 @@ def test_stats_trials_over_budget_exit_two_before_drawing(monkeypatch, capsys):
         code, out, err = run_main(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: --trials") and "exceeds --budget" in err
+
+
+def test_stats_exhaustive_over_budget_exits_two_before_building(monkeypatch, capsys):
+    """`--exhaustive` enumerates the 2^(4^n) = 16 tables of n = 1, so a
+    --budget below 16 refuses it, as a --trials over --budget is refused."""
+    argv = ["stats", "--n", "1", "--exhaustive", "--budget"]
+    code, out, _ = run_main([*argv, "16"], capsys)
+    assert code == 0 and parse(out)["checks"][0]["coverage"] == "exhaustive:16"
+
+    def building(*args, **kwargs):
+        raise AssertionError("a table was built")  # main reports it as exit 3
+
+    monkeypatch.setattr(bounds, "random_function_stats", building)
+    for budget in ("15", "3", "0"):
+        code, out, err = run_main([*argv, budget], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --exhaustive's 16 tables exceed --budget {budget}\n"
 
 
 def test_float_rounding_is_idempotent():

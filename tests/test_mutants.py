@@ -27,13 +27,26 @@ def restrict_randomness(proto, keep):
     return proto
 
 
+def named_randomness(proto, formatted):
+    """The one randomness value that a report names by its formatted string."""
+    values = [r for r in proto.randomness_domain if proto.format_randomness(r) == formatted]
+    assert len(values) == 1
+    return values[0]
+
+
+def representative(proto, privacy, output):
+    """The validated averaged message of an output class's representative."""
+    cls = privacy["witnesses"]["classes"][proto.format_output(output)]
+    return proto.averaged_message(cls["representative_input"].split(","))
+
+
 def assert_privacy_names_a_leaking_input(proto, privacy):
-    assert not privacy.passed
-    worst = tuple(privacy.witnesses(proto)["worst_input"].split(","))
+    assert not privacy["pass"]
+    worst = tuple(privacy["witnesses"]["worst_input"].split(","))
     assert worst in domain_strings(proto)
-    rep = proto.averaged_message(privacy.classes[proto.reference(worst)].representative_input)
+    rep = representative(proto, privacy, proto.reference(worst))
     distance = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
-    assert distance == pytest.approx(privacy.max_distance) and distance > 1.0
+    assert distance == pytest.approx(privacy["witnesses"]["max_distance"]) and distance > 1.0
 
 
 def test_sum2_with_one_randomness_value_leaks_inputs():
@@ -46,14 +59,15 @@ def test_sum2_with_one_randomness_value_leaks_inputs():
     proto = restrict_randomness(Sum2Protocol(4), lambda r: r == first)
 
     correctness, privacy, purity, collision = check_sweep(proto)
-    assert correctness.passed
-    assert correctness.cases == 4**4
+    assert correctness["pass"]
+    assert correctness["witnesses"]["cases"] == 4**4
 
     assert_privacy_names_a_leaking_input(proto, privacy)
-    assert purity.passed
-    assert not collision.passed and not collision.skipped
-    assert collision.lhs == purity.purity
-    assert collision.lhs > collision.rhs
+    assert purity["pass"]
+    bound = collision["witnesses"]
+    assert not collision["pass"] and "skipped" not in bound
+    assert bound["lhs"] == purity["witnesses"]["purity"]
+    assert bound["lhs"] > bound["rhs"]
 
 
 def test_geq_with_the_field_mask_fixed_to_one_leaks_sums():
@@ -63,10 +77,11 @@ def test_geq_with_the_field_mask_fixed_to_one_leaks_sums():
     proto = restrict_randomness(GeqProtocol(2, 1), lambda r: r[1] == "10")
     assert len(proto.randomness_domain) == 2
     correctness, privacy, _, _ = check_sweep(proto)
-    assert correctness.passed
+    assert correctness["pass"]
     assert_privacy_names_a_leaking_input(proto, privacy)
-    assert proto.reference(privacy.worst_input) == 0
-    assert privacy.classes[1].max_distance == 0.0  # accept-class messages still agree
+    assert proto.reference(privacy["witnesses"]["worst_input"].split(",")) == 0
+    # accept-class messages still agree
+    assert privacy["witnesses"]["classes"]["1"]["max_distance"] == 0.0
 
 
 class FlippedXSum2(Sum2Protocol):
@@ -89,14 +104,15 @@ class DroppedZGeq(GeqProtocol):
 
 def assert_correctness_names_a_wrong_run(proto):
     report = check_sweep(proto).correctness
-    assert not report.passed
-    assert report.min_mass == 0.0
-    witness = report.witnesses(proto)
+    assert not report["pass"]
+    witness = report["witnesses"]
+    assert witness["min_mass"] == 0.0
     worst = tuple(witness["worst_input"].split(","))
     assert worst in domain_strings(proto)
     domain = proto.randomness_domain
     assert witness["worst_randomness"] in map(proto.format_randomness, domain)
-    wrong = proto.run(worst, report.worst_randomness).output_distribution
+    randomness = named_randomness(proto, witness["worst_randomness"])
+    wrong = proto.run(worst, randomness).output_distribution
     assert wrong.get(proto.reference(worst), 0.0) == 0.0
 
 
@@ -122,13 +138,14 @@ def test_sum2_ignoring_a_bit_fails_weight_sums():
     message, above the bound of 1 that a non-degenerate reference needs."""
     proto = IgnoredSecondBitSum2(3)
     report = check_weight_sums(proto, 0)
-    assert not report.passed and not report.skipped
-    assert report.max_including_self == report.max_excluding_self == 2.0
+    w = report["witnesses"]
+    assert not report["pass"] and "skipped" not in w
+    assert w["max_including_self"] == w["max_excluding_self"] == 2.0
     # the Gram oracle folds honest sum2's gates: party 0's i-th input sends
     # what the honest party 0 sends for the input's first bit and a 0
     heard = proto.party_inputs(0) & 0b10
     assert weight_sum_maxima(Sum2Protocol(3), 0, own=heard) == pytest.approx((2.0, 2.0), abs=1e-12)
-    assert check_weight_sums(proto, 1).passed
+    assert check_weight_sums(proto, 1)["pass"]
 
 
 class FlippedDecodeSum2(Sum2Protocol):
@@ -143,7 +160,7 @@ class FlippedDecodeSum2(Sum2Protocol):
 def test_sum2_with_a_flipped_decoder_fails_correctness_only():
     proto = FlippedDecodeSum2(4)
     assert_correctness_names_a_wrong_run(proto)
-    assert check_sweep(proto).privacy.passed
+    assert check_sweep(proto).privacy["pass"]
 
 
 class HalvedAverageSum2(Sum2Protocol):
@@ -162,10 +179,11 @@ def test_sum2_with_halved_averages_fails_purity_bounds():
     the trace of 1/2."""
     proto = HalvedAverageSum2(3)
     correctness, privacy, purity, _ = check_sweep(proto)
-    assert correctness.passed
-    assert privacy.passed
-    assert not purity.passed
-    assert purity.dim == 16 and purity.purity == pytest.approx(1 / 64, abs=1e-15)
+    assert correctness["pass"]
+    assert privacy["pass"]
+    assert not purity["pass"]
+    w = purity["witnesses"]
+    assert w["dim"] == 16 and w["purity"] == pytest.approx(1 / 64, abs=1e-15)
     with pytest.raises(ValueError, match="trace"):
         proto.averaged_message(("00",) * 3)
 
@@ -179,12 +197,14 @@ def test_dj_with_a_zero_mask_fails_correctness():
     zero = tuple(("00", format(v, "02b")) for v in range(4))
     proto.randomness_domain += zero
     report = check_sweep(proto).correctness
-    assert not report.passed and report.min_mass < 1e-9
-    x, y = report.worst_input
+    w = report["witnesses"]
+    assert not report["pass"] and w["min_mass"] < 1e-9
+    x, y = w["worst_input"].split(",")
     assert sum(a != b for a, b in zip(x, y)) == 2
-    assert report.worst_randomness in zero
-    assert report.witnesses(proto)["worst_randomness"].startswith("00;")
-    law = proto.run(report.worst_input, report.worst_randomness).message_distribution
+    randomness = named_randomness(proto, w["worst_randomness"])
+    assert randomness in zero
+    assert w["worst_randomness"].startswith("00;")
+    law = proto.run((x, y), randomness).message_distribution
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(law) == 1
 
@@ -195,11 +215,11 @@ def test_a_supplied_mu_reaches_correctness():
     its messages stay private; honest sum2 passes on the same input."""
     x = ("01", "10", "11")
     correctness, privacy, _, _ = check_sweep(FlippedDecodeSum2(3), mu={x: 1.0})
-    assert not correctness.passed and correctness.worst_input == x
-    assert correctness.coverage == "supplied:1 x randomness-exhaustive:8"
-    assert privacy.passed and privacy.coverage == "supplied:1"
+    assert not correctness["pass"] and correctness["witnesses"]["worst_input"] == ",".join(x)
+    assert correctness["coverage"] == "supplied:1 x randomness-exhaustive:8"
+    assert privacy["pass"] and privacy["coverage"] == "supplied:1"
     honest = check_sweep(Sum2Protocol(3), mu={x: 1.0}).correctness
-    assert honest.passed and honest.coverage == correctness.coverage
+    assert honest["pass"] and honest["coverage"] == correctness["coverage"]
 
 
 def test_geq_with_party_0_dropping_its_z_fails_weight_sums():
@@ -208,9 +228,10 @@ def test_geq_with_party_0_dropping_its_z_fails_weight_sums():
     honest."""
     proto = DroppedZGeq(2, 2)
     report = check_weight_sums(proto, 0)
-    assert not report.passed and not report.skipped
-    assert report.max_excluding_self == report.max_including_self == 4.0
-    assert check_weight_sums(proto, 1).passed
+    w = report["witnesses"]
+    assert not report["pass"] and "skipped" not in w
+    assert w["max_excluding_self"] == w["max_including_self"] == 4.0
+    assert check_weight_sums(proto, 1)["pass"]
 
 
 @pytest.mark.parametrize("k,rhs", [(3, 0.05), (4, 0.0595238095238)])
@@ -222,10 +243,11 @@ def test_geq_with_one_randomness_value_fails_the_collision_bound(k, rhs):
     first = GeqProtocol(k, 1).randomness_domain[0]
     proto = restrict_randomness(GeqProtocol(k, 1), lambda r: r == first)
     correctness, _, purity, collision = check_sweep(proto)
-    assert correctness.passed and purity.passed
-    assert not collision.passed and not collision.skipped
-    assert collision.lhs == pytest.approx(0.0625)
-    assert collision.rhs == pytest.approx(rhs)
+    assert correctness["pass"] and purity["pass"]
+    bound = collision["witnesses"]
+    assert not collision["pass"] and "skipped" not in bound
+    assert bound["lhs"] == pytest.approx(0.0625)
+    assert bound["rhs"] == pytest.approx(rhs)
 
 
 @pytest.mark.parametrize(
@@ -241,10 +263,10 @@ def test_dj_with_r_fixed_to_one_leaks_inputs(n, distance, worst):
     proto = restrict_randomness(DJProtocol(n), lambda r: r[0] == one)
     assert len(proto.randomness_domain) == n
     correctness, privacy, _, _ = check_sweep(proto)
-    assert correctness.passed
-    assert not privacy.passed
-    assert privacy.max_distance == pytest.approx(distance)
-    assert privacy.worst_input == worst
-    rep = proto.averaged_message(privacy.classes[0].representative_input)
+    assert correctness["pass"]
+    assert not privacy["pass"]
+    assert privacy["witnesses"]["max_distance"] == pytest.approx(distance)
+    assert privacy["witnesses"]["worst_input"] == ",".join(worst)
+    rep = representative(proto, privacy, 0)
     got = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
     assert got == pytest.approx(distance)

@@ -4,6 +4,7 @@ CLI command loads."""
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -148,14 +149,34 @@ def test_verify_loads_protocols_before_numpy_and_verify():
     ],
 )
 def test_run_and_verify_load_no_dataclasses(argv):
-    """Transcripts, reports and GF(2^m) moduli are plain classes or named
-    tuples: building dataclasses cost every `run` and `verify` process
-    milliseconds."""
+    """Transcripts and GF(2^m) moduli are plain classes or named tuples,
+    and check records dicts: building dataclasses cost every `run` and
+    `verify` process milliseconds."""
     assert modules_loaded_by(argv, ("dataclasses",)) == []
 
 
 def test_collision_beta_has_one_source():
     assert bounds.collision_beta is verify.collision_beta is psqm.collision_beta
+
+
+def test_check_record_has_one_source():
+    assert cli.check_record is verify.check_record is psqm.check_record
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_library_example_runs(capsys):
+    """The first Python block under README's "## Library" runs, and each
+    line it prints equals the `# ...` comment on the line that prints it."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    printing = [line for line in code.splitlines() if line.startswith("print(")]
+    assert printing and all("  # " in line for line in printing)
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == [
+        line.rpartition("  # ")[2] for line in printing
+    ]
 
 
 VERIFY = ["verify", "--protocol", "sum2", "--k", "2"]

@@ -43,16 +43,17 @@ def sum2_class_state(k: int, output) -> np.ndarray:
 def test_sum2_privacy_class_states(k):
     proto = sum2_protocol(k)
     report = check_sweep(proto).privacy
-    assert report.passed
-    assert report.max_distance <= 1e-9
-    assert report.cross_orthogonality <= 1e-9
-    for output, cls in report.classes.items():
+    w = report["witnesses"]
+    assert report["pass"]
+    assert w["max_distance"] <= 1e-9
+    assert w["cross_orthogonality"] <= 1e-9
+    for output in proto.output_domain:
+        cls = w["classes"][proto.format_output(output)]
         expected = sum2_class_state(k, output)
-        rho = proto.averaged_message(cls.representative_input)
-        for matrix in (rho.matrix, cls.matrix):
-            assert np.abs(matrix - expected).max() < 1e-10
-        assert abs(cls.purity - 2.0 ** -(k - 2)) < 1e-9
-        assert cls.size == 4 ** k // 4
+        rho = proto.averaged_message(cls["representative_input"].split(","))
+        assert np.abs(rho.matrix - expected).max() < 1e-10
+        assert abs(cls["purity"] - 2.0 ** -(k - 2)) < 1e-9
+        assert cls["size"] == 4 ** k // 4
 
 
 def test_sum2_averaged_message_direct():
@@ -66,24 +67,25 @@ def test_sum2_averaged_message_direct():
 def test_geq_privacy_classes(k, l):
     proto = geq_protocol(k, l)
     report = check_sweep(proto).privacy
-    assert report.passed
+    w = report["witnesses"]
+    assert report["pass"]
     p = proto.cost()[0] // l
-    sizes = {y: cls.size for y, cls in report.classes.items()}
-    assert sizes[1] == (1 << (2 * l)) ** (k - 1)
-    assert sizes[0] == (1 << (2 * l)) ** k - sizes[1]
+    sizes = {y: cls["size"] for y, cls in w["classes"].items()}
+    assert sizes["1"] == (1 << (2 * l)) ** (k - 1)
+    assert sizes["0"] == (1 << (2 * l)) ** k - sizes["1"]
     # accept class: uniform over 2^((p-2)l) orthogonal pure states
-    accept_purity = report.classes[1].purity
+    accept_purity = w["classes"]["1"]["purity"]
     assert abs(accept_purity - 2.0 ** -((p - 2) * l)) < 1e-9
-    assert report.note is None  # only dj notes its reject class
+    assert "note" not in w  # only dj notes its reject class
 
 
 def test_correctness_reports():
     proto = sum2_protocol(2)
     rep = check_sweep(proto).correctness
-    assert rep.passed and abs(rep.min_mass - 1.0) < 1e-9
-    assert rep.coverage == "exhaustive:16 x randomness-exhaustive:2"
-    assert rep.cases == 16 * 2
-    w = rep.witnesses(proto)
+    w = rep["witnesses"]
+    assert rep["pass"] and abs(w["min_mass"] - 1.0) < 1e-9
+    assert rep["coverage"] == "exhaustive:16 x randomness-exhaustive:2"
+    assert w["cases"] == 16 * 2
     assert set(w) == {"min_mass", "worst_input", "worst_randomness", "cases"}
 
 
@@ -113,10 +115,11 @@ def test_dj_reject_class_distribution():
 def test_dj_privacy_report():
     proto = dj_protocol(4)
     report = check_sweep(proto).privacy
-    assert report.passed
-    assert report.note is not None and "0.25" in report.note
-    assert abs(report.classes[1].purity - 0.25) < 1e-9
-    assert abs(report.classes[0].purity - 1.0 / 12) < 1e-9
+    w = report["witnesses"]
+    assert report["pass"]
+    assert w.get("note") is not None and "0.25" in w["note"]
+    assert abs(w["classes"]["1"]["purity"] - 0.25) < 1e-9
+    assert abs(w["classes"]["0"]["purity"] - 1.0 / 12) < 1e-9
 
 
 # ------------------------------------------------------------ weight sums
@@ -175,10 +178,11 @@ def test_sum2_weight_sum_check(k):
     dom = len(proto.randomness_domain)
     for party in range(k):
         rep = check_weight_sums(proto, party)
-        assert rep.passed and not rep.skipped
-        assert rep.pair_count == dom * dom
-        assert rep.max_excluding_self <= 1.0 + 1e-9
-        assert rep.max_including_self <= 1.0 + 1e-9
+        w = rep["witnesses"]
+        assert rep["pass"] and "skipped" not in w
+        assert w["randomness_pairs"] == dom * dom
+        assert w["max_excluding_self"] <= 1.0 + 1e-9
+        assert w["max_including_self"] <= 1.0 + 1e-9
 
 
 WEIGHT_SUM_CONFIGS = [("sum2", k) for k in (2, 3, 4, 5)] + [
@@ -197,10 +201,10 @@ def build(config):
 def test_weight_sums_match_pairwise_grams(config):
     proto = build(config)
     for party in range(proto.party_count):
-        rep = check_weight_sums(proto, party)
+        w = check_weight_sums(proto, party)["witnesses"]
         excl, incl = weight_sum_maxima(proto, party)
-        assert rep.max_excluding_self == pytest.approx(excl, abs=1e-12)
-        assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
+        assert w["max_excluding_self"] == pytest.approx(excl, abs=1e-12)
+        assert w["max_including_self"] == pytest.approx(incl, abs=1e-12)
 
 
 # the weight-sum mutant of test_mutants joins the protocols here
@@ -295,8 +299,8 @@ def test_weight_sums_without_self_under_one_randomness_value(config):
     proto = build(config)
     proto.randomness_domain = proto.randomness_domain[:1]
     for party in range(proto.party_count):
-        rep = check_weight_sums(proto, party)
-        assert (rep.max_excluding_self, rep.max_including_self) == (0.0, 1.0)
+        w = check_weight_sums(proto, party)["witnesses"]
+        assert (w["max_excluding_self"], w["max_including_self"]) == (0.0, 1.0)
         assert weight_sum_maxima(proto, party) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
@@ -308,12 +312,12 @@ def test_dj_skipped_weight_sums_match_dense_gram(n):
     proto = dj_protocol(n)
     domain = proto.randomness_domain
     for party in (0, 1):
-        rep = check_weight_sums(proto, party)
-        assert rep.skipped
+        w = check_weight_sums(proto, party)["witnesses"]
+        assert "skipped" in w
         own = proto.party_inputs(party)[: verify._GRAM_INPUT_CAP]
         excl, incl = weight_sum_maxima(proto, party, own, domain[:1])
-        assert rep.max_excluding_self == pytest.approx(excl, abs=1e-12)
-        assert rep.max_including_self == pytest.approx(incl, abs=1e-12)
+        assert w["max_excluding_self"] == pytest.approx(excl, abs=1e-12)
+        assert w["max_including_self"] == pytest.approx(incl, abs=1e-12)
 
 
 def test_weight_sum_party_range():
@@ -324,14 +328,15 @@ def test_weight_sum_party_range():
 def test_dj_weight_sums_skipped_with_witnesses():
     proto = dj_protocol(4)
     rep = check_weight_sums(proto, 0)
-    assert rep.skipped and rep.passed
-    assert "partial" in rep.reason
+    w = rep["witnesses"]
+    assert "skipped" in w and rep["pass"]
+    assert "partial" in w["skipped"]
     # the purified pre-measurement overlaps genuinely break the bound:
     # sum_z (1 - 2 d(x,z)/n)^2 = 3 excluding self at n = 4
-    assert abs(rep.max_excluding_self - 3.0) < 1e-9
-    assert rep.pair_count == 1
+    assert abs(w["max_excluding_self"] - 3.0) < 1e-9
+    assert w["randomness_pairs"] == 1
     # all 16 inputs fit the informational Gram, so no truncation is reported
-    assert rep.gram_inputs is None and "gram_inputs" not in rep.witnesses(proto)
+    assert "gram_inputs" not in w
 
 
 # ------------------------------------------------- purity and collisions
@@ -341,15 +346,17 @@ def test_dj_weight_sums_skipped_with_witnesses():
 def test_sum2_purity_floor_is_exact(k):
     proto = sum2_protocol(k)
     rep = check_sweep(proto).purity_bounds
-    assert rep.passed
+    w = rep["witnesses"]
+    assert rep["pass"]
     # averaging over everything hits the maximally mixed state
-    assert abs(rep.purity - 1.0 / rep.dim) < 1e-12
+    assert abs(w["purity"] - 1.0 / w["dim"]) < 1e-12
 
 
 def test_geq_purity_bounds():
     rep = check_sweep(geq_protocol(2, 1)).purity_bounds
-    assert rep.passed
-    assert 1.0 / rep.dim - 1e-10 <= rep.purity <= 1.0 + 1e-10
+    w = rep["witnesses"]
+    assert rep["pass"]
+    assert 1.0 / w["dim"] - 1e-10 <= w["purity"] <= 1.0 + 1e-10
 
 
 def test_purity_with_supplied_mu():
@@ -359,19 +366,23 @@ def test_purity_with_supplied_mu():
     mu[("00", "00")] = 0.5
     mu[("01", "11")] = 0.5
     reports = check_sweep(proto, mu=mu)
-    assert reports.correctness.coverage == "supplied:16 x randomness-exhaustive:2"
-    assert all(rep.coverage == "supplied:16" for rep in reports[1:])
-    assert all(rep.passed for rep in reports)
+    assert reports.correctness["coverage"] == "supplied:16 x randomness-exhaustive:2"
+    assert all(rep["coverage"] == "supplied:16" for rep in reports[1:])
+    assert all(rep["pass"] for rep in reports)
     # privacy reads every key of mu, weighted or not
-    assert sum(cls.size for cls in reports.privacy.classes.values()) == 16
+    classes = reports.privacy["witnesses"]["classes"]
+    assert sum(cls["size"] for cls in classes.values()) == 16
     # rho_bar mixes two orthogonal class messages evenly
-    want = 0.25 * (reports.privacy.classes[(0, 0)].purity + reports.privacy.classes[(1, 0)].purity)
-    assert abs(reports.purity_bounds.purity - want) < 1e-12
-    assert reports.collision_bound.lhs == reports.purity_bounds.purity
+    want = 0.25 * (classes["00"]["purity"] + classes["10"]["purity"])
+    purity = reports.purity_bounds["witnesses"]["purity"]
+    assert abs(purity - want) < 1e-12
+    assert reports.collision_bound["witnesses"]["lhs"] == purity
     only = {("10", "01"): 1.0}
     rep = check_sweep(proto, mu=only).privacy
-    assert rep.coverage == "supplied:1"
-    assert [cls.representative_input for cls in rep.classes.values()] == [("10", "01")]
+    assert rep["coverage"] == "supplied:1"
+    assert [cls["representative_input"] for cls in rep["witnesses"]["classes"].values()] == [
+        "10,01"
+    ]
     with pytest.raises(ValueError):
         check_sweep(proto, mu={("00", "00"): 0.7})
     # a NaN weight fails no comparison, so it needs its own test
@@ -422,7 +433,8 @@ def test_verify_validates_inputs_only_at_the_edge(monkeypatch, capsys):
 def test_collision_bound_cross_terms_literal(factory):
     proto = factory()
     rep = check_sweep(proto).collision_bound
-    assert rep.passed and not rep.skipped
+    bound = rep["witnesses"]
+    assert rep["pass"] and "skipped" not in bound
     inputs = domain_strings(proto)
     w = 1.0 / len(inputs)
     rhos = [proto.averaged_message(x).matrix for x in inputs]
@@ -431,33 +443,33 @@ def test_collision_bound_cross_terms_literal(factory):
         for j, b in enumerate(rhos):
             if i != j:
                 literal += w * w * float(np.trace(a @ b).real)
-    assert abs(rep.cross_terms - literal) < 1e-9
-    assert abs(rep.rhs - literal / rep.beta) < 1e-9
-    assert rep.lhs <= rep.rhs + 1e-9
+    assert abs(bound["cross_terms"] - literal) < 1e-9
+    assert abs(bound["rhs"] - literal / bound["beta"]) < 1e-9
+    assert bound["lhs"] <= bound["rhs"] + 1e-9
 
 
 def test_collision_bound_sum2_k2_is_tight():
-    rep = check_sweep(sum2_protocol(2)).collision_bound
-    assert abs(rep.lhs - 0.25) < 1e-12
-    assert abs(rep.rhs - 0.25) < 1e-9
-    assert abs(rep.beta - 0.75) < 1e-12
+    w = check_sweep(sum2_protocol(2)).collision_bound["witnesses"]
+    assert abs(w["lhs"] - 0.25) < 1e-12
+    assert abs(w["rhs"] - 0.25) < 1e-9
+    assert abs(w["beta"] - 0.75) < 1e-12
 
 
 def test_collision_bound_beta_matches_class_masses():
     proto = sum2_protocol(3)
-    rep = check_sweep(proto).collision_bound
+    w = check_sweep(proto).collision_bound["witnesses"]
     inputs = domain_strings(proto)
     sizes: dict = {}
     for x in inputs:
         sizes[proto.reference(x)] = sizes.get(proto.reference(x), 0) + 1
     want = min(1.0 - 1.0 / s for s in sizes.values())
-    assert abs(rep.beta - want) < 1e-12
+    assert abs(w["beta"] - want) < 1e-12
 
 
 def test_collision_bound_skipped_for_dj():
     rep = check_sweep(dj_protocol(2)).collision_bound
-    assert rep.skipped and rep.passed
-    assert "partial" in rep.reason
+    assert "skipped" in rep["witnesses"] and rep["pass"]
+    assert "partial" in rep["witnesses"]["skipped"]
 
 
 # ------------------------------------------------------- sweeps and misc
@@ -480,9 +492,10 @@ def test_kary_nondegeneracy():
 def test_geq_2_4_weight_sums_are_evaluated():
     proto = geq_protocol(2, 4)
     rep = check_weight_sums(proto, 0)
-    assert rep.passed and not rep.skipped and rep.reason is None
-    assert (rep.max_excluding_self, rep.max_including_self) == (1.0, 1.0)
-    assert rep.pair_count == len(proto.randomness_domain) ** 2
+    w = rep["witnesses"]
+    assert rep["pass"] and "skipped" not in w
+    assert (w["max_excluding_self"], w["max_including_self"]) == (1.0, 1.0)
+    assert w["randomness_pairs"] == len(proto.randomness_domain) ** 2
 
 
 class DegenerateReferenceSum2(protocols.Sum2Protocol):
@@ -502,11 +515,13 @@ def test_degenerate_total_reference_makes_the_bounds_vacuous():
     assert pairwise_nondegenerate(proto) is False
     for party in range(3):
         rep = check_weight_sums(proto, party)
-        assert rep.skipped and rep.passed and rep.pair_count == 1
-        assert rep.reason == "reference is partial or degenerate; bound is vacuous"
+        w = rep["witnesses"]
+        assert "skipped" in w and rep["pass"] and w["randomness_pairs"] == 1
+        assert w["skipped"] == "reference is partial or degenerate; bound is vacuous"
     collision = check_sweep(proto).collision_bound
-    assert collision.skipped and collision.passed
-    assert collision.reason == "reference is partial or degenerate; bound is vacuous"
+    w = collision["witnesses"]
+    assert "skipped" in w and collision["pass"]
+    assert w["skipped"] == "reference is partial or degenerate; bound is vacuous"
 
 
 class TableProtocol(protocols.ProtocolInstance):
@@ -546,11 +561,11 @@ def test_sampled_sweep_requires_seed_and_is_deterministic():
         check_sweep(proto, budget=500)
     rep1 = check_sweep(proto, budget=500, seed=3).correctness
     rep2 = check_sweep(proto, budget=500, seed=3).correctness
-    assert rep1.coverage == rep2.coverage
-    assert rep1.coverage.startswith("sampled:")
-    assert rep1.min_mass == rep2.min_mass
-    assert rep1.passed
-    count = int(rep1.coverage.split(":")[1].split(" ")[0])
+    assert rep1["coverage"] == rep2["coverage"]
+    assert rep1["coverage"].startswith("sampled:")
+    assert rep1["witnesses"]["min_mass"] == rep2["witnesses"]["min_mass"]
+    assert rep1["pass"]
+    count = int(rep1["coverage"].split(":")[1].split(" ")[0])
     assert count >= 2 * 64  # both classes filled
 
 
@@ -582,8 +597,8 @@ def test_sampled_sweep_stops_once_it_has_every_input(config):
 
 def test_exhaustive_sweep_below_budget():
     rep = check_sweep(dj_protocol(4)).correctness
-    assert rep.coverage.startswith("exhaustive:112")
-    assert rep.passed
+    assert rep["coverage"].startswith("exhaustive:112")
+    assert rep["pass"]
 
 
 def test_protocol_cost_and_default_tol():

@@ -6,9 +6,10 @@ The re-exported names below resolve on first use (PEP 562), so that
 `import psqm` loads only the modules a caller touches: the pure-Python
 `bounds` needs no numpy, while `protocols` and `verify` load it.  What
 both sides share is defined here, so neither loads the other: the
-defaults, `collision_beta` and `check_record`."""
+defaults, `collision_beta`, `check_record` and `check_limits`."""
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 DEFAULT_BUDGET = 1 << 16  # inputs an exhaustive sweep may visit; --budget's default
@@ -35,6 +36,15 @@ def check_record(name: str, passed: bool, witnesses, coverage=None) -> dict:
     """One entry of a report's `checks` list, as `verify`'s checks return
     it and every CLI command prints it."""
     return {"name": name, "pass": passed, "witnesses": witnesses, "coverage": coverage}
+
+
+def check_limits(tol=None, budget=None) -> None:
+    """Raise the ValueError that the CLI prints for a tol that is not finite
+    and nonnegative or a negative budget (None: unchecked)."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"--budget must be nonnegative, got {budget}")
 
 
 _EXPORTS = {

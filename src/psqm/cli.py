@@ -34,7 +34,7 @@ import time
 # Each command imports what it runs when it starts: `bound` and `stats` the
 # pure-Python bounds module, `run` and `verify` the numpy-backed modules
 # (see _build_protocol).  Neither side loads the other's.
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__, check_record
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, __version__, check_limits, check_record
 
 
 # Each option once; a command takes those its list names and --out, no other.
@@ -330,10 +330,7 @@ def _main(argv) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
-        if "budget" in args and args.budget < 0:
-            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
+        check_limits(getattr(args, "tol", None), getattr(args, "budget", None))
         config, checks, cost = _COMMANDS[args.command](args)
         report = {
             "version": __version__,

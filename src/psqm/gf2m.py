@@ -4,9 +4,10 @@ Polynomials over GF(2) are packed into Python ints, bit i holding the
 coefficient of a^i.  A bit string "x1 x2 ... xm" encodes the element
 x1 + x2*a + ... + xm*a^(m-1), i.e. the FIRST character is the constant
 term.  Addition is XOR; multiplication is a carry-less product reduced
-modulo the modulus polynomial.  Every product comes from one table per
-field (`product_table`), so every degree is capped at MAX_TABLE_DEGREE,
-the widest field a protocol uses.  No inversion is provided or needed.
+modulo the smallest irreducible polynomial of degree m (`find_irreducible`).
+Every product comes from one table per degree (`product_table(m)`), so
+every degree is capped at MAX_TABLE_DEGREE, the widest field a protocol
+uses.  No inversion is provided or needed.
 """
 
 import functools
@@ -44,47 +45,28 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
-class Modulus(tuple):
-    """Monic irreducible degree-m modulus, packed into `encoding`: the pair
-    (degree, encoding), checked when built, and equal and hashed by value
-    (`product_table`'s cache key)."""
-
-    __slots__ = ()
-    degree = property(lambda self: self[0])
-    encoding = property(lambda self: self[1])
-
-    def __new__(cls, degree: int, encoding: int):
-        if not 1 <= degree <= MAX_TABLE_DEGREE:
-            raise ValueError(f"modulus degree {degree} outside 1..{MAX_TABLE_DEGREE}")
-        if encoding.bit_length() - 1 != degree:
-            raise ValueError("encoding degree does not match the declared degree")
-        if not is_irreducible(encoding):
-            raise ValueError(f"modulus {bin(encoding)} is reducible")
-        return super().__new__(cls, (degree, encoding))
-
-
-def find_irreducible(m: int) -> Modulus:
+def find_irreducible(m: int) -> int:
     """Smallest-integer-encoding monic irreducible polynomial of degree m."""
     if not 1 <= m <= MAX_TABLE_DEGREE:
         raise ValueError(f"degree {m} outside 1..{MAX_TABLE_DEGREE}")
     for cand in range(1 << m, 1 << (m + 1)):
         if is_irreducible(cand):
-            return Modulus(m, cand)
+            return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 @functools.cache
-def product_table(modulus: Modulus) -> np.ndarray:
+def product_table(m: int) -> np.ndarray:
     """Every product of GF(2^m), indexed and valued by bit strings read as
     big-endian integers: entry [int(a, 2), int(b, 2)] is int(c, 2) for the
     field product c of a and b.  Read-only, shared by every caller."""
-    m = modulus.degree
+    modulus = find_irreducible(m)
     rev = np.array([int(format(v, f"0{m}b")[::-1], 2) for v in range(1 << m)])
     prod = np.zeros((rev.size, rev.size), dtype=np.int32)
     for i in range(m):  # carry-less product of the packed field elements
         prod ^= np.where((rev >> i) & 1, rev[:, None] << i, 0)
     for d in range(2 * m - 2, m - 1, -1):  # reduced by the modulus
-        prod ^= np.where((prod >> d) & 1, modulus.encoding << (d - m), 0)
+        prod ^= np.where((prod >> d) & 1, modulus << (d - m), 0)
     table = rev[prod].astype(np.uint16)
     table.flags.writeable = False
     return table

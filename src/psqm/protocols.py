@@ -497,14 +497,13 @@ class GeqProtocol(_GhzMaskProtocol):
         if l < 1:
             raise ValueError("need at least one block")
         self._setup(k, blocks=l)
-        self.field = gf2m.find_irreducible(2 * l)
         masks = [s for s in _bitstrings(2 * l) if s != "0" * 2 * l]
         self.randomness_domain = tuple(
             (blocks, mask)
             for blocks in itertools.product(_even_strings(self._parties), repeat=l)
             for mask in masks
         )
-        self._products = gf2m.product_table(self.field)  # symmetric
+        self._products = gf2m.product_table(2 * l)  # symmetric
         self._columns = (np.arange(1 << 2 * l) == 0).astype(np.int8)  # 1 where all sums vanish
 
     def _randomness_ints(self, randomness_values):
@@ -542,7 +541,6 @@ class DJProtocol(ProtocolInstance):
         self.party_count = 2
         self.input_lengths = (n, n)
         self.output_domain = (0, 1)
-        self.field = gf2m.find_irreducible(m)
         self.randomness_domain = tuple(
             (r, rp)
             for r in _bitstrings(m)
@@ -602,7 +600,7 @@ class DJProtocol(ProtocolInstance):
         big-endian integer; entries are packed field values."""
         packed = np.array([int(bits, 2) for bits in self._message_bits])  # its own inverse
         r, rp = (np.array([int(s[i], 2) for s in randomness_values]) for i in (0, 1))
-        return packed[gf2m.product_table(self.field)[r] ^ rp[:, None]]
+        return packed[gf2m.product_table(self.m)[r] ^ rp[:, None]]
 
     def _message_laws(self, w: int, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness

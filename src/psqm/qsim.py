@@ -1,5 +1,5 @@
-"""The validated density-matrix container, and the two matrix metrics
-the checks read.
+"""The validated density-matrix container, and nothing else: the checks
+read purity and distance off the raw matrices with numpy.
 
 `DensityMatrix` is the public return type of `averaged_message`; message
 states are plain amplitude arrays.  No gate is simulated here (the
@@ -36,15 +36,3 @@ class DensityMatrix:
         if np.linalg.eigvalsh(mat).min() < -DERIVED_TOL:
             raise ValueError("matrix has a negative eigenvalue")
         self.matrix = mat
-
-
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2) of a Hermitian matrix, its squared Frobenius norm."""
-    return float(np.vdot(rho, rho).real)
-
-
-def matrix_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the difference of two matrices."""
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a - b))

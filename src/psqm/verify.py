@@ -19,12 +19,14 @@ each block into the smaller blocks whose randomness-averaged messages
 rho_x one `_averaged_matrix` call builds, so each rho_x is built once.
 The purity, the distance and the rho_bar sum stay per input, in sweep
 order, so reports keep their float noise bit for bit.  The walk reads the
-raw matrices: a convex combination of states is a density matrix by
-construction, so no rho_x is validated on the way.  Validation stays at
-the API edge: the public `averaged_message` is the one route to a
-validated `qsim.DensityMatrix`, a privacy class's witnesses name its
-representative input and keep no matrix, and the purity bounds gate the
-average.  Inputs are checked at the edge too: a
+raw matrices with numpy (purity <rho, rho>, distance a Frobenius norm):
+a convex combination of states is a density matrix by construction, and
+one walk builds all of one shape, so none is validated or shape-checked.
+Validation stays at the API edge: the public `averaged_message` is the
+one route to a validated `qsim.DensityMatrix`, a privacy class's
+witnesses name its representative input and keep no matrix, and the
+purity bounds gate the average.  Inputs are checked at the edge too:
+`psqm.check_limits` refuses the tol or budget that the CLI refuses, and a
 sweep holds rows of integer codes from the protocol's own input domain
 or sampler, so only the bit strings that key a supplied mu are parsed,
 once each, and report fields (`worst_input`, `representative_input`)
@@ -53,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP, check_record, collision_beta, qsim
+from . import DEFAULT_BUDGET, DEFAULT_TOL, ENUMERATION_CAP
+from . import check_limits, check_record, collision_beta
 from .protocols import ProtocolInstance
 
 PURITY_TOL = 1e-10
@@ -150,6 +153,7 @@ def check_weight_sums(protocol: ProtocolInstance, party: int, tol: float = DEFAU
     (`gram_inputs` says how many when that truncates the party's inputs).
     Returns the check record `weight_sums_party{party}`.
     """
+    check_limits(tol)
     if not 0 <= party < protocol.party_count:
         raise ValueError(f"no party {party}")
     full = protocol._kary_nondegenerate
@@ -219,6 +223,7 @@ def check_sweep(
     tr(rho_bar^2) - sum_x mu(x)^2 tr(rho_x^2).  Requires a total,
     non-degenerate reference and beta > 0; otherwise skipped as vacuous.
     """
+    check_limits(tol, budget)
     _preflight(protocol)
     inputs, targets, weights, coverage = _distribution(protocol, mu, budget, seed)
     domain = protocol.randomness_domain
@@ -243,7 +248,7 @@ def check_sweep(
             for (x, column, w), rho in zip(entries, protocol._averaged_matrix(part)):
                 y = protocol.output_domain[column]
                 rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
-                purity = qsim.purity(rho)
+                purity = float(np.vdot(rho, rho).real)  # tr(rho^2), rho Hermitian
                 self_terms += float(w) ** 2 * purity
                 masses_by_class.setdefault(y, []).append(float(w))
                 if y not in classes:  # a copy, so that no block outlives its loop
@@ -257,7 +262,7 @@ def check_sweep(
                     continue
                 cls = classes[y]
                 cls["size"] += 1
-                dist = qsim.matrix_distance(representatives[y], rho)
+                dist = float(np.linalg.norm(representatives[y] - rho))
                 cls["max_distance"] = max(cls["max_distance"], dist)
                 if dist > max_distance:
                     max_distance, farthest = dist, x
@@ -291,7 +296,7 @@ def check_sweep(
         witnesses["worst_input"] = ",".join(protocol._input_strings(farthest))
     privacy = check_record("privacy", passed, witnesses, coverage)
 
-    lhs = qsim.purity(rho_bar)
+    lhs = float(np.vdot(rho_bar, rho_bar).real)
     dim = len(rho_bar)
     passed = (1.0 / dim - PURITY_TOL) <= lhs <= 1.0 + PURITY_TOL
     witnesses = {"purity": lhs, "dim": dim, "floor": 1.0 / dim}

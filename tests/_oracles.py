@@ -395,7 +395,7 @@ def geq_mask_identity_check(inputs, mask: str) -> bool:
         raise ValueError("mask must be nonzero")
     if {len(x) for x in inputs} - {len(mask)} or set("".join(inputs) + mask) - {"0", "1"}:
         raise ValueError(f"inputs and mask must be {len(mask)}-bit strings")
-    row = gf2m.product_table(gf2m.find_irreducible(len(mask)))[int(mask, 2)]
+    row = gf2m.product_table(len(mask))[int(mask, 2)]
     total = xor = 0
     for x in inputs:
         total ^= int(row[int(x, 2)])
@@ -428,7 +428,7 @@ def ghz_gate_ops(proto, party, own_input, randomness) -> list:
         else:
             blocks, mask = randomness
             packed = [sum(int(c) << i for i, c in enumerate(s)) for s in (mask, x)]
-            value = field_mul(*packed, proto.field.encoding)
+            value = field_mul(*packed, gf2m.find_irreducible(len(x)))
             a = [(value >> i) & 1 for i in range(len(x))]
             qubits = [b * internal_count + j for b in range(len(blocks))]
             zs = [(a[2 * b + 1], q) for b, q in enumerate(qubits)]

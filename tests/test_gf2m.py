@@ -12,10 +12,10 @@ from _oracles import field_mul, oracle_irreducible, poly_rem
 
 def test_frozen_moduli():
     # smallest-encoding irreducibles, locked by hand
-    assert gf2m.find_irreducible(1).encoding == 0b10
-    assert gf2m.find_irreducible(2).encoding == 0b111
-    assert gf2m.find_irreducible(3).encoding == 0b1011
-    assert gf2m.find_irreducible(4).encoding == 0b10011
+    assert gf2m.find_irreducible(1) == 0b10
+    assert gf2m.find_irreducible(2) == 0b111
+    assert gf2m.find_irreducible(3) == 0b1011
+    assert gf2m.find_irreducible(4) == 0b10011
 
 
 def test_irreducibility_matches_factorization_oracle():
@@ -30,7 +30,7 @@ def packed(v: int, m: int) -> int:
 
 
 def test_gf4_generator_square():
-    table = gf2m.product_table(gf2m.find_irreducible(2))
+    table = gf2m.product_table(2)
     a = int("01", 2)
     assert table[a, a] == int("11", 2)  # a^2 = a + 1
 
@@ -38,7 +38,7 @@ def test_gf4_generator_square():
 def test_bit_string_encoding_constant_term_first():
     """The table speaks bit strings whose first character is the constant
     term: "10" is the unit and "01" the generator a of GF(8)."""
-    table = gf2m.product_table(gf2m.find_irreducible(3))
+    table = gf2m.product_table(3)
     one, a = int("100", 2), int("010", 2)
     assert table[one, a] == a
     assert table[a, a] == int("001", 2)  # a^2
@@ -47,18 +47,14 @@ def test_bit_string_encoding_constant_term_first():
 
 def test_modulus_validation():
     with pytest.raises(ValueError):
-        gf2m.Modulus(2, 0b110)  # a^2 + a = a(a+1), reducible
-    with pytest.raises(ValueError):
-        gf2m.Modulus(3, 0b111)  # degree mismatch
-    with pytest.raises(ValueError):
         gf2m.find_irreducible(0)
     with pytest.raises(ValueError):
         gf2m.find_irreducible(gf2m.MAX_TABLE_DEGREE + 1)
-    # an irreducible modulus above the product-table cap is refused too
+    # a degree above the product-table cap is refused, though it has moduli
     wide = (1 << 11) | 0b101  # a^11 + a^2 + 1
     assert gf2m.MAX_TABLE_DEGREE < 11 and gf2m.is_irreducible(wide)
     with pytest.raises(ValueError, match="outside"):
-        gf2m.Modulus(11, wide)
+        gf2m.product_table(11)
 
 
 @given(st.integers(0, (1 << 10) - 1), st.integers(2, (1 << 6) - 1))
@@ -67,12 +63,11 @@ def test_polymod_matches_long_division(a, mod):
 
 
 def test_product_table_is_shared_read_only_and_capped():
-    modulus = gf2m.find_irreducible(4)
-    table = gf2m.product_table(modulus)
-    assert table is gf2m.product_table(gf2m.Modulus(4, modulus.encoding))
+    table = gf2m.product_table(4)
+    assert table is gf2m.product_table(4)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
-        gf2m.product_table(gf2m.find_irreducible(gf2m.MAX_TABLE_DEGREE + 1))
+        gf2m.product_table(gf2m.MAX_TABLE_DEGREE + 1)
 
 
 # every element up to m = 6, a seeded sample of 48 in the widest table
@@ -87,7 +82,7 @@ def fields():
             elements = np.arange(1 << m)
         else:
             elements = np.array(random.Random(m).sample(range(1 << m), 48))
-        yield m, gf2m.product_table(modulus), modulus.encoding, elements
+        yield m, gf2m.product_table(m), modulus, elements
 
 
 def test_mul_matches_oracle_and_commutes():

@@ -12,7 +12,6 @@ randomness domain or fix its r.
 import numpy as np
 import pytest
 
-from psqm import qsim
 from psqm.protocols import DJProtocol, GeqProtocol, Sum2Protocol
 from psqm.verify import check_sweep, check_weight_sums
 
@@ -45,7 +44,7 @@ def assert_privacy_names_a_leaking_input(proto, privacy):
     worst = tuple(privacy["witnesses"]["worst_input"].split(","))
     assert worst in domain_strings(proto)
     rep = representative(proto, privacy, proto.reference(worst))
-    distance = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
+    distance = np.linalg.norm(rep.matrix - proto.averaged_message(worst).matrix)
     assert distance == pytest.approx(privacy["witnesses"]["max_distance"]) and distance > 1.0
 
 
@@ -188,6 +187,43 @@ def test_sum2_with_halved_averages_fails_purity_bounds():
         proto.averaged_message(("00",) * 3)
 
 
+class HalvedAverageGeq(GeqProtocol):
+    """geq whose averaged messages carry half their mass, as in
+    HalvedAverageSum2."""
+
+    def _averaged_matrix(self, codes):
+        return super()._averaged_matrix(codes) / 2
+
+
+class HalvedAverageDJ(DJProtocol):
+    """dj whose averaged message laws carry half their mass, as in
+    HalvedAverageSum2."""
+
+    def _averaged_matrix(self, codes):
+        return super()._averaged_matrix(codes) / 2
+
+
+@pytest.mark.parametrize(
+    "proto,dim,purity,collision_skipped",
+    [(HalvedAverageGeq(2, 1), 4, 1 / 16, False), (HalvedAverageDJ(4), 16, 13 / 784, True)],
+    ids=["geq-2-1", "dj-4"],
+)
+def test_geq_and_dj_with_halved_averages_fail_only_purity_bounds(
+    proto, dim, purity, collision_skipped
+):
+    """Halving every rho_x quarters the purity of their average: geq
+    (2,1)'s 1/4 falls to 1/16 and dj n=4's 13/196 to 13/784, each under
+    its floor 1/dim.  Correctness, privacy and the collision bound still
+    pass; dj's collision bound passes as skipped."""
+    correctness, privacy, purity_bounds, collision = check_sweep(proto)
+    assert correctness["pass"] and privacy["pass"] and collision["pass"]
+    assert not purity_bounds["pass"]
+    w = purity_bounds["witnesses"]
+    assert w["dim"] == dim and w["purity"] == pytest.approx(purity, abs=1e-15)
+    assert w["purity"] < w["floor"] == 1 / dim
+    assert ("skipped" in collision["witnesses"]) == collision_skipped
+
+
 def test_dj_with_a_zero_mask_fails_correctness():
     """With r = 0 the mask p(r)p(outcome) + p(r') sends every outcome to
     p(r'), so the two messages always agree and the referee accepts
@@ -268,5 +304,5 @@ def test_dj_with_r_fixed_to_one_leaks_inputs(n, distance, worst):
     assert privacy["witnesses"]["max_distance"] == pytest.approx(distance)
     assert privacy["witnesses"]["worst_input"] == ",".join(worst)
     rep = representative(proto, privacy, 0)
-    got = qsim.matrix_distance(rep.matrix, proto.averaged_message(worst).matrix)
+    got = np.linalg.norm(rep.matrix - proto.averaged_message(worst).matrix)
     assert got == pytest.approx(distance)

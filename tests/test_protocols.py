@@ -191,7 +191,7 @@ def test_geq_message_state_formula(k, l):
 
 def masked_input(proto, x: str, mask: str) -> str:
     """A party's masked input as geq reads it off `gf2m.product_table`."""
-    product = gf2m.product_table(proto.field)[int(mask, 2), int(x, 2)]
+    product = gf2m.product_table(len(mask))[int(mask, 2), int(x, 2)]
     return format(int(product), f"0{len(mask)}b")
 
 
@@ -217,7 +217,7 @@ def test_geq_masked_input_wider_fields(l):
     else:
         rng = random.Random(l)
         pairs = [(rng.choice(strings[1:]), rng.choice(strings)) for _ in range(2000)]
-        modulus = proto.field.encoding
+        modulus = gf2m.find_irreducible(2 * l)
         assert modulus.bit_length() == 2 * l + 1 and oracle_irreducible(modulus)
     for mask, x in pairs:
         assert masked_input(proto, x, mask) == geq_masked_bits(x, mask, modulus)

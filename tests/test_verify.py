@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -605,6 +606,34 @@ def test_protocol_cost_and_default_tol():
     assert sum2_protocol(5).cost() == (6, "qubits")
     assert dj_protocol(4).cost() == (4, "bits")
     assert verify.DEFAULT_TOL == 1e-9
+
+
+@pytest.mark.parametrize(
+    "call,argv",
+    [
+        (lambda p: check_sweep(p, tol=float("nan")), ["--tol", "nan"]),
+        (lambda p: check_sweep(p, tol=-1.0), ["--tol", "-1"]),
+        (lambda p: check_sweep(p, tol=math.inf), ["--tol", "inf"]),
+        (lambda p: check_weight_sums(p, 0, tol=float("nan")), ["--tol", "nan"]),
+        (lambda p: check_sweep(p, budget=-1, seed=1), ["--budget", "-1", "--seed", "1"]),
+    ],
+    ids=["sweep-nan", "sweep-negative", "sweep-inf", "weight-sums-nan", "sweep-budget"],
+)
+def test_the_library_refuses_what_the_cli_refuses(call, argv, capsys):
+    """A tol that is not finite and nonnegative, or a negative budget, is
+    refused by the library as by `psqm verify`, with the same message."""
+    with pytest.raises(ValueError, match="must be") as exc:
+        call(sum2_protocol(3))
+    assert cli.main(["verify", "--protocol", "sum2", "--k", "3", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_a_zero_tol_is_accepted():
+    """tol=0 gates exactly, as `--tol 0` does; it is not refused."""
+    proto = sum2_protocol(2)
+    correctness, privacy, _, _ = check_sweep(proto, tol=0)
+    assert correctness["pass"] and privacy["pass"]
+    assert check_weight_sums(proto, 0, tol=0)["pass"]
 
 
 def test_exhaustive_sweep_cap_boundary(monkeypatch):

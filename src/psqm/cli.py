@@ -83,9 +83,6 @@ def _canon(value):
         if math.isfinite(value):
             return float(f"{value:.12g}")
         return "inf" if value > 0 else "-inf"
-    np = sys.modules.get("numpy")  # a numpy scalar implies numpy is loaded
-    if np is not None and isinstance(value, (np.floating, np.integer)):
-        return _canon(value.item())
     if isinstance(value, dict):
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -174,7 +171,6 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
         averaged = np.cumsum(masses / len(domain), axis=1)[:, -1]  # summed in domain order
         rows = zip(block.tolist(), columns[start : start + len(block)], masses, averaged.tolist())
         for codes, column, law, row in rows:
-            inputs = protocol._input_strings(codes)
             witnesses = {
                 "reference": "promise-violation"
                 if column < 0
@@ -191,7 +187,8 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
                 witnesses["per_randomness"] = [_transcript(protocol, *run) for run in runs]
             passed = column < 0 or bool(law[:, column].min() >= 1.0 - args.tol)
             coverage = f"randomness-exhaustive:{len(domain)}"
-            checks.append(check_record(f"run[{','.join(inputs)}]", passed, witnesses, coverage))
+            name = f"run[{protocol._format_input(codes)}]"
+            checks.append(check_record(name, passed, witnesses, coverage))
     config = _config_echo(args) | {"inputs": args.inputs}
     return config, checks, protocol.cost()
 

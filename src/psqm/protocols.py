@@ -136,9 +136,13 @@ class ProtocolInstance:
         return tuple(_draw(rng, n) for n in self.input_lengths)
 
     def party_inputs(self, party: int) -> np.ndarray:
+        if not 0 <= party < self.party_count:
+            raise ValueError(f"no party {party}")
         return np.arange(1 << self.input_lengths[party])
 
     def run(self, inputs, randomness) -> TranscriptRecord:
+        if randomness not in self._randomness_set:
+            raise ValueError(f"randomness {randomness!r} is not in the domain")
         return next(self._runs(self._codes(inputs), [randomness]))
 
     def _runs(self, codes, randomness_values):
@@ -174,7 +178,17 @@ class ProtocolInstance:
     def weight_sum_maxima(self, party: int, own_inputs, randomness_values) -> tuple[float, float]:
         """Largest sums over z in own_inputs (codes) of |<psi(x;r)|psi(z;r')>|^2,
         over x in own_inputs and r, r' in randomness_values: (z != x, all z)."""
-        raise NotImplementedError
+        own = np.asarray(own_inputs)
+        if not (own.size and np.isin(own, self.party_inputs(party)).all()):
+            raise ValueError(f"own_inputs must be one or more of party {party}'s codes")
+        if not (len(randomness_values) and self._randomness_set.issuperset(randomness_values)):
+            raise ValueError("randomness_values must be one or more values of the domain")
+        return self._weight_sum_maxima(party, own, randomness_values)
+
+    @functools.cached_property
+    def _randomness_set(self) -> frozenset:
+        """The randomness domain as a set, made on first use as the hooks' caches are."""
+        return frozenset(self.randomness_domain)
 
     @functools.cached_property
     def _kary_nondegenerate(self) -> bool:
@@ -213,9 +227,9 @@ class ProtocolInstance:
                 raise ValueError(f"bad {n}-bit input {x!r}")
         return tuple(int(x, 2) for x in inputs)
 
-    def _input_strings(self, codes) -> tuple[str, ...]:
-        """The bit strings of one input's codes, for report fields."""
-        return tuple(format(c, f"0{n}b") for c, n in zip(codes, self.input_lengths))
+    def _format_input(self, codes) -> str:
+        """The comma-joined bit strings of one input's codes, as reports name it."""
+        return ",".join(format(c, f"0{n}b") for c, n in zip(codes, self.input_lengths))
 
 
 def _framed_states(amps: np.ndarray, xmasks: np.ndarray, zmasks: np.ndarray) -> np.ndarray:
@@ -424,7 +438,7 @@ class _GhzMaskProtocol(ProtocolInstance):
         scaled = states.transpose(0, 2, 1) * w
         return scaled @ np.conjugate(states, out=states)  # in place: one stack fewer
 
-    def weight_sum_maxima(self, party, own_inputs, randomness_values):
+    def _weight_sum_maxima(self, party, own, randomness_values):
         """Up to sign, a party state is fixed per block by which of its
         shares X flips and by the parity of its Z's.  The referee's outcome
         of the party's frame alone (its key, from `_outcomes`) reads exactly
@@ -441,7 +455,6 @@ class _GhzMaskProtocol(ProtocolInstance):
         One bincount per block of columns counts every r' at once, column
         c's keys offset by c * 2^qubits; a block's counts stay within the
         same budget."""
-        own = np.asarray(own_inputs)
         parties = np.full(own.size, party, dtype=np.int16)
         size = 1 << self._qubits  # keys are referee outcome indices
         reach = np.zeros((own.size, size), dtype=bool)
@@ -650,10 +663,10 @@ class DJProtocol(ProtocolInstance):
         matrices[:, :: laws.shape[1] + 1] = laws
         return matrices.reshape(len(laws), laws.shape[1], -1)
 
-    def weight_sum_maxima(self, party, own_inputs, randomness_values):
+    def _weight_sum_maxima(self, party, own, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards
         are unitary, so |<psi(x)|psi(z)>|^2 = (sum_i (-1)^(x_i + z_i) / n)^2."""
-        signs = 1 - 2 * ((np.asarray(own_inputs)[:, None] >> np.arange(self.n)) & 1)
+        signs = 1 - 2 * ((own[:, None] >> np.arange(self.n)) & 1)
         overlaps = (signs @ signs.T / self.n) ** 2
         incl = overlaps.sum(axis=1)
         return float((incl - np.diag(overlaps)).max()), float(incl.max())

@@ -10,18 +10,18 @@ returns its record (`psqm.check_record`): the entry that `psqm verify`
 prints in its report's `checks`, before the floats are rounded.
 
 `check_sweep` derives correctness, privacy, the purity bounds and the
-collision bound from one sweep and one walk over it.  It first refuses a
-protocol whose per-input message stack is too big, then takes its inputs
-from `_distribution`, which refuses an empty sweep and reads their
-reference values in one vectorised `_reference` call.  The walk reads
-output masses a block of inputs per `_output_masses` call, and splits
-each block into the smaller blocks whose randomness-averaged messages
-rho_x one `_averaged_matrix` call builds, so each rho_x is built once.
-The purity, the distance and the rho_bar sum stay per input, in sweep
-order, so reports keep their float noise bit for bit.  The walk reads the
-raw matrices with numpy (purity <rho, rho>, distance a Frobenius norm):
-a convex combination of states is a density matrix by construction, and
-one walk builds all of one shape, so none is validated or shape-checked.
+collision bound from one sweep.  It first refuses a protocol whose
+per-input message stack is too big, then takes its inputs from
+`_distribution`, which refuses an empty sweep and reads their reference
+values in one vectorised `_reference` call.  Two flat passes collect
+per-input arrays, and each record then reduces them: one pass keeps each
+input's least output mass on its reference column, a block of inputs per
+`_output_masses` call; the other builds each rho_x once, a smaller block
+per `_averaged_matrix` call, and keeps its purity <rho, rho> and its
+Frobenius distance to its class's first rho_x.  The rho_bar sum stays per
+input, in sweep order, so reports keep their float noise bit for bit.  A
+convex combination of states is a density matrix by construction, and
+one sweep builds all of one shape, so none is validated or shape-checked.
 Validation stays at the API edge: the public `averaged_message` is the
 one route to a validated `qsim.DensityMatrix`, a privacy class's
 witnesses name its representative input and keep no matrix, and the
@@ -154,11 +154,9 @@ def check_weight_sums(protocol: ProtocolInstance, party: int, tol: float = DEFAU
     Returns the check record `weight_sums_party{party}`.
     """
     check_limits(tol)
-    if not 0 <= party < protocol.party_count:
-        raise ValueError(f"no party {party}")
+    own = protocol.party_inputs(party)  # refuses a party the protocol lacks
     full = protocol._kary_nondegenerate
     domain = protocol.randomness_domain
-    own = protocol.party_inputs(party)
     shown = own if full else own[:_GRAM_INPUT_CAP]
     excl, incl = protocol.weight_sum_maxima(party, shown, domain if full else domain[:1])
     pair_count = len(domain) ** 2 if full else 1
@@ -193,8 +191,8 @@ def check_sweep(
     mu=None,
 ) -> SweepReports:
     """Correctness, privacy, purity bounds and the collision bound, from one
-    walk over the inputs that reads each input's output masses and builds
-    its randomness-averaged message rho_x once.
+    sweep that reads each input's output masses and builds its
+    randomness-averaged message rho_x once, then reduces per-input arrays.
 
     The inputs are mu's keys with its weights, or the sweep with uniform
     weights when mu is None; all four check records cover those inputs.
@@ -205,8 +203,8 @@ def check_sweep(
     minimum in sweep order names the worst pair.
 
     Privacy: rho_x must agree within each output class.  Each rho_x is
-    compared to its class representative in Frobenius distance, and a
-    failing report names the input farthest from its representative.
+    compared to its class's first rho_x in Frobenius distance, and a
+    failing report names the first input farthest from that representative.
     `cross_orthogonality`, the largest norm of a product of two classes'
     representatives, is informational and not gated: perfect correctness
     for every randomness value already puts different classes in
@@ -227,73 +225,60 @@ def check_sweep(
     _preflight(protocol)
     inputs, targets, weights, coverage = _distribution(protocol, mu, budget, seed)
     domain = protocol.randomness_domain
-    message_bytes = 16 << protocol.cost()[0]
-    min_mass, worst_x, worst_r = float("inf"), None, None
-    classes: dict = {}  # output -> the witnesses of its privacy class
-    representatives: dict = {}  # output -> its class representative's rho_x
-    masses_by_class: dict = {}
-    max_distance, farthest = 0.0, None
-    rho_bar = None
-    self_terms = 0.0
+    least, least_r = np.empty(len(inputs)), np.empty(len(inputs), dtype=np.intp)
     for start, block in protocol._blocks(inputs, 8 * len(protocol.output_domain)):
         rows = np.arange(len(block))
         masses = protocol._output_masses(block)[rows, :, targets[start + rows]]
-        i = int(np.argmin(masses))  # the first minimum in sweep order: the first worst pair
-        if masses.flat[i] < min_mass:
-            row, r = divmod(i, len(domain))
-            min_mass, worst_x, worst_r = float(masses.flat[i]), block[row].tolist(), domain[r]
-        for offset, part in protocol._blocks(block, message_bytes):
-            span = slice(start + offset, start + offset + len(part))
-            entries = zip(part.tolist(), targets[span].tolist(), weights[span])
-            for (x, column, w), rho in zip(entries, protocol._averaged_matrix(part)):
-                y = protocol.output_domain[column]
-                rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
-                purity = float(np.vdot(rho, rho).real)  # tr(rho^2), rho Hermitian
-                self_terms += float(w) ** 2 * purity
-                masses_by_class.setdefault(y, []).append(float(w))
-                if y not in classes:  # a copy, so that no block outlives its loop
-                    representatives[y] = rho.copy()
-                    classes[y] = {
-                        "size": 1,
-                        "max_distance": 0.0,
-                        "purity": purity,
-                        "representative_input": ",".join(protocol._input_strings(x)),
-                    }
-                    continue
-                cls = classes[y]
-                cls["size"] += 1
-                dist = float(np.linalg.norm(representatives[y] - rho))
-                cls["max_distance"] = max(cls["max_distance"], dist)
-                if dist > max_distance:
-                    max_distance, farthest = dist, x
+        least[start : start + len(block)] = masses.min(axis=1)
+        least_r[start : start + len(block)] = masses.argmin(axis=1)  # the first r that reaches it
+    purity, distance = np.empty(len(inputs)), np.zeros(len(inputs))
+    representatives: dict = {}  # output -> its class's first rho_x, a copy that outlives its block
+    rho_bar = None
+    for start, block in protocol._blocks(inputs, 16 << protocol.cost()[0]):
+        for i, rho in enumerate(protocol._averaged_matrix(block), start):
+            w, y = weights[i], protocol.output_domain[targets[i]]
+            rho_bar = w * rho if rho_bar is None else np.add(rho_bar, w * rho, out=rho_bar)
+            purity[i] = np.vdot(rho, rho).real  # tr(rho^2), rho Hermitian
+            if y in representatives:
+                distance[i] = np.linalg.norm(representatives[y] - rho)
+            else:
+                representatives[y] = rho.copy()
 
+    worst = int(np.argmin(least))  # numpy's first minimum: the first worst pair in sweep order
+    min_mass = float(least[worst])
     correctness = check_record(
         "correctness",
         min_mass >= 1.0 - tol,
         {
             "min_mass": min_mass,
-            "worst_input": ",".join(protocol._input_strings(worst_x)),
-            "worst_randomness": protocol.format_randomness(worst_r),
+            "worst_input": protocol._format_input(inputs[worst].tolist()),
+            "worst_randomness": protocol.format_randomness(domain[least_r[worst]]),
             "cases": len(inputs) * len(domain),
         },
         f"{coverage} x randomness-exhaustive:{len(domain)}",
     )
 
+    classes = {}
+    for y in representatives:
+        members = np.flatnonzero(targets == protocol.output_domain.index(y))
+        classes[protocol.format_output(y)] = {
+            "size": len(members),
+            "max_distance": float(distance[members].max()),
+            "purity": float(purity[members[0]]),
+            "representative_input": protocol._format_input(inputs[members[0]].tolist()),
+        }
     cross = 0.0
     for a, b in itertools.combinations(sorted(representatives, key=repr), 2):
         prod = representatives[a] @ representatives[b]
         cross = max(cross, float(np.linalg.norm(prod)))
-    witnesses = {
-        "max_distance": max_distance,
-        "cross_orthogonality": cross,
-        "classes": {protocol.format_output(y): c for y, c in classes.items()},
-    }
+    max_distance = float(distance.max())
+    witnesses = {"max_distance": max_distance, "cross_orthogonality": cross, "classes": classes}
     note = protocol._privacy_note(representatives)
     if note:
         witnesses["note"] = note
     passed = max_distance <= tol
-    if not passed and farthest is not None:
-        witnesses["worst_input"] = ",".join(protocol._input_strings(farthest))
+    if not passed:  # numpy's first maximum: the first farthest input in sweep order
+        witnesses["worst_input"] = protocol._format_input(inputs[np.argmax(distance)].tolist())
     privacy = check_record("privacy", passed, witnesses, coverage)
 
     lhs = float(np.vdot(rho_bar, rho_bar).real)
@@ -306,7 +291,8 @@ def check_sweep(
         witnesses = {"lhs": 0.0, "rhs": 0.0, "beta": 0.0, "cross_terms": 0.0, "skipped": _VACUOUS}
         collision = check_record("collision_bound", True, witnesses, "none")
     else:
-        beta = collision_beta(masses_by_class)
+        beta = collision_beta({c: weights[targets == c].tolist() for c in set(targets.tolist())})
+        self_terms = sum(w**2 * p for w, p in zip(weights.tolist(), purity.tolist()))
         cross_terms = lhs - self_terms
         vacuous = beta <= 0.0
         rhs = 0.0 if vacuous else cross_terms / beta

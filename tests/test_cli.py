@@ -36,10 +36,10 @@ def test_canonical_json_rounding_and_order():
 
 
 def test_canonical_json_numpy_scalars():
-    assert cli.canonical_json([np.float32(0.1)]) == "[0.10000000149]"
+    """Records hold Python scalars: np.float64 is a float, and any other
+    numpy scalar is refused."""
     assert cli.canonical_json([np.float64(1 / 3)]) == "[0.333333333333]"
-    assert cli.canonical_json([np.int64(3)]) == "[3]"
-    for value in (np.bool_(True), object()):
+    for value in (np.float32(0.1), np.int64(3), np.bool_(True), object()):
         with pytest.raises(TypeError):
             cli.canonical_json({"x": value})
 

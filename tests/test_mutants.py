@@ -20,8 +20,10 @@ from _oracles import domain_strings, weight_sum_maxima
 def restrict_randomness(proto, keep):
     """Narrow the randomness domain of a protocol no check has read yet:
     sum2 and geq parse their domain once, on first use (`_domain_ints`),
-    and dj caches the laws it reads from it (`_law_cache`)."""
-    assert "_domain_ints" not in vars(proto) and not vars(proto).get("_law_cache")
+    dj caches the laws it reads from it (`_law_cache`), and `run` and
+    `weight_sum_maxima` read it as a set, also once (`_randomness_set`)."""
+    assert not {"_domain_ints", "_randomness_set"} & set(vars(proto))
+    assert not vars(proto).get("_law_cache")
     proto.randomness_domain = tuple(r for r in proto.randomness_domain if keep(r))
     return proto
 
@@ -306,3 +308,61 @@ def test_dj_with_r_fixed_to_one_leaks_inputs(n, distance, worst):
     rep = representative(proto, privacy, 0)
     got = np.linalg.norm(rep.matrix - proto.averaged_message(worst).matrix)
     assert got == pytest.approx(distance)
+
+
+def first_worst_witnesses(proto) -> dict:
+    """What `check_sweep` must name, by brute force over the public
+    per-input API in `input_domain` order: the first (input, randomness)
+    pair of least mass on the reference, the first input farthest from
+    its class's first averaged message, and each class's size, largest
+    distance and first input."""
+    least = farthest = None
+    classes, firsts = {}, {}
+    for x in domain_strings(proto):
+        y = proto.reference(x)
+        masses = proto.output_masses(x)[:, proto.output_domain.index(y)]
+        for r, mass in zip(proto.randomness_domain, masses.tolist()):
+            if least is None or mass < least[0]:
+                least = (mass, ",".join(x), proto.format_randomness(r))
+        rho = proto.averaged_message(x).matrix
+        name = proto.format_output(y)
+        if name not in classes:
+            firsts[name] = rho
+            classes[name] = {"size": 0, "max_distance": 0.0, "representative_input": ",".join(x)}
+        distance = float(np.linalg.norm(firsts[name] - rho))
+        classes[name]["size"] += 1
+        classes[name]["max_distance"] = max(classes[name]["max_distance"], distance)
+        if farthest is None or distance > farthest[0]:
+            farthest = (distance, ",".join(x))
+    return {"least": least, "farthest": farthest, "classes": classes}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FlippedDecodeSum2(3),
+        lambda: restrict_randomness(Sum2Protocol(4), lambda r: r == "0000"),
+        lambda: restrict_randomness(DJProtocol(4), lambda r: r[0] == "10"),
+    ],
+    ids=["flipped-decode-sum2-3", "sum2-4-one-randomness", "dj-4-r-one"],
+)
+def test_witnesses_name_the_first_worst_in_sweep_order(make):
+    """Every witness that names an input or randomness value names the
+    first worst one in sweep order, and the figures beside it are that
+    one's, bit for bit."""
+    proto = make()
+    want = first_worst_witnesses(proto)
+    correctness, privacy, _, _ = check_sweep(make())
+    w = correctness["witnesses"]
+    assert (w["min_mass"], w["worst_input"], w["worst_randomness"]) == want["least"]
+    w = privacy["witnesses"]
+    assert w["max_distance"] == want["farthest"][0]
+    if privacy["pass"]:
+        assert "worst_input" not in w
+    else:
+        assert w["worst_input"] == want["farthest"][1]
+    got = {
+        name: {key: cls[key] for key in ("size", "max_distance", "representative_input")}
+        for name, cls in w["classes"].items()
+    }
+    assert got == want["classes"]

@@ -140,6 +140,44 @@ def test_sum2_input_validation():
         sum2_protocol(11)  # 12 internal qubits, over the cap
 
 
+@pytest.mark.parametrize(
+    "proto,inputs,outside",
+    [
+        (sum2_protocol(3), ("01", "10", "11"), ["0001", "1", "zz"]),  # odd parity, short, not bits
+        (dj_protocol(4), ("0110", "0101"), [("00", "01")]),  # r = 0: not a bijection
+        (geq_protocol(2, 1), ("01", "11"), [(("00",), "00")]),  # the zero mask
+    ],
+    ids=["sum2-3", "dj-4", "geq-2-1"],
+)
+def test_run_takes_exactly_the_randomness_domain(proto, inputs, outside):
+    for r in proto.randomness_domain:
+        proto.run(inputs, r)
+    for r in outside:
+        with pytest.raises(ValueError, match="not in the domain"):
+            proto.run(inputs, r)
+
+
+def test_weight_sum_maxima_refuses_what_the_protocol_lacks():
+    """A party, an input code or a randomness value that the protocol does
+    not have is refused, not read as another one, and so is an empty list."""
+    dj, sum2 = dj_protocol(4), sum2_protocol(3)
+    for proto, party, own, values in [
+        (dj, 7, [0, 1, 2], dj.randomness_domain),
+        (dj, 0, [16, 1], dj.randomness_domain),  # read as code 0 before
+        (sum2, -1, [0, 1], sum2.randomness_domain),
+        (sum2, 0, [9], sum2.randomness_domain),
+        (sum2, 0, [0, 1], ["0001"]),
+        (sum2, 0, [], sum2.randomness_domain),  # ZeroDivisionError before
+        (sum2, 0, [0, 1], []),  # (-1.0, 0.0) before
+        (dj, 0, [], dj.randomness_domain),  # TypeError before
+    ]:
+        with pytest.raises(ValueError):
+            proto.weight_sum_maxima(party, own, values)
+    with pytest.raises(ValueError, match="no party -1"):
+        sum2.party_inputs(-1)
+    assert dj.weight_sum_maxima(0, [0, 1], dj.randomness_domain) == (0.25, 1.25)
+
+
 # ------------------------------------------------------------------- geq
 
 

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -724,3 +725,18 @@ def test_a_sampled_sweep_takes_references_by_batch(monkeypatch):
     assert verify._sweep(proto, budget=1, seed=1)[1] == "sampled:0"
     assert len(draws) == 200_000
     assert len(calls) <= 300
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [sum2_protocol(3), geq_protocol(2, 1), dj_protocol(4)],
+    ids=["sum2-3", "geq-2-1", "dj-4"],
+)
+def test_check_records_hold_only_python_scalars(proto):
+    """json.dumps takes every record as it is: no numpy integer or bool
+    (which it refuses) stands where a report prints a number or a flag."""
+    records = [
+        *check_sweep(proto),
+        *(check_weight_sums(proto, j) for j in range(proto.party_count)),
+    ]
+    assert json.loads(json.dumps(records)) == records

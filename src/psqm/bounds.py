@@ -385,8 +385,9 @@ def min_entropy(mu: InputDistribution) -> float:
 def psqm_lower_bound(table: FunctionTable, mu: InputDistribution) -> BoundResult:
     """log2(1/alpha) + Hmin(mu) - log2(1/beta) - 1.
 
-    Requires a non-degenerate table under mu and beta > 0; alpha = 0
-    makes the value +inf.
+    Requires a non-degenerate table under mu and beta > 0, which puts
+    alpha > 0: two support cells in one class form a similar, disjoint
+    1x1 pair.
     """
     nondeg = is_non_degenerate(table, mu)  # a degenerate table is refused before alpha runs
     a, b = (alpha(table, mu), beta(table, mu)) if nondeg else (None, None)
@@ -403,12 +404,7 @@ def _lower_bound(nondeg, a: AlphaResult | None, b, h: float) -> BoundResult:
         raise ValueError("alpha enumeration refused")
     if b <= 0:
         raise ValueError("beta is zero")
-    if a.value == 0:
-        # defensive: beta > 0 forces two support cells in some class,
-        # which already form a one-cell similar disjoint pair
-        value = math.inf
-    else:
-        value = math.log2(1.0 / a.value) + h - math.log2(1.0 / b) - 1.0
+    value = math.log2(1.0 / a.value) + h - math.log2(1.0 / b) - 1.0
     return BoundResult(value, a.value, b, h, a.witness)
 
 

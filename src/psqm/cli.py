@@ -80,9 +80,7 @@ def _canon(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float(f"{value:.12g}")
-        return "inf" if value > 0 else "-inf"
+        return float(f"{value:.12g}") if math.isfinite(value) else str(value)  # inf, -inf, nan
     if isinstance(value, dict):
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

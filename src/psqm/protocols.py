@@ -12,21 +12,23 @@ names are the classes, which share one set of public methods:
 * ``dj_protocol(n)``: two parties with n-bit inputs promised equal
   or at Hamming distance n/2; EPR-correlated measurements are masked
   into classical messages and executed in distribution (no sampling).
-  Every dj law depends on the inputs only through x XOR y.
+  Every dj law is real and depends on the inputs only through x XOR y.
 
 Party inputs are bit strings at the public edge (`reference`,
-`output_masses`, `averaged_message`, `run`), where
-`_codes` validates each one and reads it, once, as a big-endian integer:
-its code.  Everything private takes codes: `input_domain` is an
-(N, party_count) code array, and `_reference`, `_output_masses` and
-`_averaged_matrix` each take a block of its rows at once (`_runs` takes
-one input under a list of randomness values).  `_blocks` sizes the
-blocks to at most _BLOCK_BYTES of states or masses, and each public
-method above calls a hook with a block of one row.  Randomness
-components and classical messages are bit strings.  sum2 and geq share
-one implementation, defined party by party by the Pauli X and Z masks
-that each party applies to the qubits it sends (`_party_frames`); sum2
-is its l = 1 case with the mask fixed to the field's 1, and each
+`output_masses`, `averaged_message`, `run`), where `_codes` validates each
+one and reads it, once, as a big-endian integer: its code.  Everything
+private takes codes: `input_domain` is an (N, party_count) code array, and
+`_reference`, `_output_masses` and `_averaged_matrix` each take a block of
+its rows at once (`_runs` takes one input under a list of randomness
+values).  dj's messages are classical, so its `_averaged_matrix` gives
+each row's law, the diagonal, which only `averaged_message` lifts to a
+matrix.  `_blocks` sizes the blocks to at most _BLOCK_BYTES of states or
+masses, and each public method above calls a hook with a block of one row.
+Randomness components and classical messages are bit strings, and setting
+`randomness_domain` re-derives all that is read off it.  sum2 and geq
+share one implementation, defined party by party by the Pauli X and Z
+masks that each party applies to the qubits it sends (`_party_frames`);
+sum2 is its l = 1 case with the mask fixed to the field's 1, and each
 protocol holds only data.  Odd party counts are handled by an internal
 virtual party with the all-zero input whose qubits are sent by the last
 real party.  Outputs: sum2 yields the pair (sum of first bits, sum of
@@ -55,7 +57,7 @@ _MAX_PROTOCOL_QUBITS = 10  # density matrices over the full message space stay d
 _MAX_DJ_QUBITS = 8
 _KEY_CHUNK = 1 << 21  # (input, randomness) keys that weight_sum_maxima holds at once
 _BLOCK_BYTES = 1 << 16  # a block's states or output masses; 1 << 18 raised verify's peak RSS 4%
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def _bitstrings(length: int):
@@ -106,8 +108,20 @@ class ProtocolInstance:
     party_count: int
     input_lengths: tuple[int, ...]
     output_domain: tuple
-    randomness_domain: tuple  # the pre-shared randomness, enumerated in full
     reference_total: bool
+
+    @property
+    def randomness_domain(self) -> tuple:
+        """The pre-shared randomness, enumerated in full."""
+        return self._randomness_domain
+
+    @randomness_domain.setter
+    def randomness_domain(self, values):
+        """Set the domain and all read off it: its set, ints and an empty memo."""
+        self._randomness_domain = tuple(values)
+        self._randomness_set = frozenset(self._randomness_domain)
+        self._domain_ints = self._randomness_ints(self._randomness_domain)
+        self._memo: dict = {}
 
     def cost(self) -> tuple[int, str]:
         raise NotImplementedError
@@ -159,14 +173,15 @@ class ProtocolInstance:
         raise NotImplementedError
 
     def _averaged_matrix(self, codes) -> np.ndarray:
-        """Randomness-averaged message of each row of a block of codes as a
-        complex matrix, stacked and unvalidated: each is a convex
-        combination of states, so PSD by construction."""
+        """Randomness-averaged message of each row of a block of codes, stacked
+        and unvalidated: a matrix, or a classical message's diagonal.  Each
+        is a convex combination of states, so PSD by construction."""
         raise NotImplementedError
 
     def averaged_message(self, inputs) -> qsim.DensityMatrix:
-        """The randomness-averaged message, validated."""
-        return qsim.DensityMatrix(self._averaged_matrix(np.array([self._codes(inputs)]))[0])
+        """The randomness-averaged message, a diagonal lifted, validated."""
+        rho = self._averaged_matrix(np.array([self._codes(inputs)]))[0]
+        return qsim.DensityMatrix(np.diag(rho) if rho.ndim == 1 else rho)
 
     def _blocks(self, codes, item_bytes: int):
         """(start, rows) slices of an (N, party_count) code array for the
@@ -184,11 +199,6 @@ class ProtocolInstance:
         if not (len(randomness_values) and self._randomness_set.issuperset(randomness_values)):
             raise ValueError("randomness_values must be one or more values of the domain")
         return self._weight_sum_maxima(party, own, randomness_values)
-
-    @functools.cached_property
-    def _randomness_set(self) -> frozenset:
-        """The randomness domain as a set, made on first use as the hooks' caches are."""
-        return frozenset(self.randomness_domain)
 
     @functools.cached_property
     def _kary_nondegenerate(self) -> bool:
@@ -282,9 +292,9 @@ def _ghz_blocks(width: int, blocks: int) -> np.ndarray:
 
 
 def _hadamards(amps: np.ndarray) -> np.ndarray:
-    """Big-endian amplitudes with H applied to every qubit in turn, by the
-    same tensordot per qubit as a dense gate simulator: the float rounding
-    of this fold shows in dj's reports."""
+    """Real big-endian amplitudes with the real H applied to every qubit in
+    turn, by a dense gate simulator's tensordot per qubit: the float
+    rounding of this fold shows in dj's reports."""
     shape = [2] * (amps.size.bit_length() - 1)
     for q in range(len(shape)):
         tensor = np.tensordot(_H, amps.reshape(shape), axes=([1], [q]))
@@ -335,11 +345,6 @@ class _GhzMaskProtocol(ProtocolInstance):
         column = sum(1 << (qubits - 1 - b * self._parties) for b in range(blocks))
         self._sent = (column >> np.arange(k)).astype(np.int16)  # int16 fits: qubits <= 10
         self._sent[-1] |= column >> (self._parties - 1)
-
-    @functools.cached_property
-    def _domain_ints(self):
-        """The randomness domain, parsed on first use by `_randomness_ints`."""
-        return self._randomness_ints(self.randomness_domain)
 
     def cost(self):
         return (self._qubits, "qubits")
@@ -554,13 +559,8 @@ class DJProtocol(ProtocolInstance):
         self.party_count = 2
         self.input_lengths = (n, n)
         self.output_domain = (0, 1)
-        self.randomness_domain = tuple(
-            (r, rp)
-            for r in _bitstrings(m)
-            if r != "0" * m
-            for rp in _bitstrings(m)
-        )
-        self._law_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        strings = _bitstrings(m)
+        self.randomness_domain = [(r, rp) for r in strings[1:] for rp in strings]  # r != 0
 
     def cost(self):
         return (2 * self.m, "bits")
@@ -594,25 +594,29 @@ class DJProtocol(ProtocolInstance):
         return (x, x ^ sum(1 << (n - 1 - i) for i in flips))
 
     def _outcome_law(self, w: int) -> np.ndarray:
-        """Exact law of the two measured m-bit outcomes, an n-by-n matrix.
-        The shared state is diagonal, so the phase (-1)^(x_i + y_i) of its
-        entry i*n + i is (-1)^(w_i), bit 0 the most significant."""
+        """Exact law of the two measured m-bit outcomes, an n-by-n matrix:
+        the real fold squared.  The shared state is diagonal, so the phase
+        (-1)^(x_i + y_i) of its entry i*n + i is (-1)^(w_i), bit 0 the most significant."""
         n = self.n
-        amps = np.zeros(n * n, dtype=complex)
+        amps = np.zeros(n * n)
         amps[:: n + 1] = (1 - 2 * ((w >> np.arange(n - 1, -1, -1)) & 1)) / np.sqrt(n)
-        return (np.abs(_hadamards(amps)) ** 2).reshape(n, n)
+        return (_hadamards(amps) ** 2).reshape(n, n)
 
     @functools.cached_property
     def _message_bits(self) -> list[str]:
         """Bit string of each packed field value, constant term first."""
         return [format(v, f"0{self.m}b")[::-1] for v in range(self.n)]
 
+    def _randomness_ints(self, randomness_values):
+        """(r, r') of each randomness value, as integer arrays."""
+        return tuple(np.array([int(s[i], 2) for s in randomness_values], int) for i in (0, 1))
+
     def _masks(self, randomness_values) -> np.ndarray:
         """Message p(r)p(v) + p(r') of every outcome v under each randomness
         value, an (R, n) array.  Column v is the outcome string read as a
         big-endian integer; entries are packed field values."""
         packed = np.array([int(bits, 2) for bits in self._message_bits])  # its own inverse
-        r, rp = (np.array([int(s[i], 2) for s in randomness_values]) for i in (0, 1))
+        r, rp = self._randomness_ints(randomness_values)
         return packed[gf2m.product_table(self.m)[r] ^ rp[:, None]]
 
     def _message_laws(self, w: int, randomness_values) -> np.ndarray:
@@ -639,29 +643,25 @@ class DJProtocol(ProtocolInstance):
             )
 
     def _domain_laws(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """(output masses, averaged message law) of the inputs with
-        x XOR y = w, computed once per w."""
-        if w not in self._law_cache:
-            domain = self.randomness_domain
-            laws = self._message_laws(w, domain)
+        """(output masses, averaged message law flat, indexed a*n + b) of
+        the inputs with x XOR y = w, computed once per w and domain."""
+        if w not in self._memo:
+            laws = self._message_laws(w, self.randomness_domain)
             accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
             masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
-            masses.flags.writeable = False  # shared by every input with this x XOR y
-            self._law_cache[w] = masses, laws.sum(axis=0) / len(domain)
-        return self._law_cache[w]
+            average = laws.sum(axis=0).reshape(-1) / len(laws)
+            masses.flags.writeable = average.flags.writeable = False  # shared by class w
+            self._memo[w] = masses, average
+        return self._memo[w]
 
     def _output_masses(self, codes) -> np.ndarray:
-        xors = (codes[:, 0] ^ codes[:, 1]).tolist()
-        return np.array([self._domain_laws(w)[0] for w in xors])
+        return np.array([self._domain_laws(w)[0] for w in (codes[:, 0] ^ codes[:, 1]).tolist()])
 
     def _averaged_matrix(self, codes) -> np.ndarray:
-        """Randomness-averaged law of each message pair, as a diagonal
-        complex matrix indexed by a*n + b (field-encoded messages)."""
-        xors = (codes[:, 0] ^ codes[:, 1]).tolist()
-        laws = np.array([self._domain_laws(w)[1].reshape(-1) for w in xors])
-        matrices = np.zeros((len(laws), laws.shape[1] ** 2), dtype=complex)
-        matrices[:, :: laws.shape[1] + 1] = laws
-        return matrices.reshape(len(laws), laws.shape[1], -1)
+        """Randomness-averaged law of each message pair, an (N, n^2) array:
+        the diagonal of the classical message's matrix, indexed a*n + b
+        (field-encoded messages)."""
+        return np.array([self._domain_laws(w)[1] for w in (codes[:, 0] ^ codes[:, 1]).tolist()])
 
     def _weight_sum_maxima(self, party, own, randomness_values):
         """Party states do not depend on the randomness, and the Hadamards
@@ -675,7 +675,7 @@ class DJProtocol(ProtocolInstance):
         """The all-zero message's mass in the reject class's averaged law."""
         if 0 not in averages:
             return None
-        zero_mass = float(np.diag(averages[0]).real.reshape(self.n, self.n)[0, :].sum())
+        zero_mass = float(averages[0].reshape(self.n, self.n)[0, :].sum())
         return (
             "reject-class message pairs are uniform over ordered distinct "
             f"values; the all-zero message carries mass {zero_mass:.6g}"

@@ -18,19 +18,20 @@ per-input arrays, and each record then reduces them: one pass keeps each
 input's least output mass on its reference column, a block of inputs per
 `_output_masses` call; the other builds each rho_x once, a smaller block
 per `_averaged_matrix` call, and keeps its purity <rho, rho> and its
-Frobenius distance to its class's first rho_x.  The rho_bar sum stays per
-input, in sweep order, so reports keep their float noise bit for bit.  A
-convex combination of states is a density matrix by construction, and
+Frobenius distance to its class's first rho_x.  A rho_x is a matrix, or
+the diagonal of a classical one: dj's message law.  The rho_bar sum stays
+per input, in sweep order, so reports keep their float noise bit for bit.
+A convex combination of states is a density matrix by construction, and
 one sweep builds all of one shape, so none is validated or shape-checked.
-Validation stays at the API edge: the public `averaged_message` is the
-one route to a validated `qsim.DensityMatrix`, a privacy class's
-witnesses name its representative input and keep no matrix, and the
-purity bounds gate the average.  Inputs are checked at the edge too:
-`psqm.check_limits` refuses the tol or budget that the CLI refuses, and a
-sweep holds rows of integer codes from the protocol's own input domain
-or sampler, so only the bit strings that key a supplied mu are parsed,
-once each, and report fields (`worst_input`, `representative_input`)
-are formatted back to bit strings.
+Validation stays at the API edge: the public `averaged_message` is the one
+route to a validated `qsim.DensityMatrix`, and lifts a diagonal first; a
+privacy class's witnesses name its representative input and keep no
+matrix, and the purity bounds gate the average.  Inputs are checked at the
+edge too: `psqm.check_limits` refuses the tol or budget that the CLI
+refuses, and a sweep holds rows of integer codes from the protocol's own
+input domain or sampler, so only the bit strings that key a supplied mu
+are parsed, once each, and report fields (`worst_input`,
+`representative_input`) are formatted back to bit strings.
 
 The per-party weight sums build no states: a sum2 or geq party state is,
 up to sign, one phi-basis vector, so the sums count equal local outcomes,
@@ -203,12 +204,12 @@ def check_sweep(
     minimum in sweep order names the worst pair.
 
     Privacy: rho_x must agree within each output class.  Each rho_x is
-    compared to its class's first rho_x in Frobenius distance, and a
-    failing report names the first input farthest from that representative.
-    `cross_orthogonality`, the largest norm of a product of two classes'
-    representatives, is informational and not gated: perfect correctness
-    for every randomness value already puts different classes in
-    orthogonal referee subspaces, and the correctness check gates that.
+    compared to its class's first rho_x in Frobenius distance, and a failing
+    report names the first input farthest from it.  `cross_orthogonality`,
+    the largest norm of a product (elementwise for diagonals) of two
+    classes' representatives, is informational and not gated: perfect
+    correctness for every randomness value already puts different classes
+    in orthogonal referee subspaces, and the correctness check gates that.
 
     Purity bounds: 1/dim <= tr(rho_bar^2) <= 1 for the weighted average
     rho_bar, within PURITY_TOL.  No rho_x is validated, so this check is
@@ -268,8 +269,9 @@ def check_sweep(
             "representative_input": protocol._format_input(inputs[members[0]].tolist()),
         }
     cross = 0.0
-    for a, b in itertools.combinations(sorted(representatives, key=repr), 2):
-        prod = representatives[a] @ representatives[b]
+    ordered = [representatives[y] for y in sorted(representatives, key=repr)]
+    for a, b in itertools.combinations(ordered, 2):
+        prod = a * b if a.ndim == 1 else a @ b  # two diagonals multiply elementwise
         cross = max(cross, float(np.linalg.norm(prod)))
     max_distance = float(distance.max())
     witnesses = {"max_distance": max_distance, "cross_orthogonality": cross, "classes": classes}

@@ -198,6 +198,29 @@ def test_alpha_matches_enumeration_property(case):
     assert repr(alpha(table, mu)) == repr(enumerated_alpha(table, mu))
 
 
+@st.composite
+def weighted_tables(draw):
+    """(table, mu): 1x1 to 4x4, partial or total, with random weights, some
+    zero, on the defined cells only."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.sampled_from([0, 1, None])
+    entries = draw(st.lists(st.lists(values, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
+    raw = [[0 if v is None else draw(st.integers(0, 3)) for v in row] for row in entries]
+    assume(any(map(any, raw)))
+    table = table_of(entries)
+    return table, InputDistribution(table, normalized(raw))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(weighted_tables())
+def test_positive_beta_forces_positive_alpha(case):
+    """beta > 0 puts two support cells in one class, a similar, disjoint
+    pair of 1x1 rectangles, so the composed bound never meets alpha = 0."""
+    table, mu = case
+    if beta(table, mu) > 0:
+        assert alpha(table, mu).value > 0
+
+
 def square_table(n, one):
     return table_of([[int(one(i, j)) for j in range(n)] for i in range(n)])
 

@@ -31,6 +31,7 @@ def test_canonical_json_rounding_and_order():
     assert text == '{"a":true,"b":0.3,"c":[1e-17,2]}'
     assert cli.canonical_json({"x": float("inf")}) == '{"x":"inf"}'
     assert cli.canonical_json({"x": float("-inf")}) == '{"x":"-inf"}'
+    assert cli.canonical_json({"x": float("nan")}) == '{"x":"nan"}'
     with pytest.raises(TypeError):
         cli.canonical_json({"x": object()})
 

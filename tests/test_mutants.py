@@ -18,12 +18,8 @@ from psqm.verify import check_sweep, check_weight_sums
 from _oracles import domain_strings, weight_sum_maxima
 
 def restrict_randomness(proto, keep):
-    """Narrow the randomness domain of a protocol no check has read yet:
-    sum2 and geq parse their domain once, on first use (`_domain_ints`),
-    dj caches the laws it reads from it (`_law_cache`), and `run` and
-    `weight_sum_maxima` read it as a set, also once (`_randomness_set`)."""
-    assert not {"_domain_ints", "_randomness_set"} & set(vars(proto))
-    assert not vars(proto).get("_law_cache")
+    """Narrow the randomness domain of a protocol to the values `keep`
+    accepts; the domain's setter re-derives all that is read off it."""
     proto.randomness_domain = tuple(r for r in proto.randomness_domain if keep(r))
     return proto
 

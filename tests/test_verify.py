@@ -306,6 +306,33 @@ def test_weight_sums_without_self_under_one_randomness_value(config):
         assert weight_sum_maxima(proto, party) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
+def test_a_domain_set_after_first_use_is_the_one_checked():
+    """Setting `randomness_domain` re-derives all that is read off it, so a
+    protocol that already swept or ran checks and runs the new domain, as
+    a fresh protocol given the same domain does."""
+    used, fresh = sum2_protocol(4), sum2_protocol(4)
+    check_sweep(used)
+    for proto in (used, fresh):
+        proto.randomness_domain = proto.randomness_domain[:1]
+    reports = check_sweep(used)
+    assert reports == check_sweep(fresh)
+    assert not reports.privacy["pass"] and not reports.collision_bound["pass"]
+
+    zero = tuple(("00", format(v, "02b")) for v in range(4))  # r = 0 merges every outcome
+    used, fresh = dj_protocol(4), dj_protocol(4)
+    check_sweep(used)
+    for proto in (used, fresh):
+        proto.randomness_domain += zero
+    reports = check_sweep(used)
+    assert reports == check_sweep(fresh) and not reports.correctness["pass"]
+
+    proto = sum2_protocol(3)
+    proto.run(("01", "10", "11"), "0101")
+    proto.randomness_domain = proto.randomness_domain[:1]
+    with pytest.raises(ValueError, match="not in the domain"):
+        proto.run(("01", "10", "11"), "0101")
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_dj_skipped_weight_sums_match_dense_gram(n):
     """The skipped check's informational pair, from dj's closed-form

@@ -602,11 +602,6 @@ class DJProtocol(ProtocolInstance):
         amps[:: n + 1] = (1 - 2 * ((w >> np.arange(n - 1, -1, -1)) & 1)) / np.sqrt(n)
         return (_hadamards(amps) ** 2).reshape(n, n)
 
-    @functools.cached_property
-    def _message_bits(self) -> list[str]:
-        """Bit string of each packed field value, constant term first."""
-        return [format(v, f"0{self.m}b")[::-1] for v in range(self.n)]
-
     def _randomness_ints(self, randomness_values):
         """(r, r') of each randomness value, as integer arrays."""
         return tuple(np.array([int(s[i], 2) for s in randomness_values], int) for i in (0, 1))
@@ -614,10 +609,10 @@ class DJProtocol(ProtocolInstance):
     def _masks(self, randomness_values) -> np.ndarray:
         """Message p(r)p(v) + p(r') of every outcome v under each randomness
         value, an (R, n) array.  Column v is the outcome string read as a
-        big-endian integer; entries are packed field values."""
-        packed = np.array([int(bits, 2) for bits in self._message_bits])  # its own inverse
+        big-endian integer, and so is each entry: the message's bit string,
+        constant term first, as `gf2m.product_table` encodes field values."""
         r, rp = self._randomness_ints(randomness_values)
-        return packed[gf2m.product_table(self.m)[r] ^ rp[:, None]]
+        return gf2m.product_table(self.m)[r] ^ rp[:, None]
 
     def _message_laws(self, w: int, randomness_values) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
@@ -630,7 +625,7 @@ class DJProtocol(ProtocolInstance):
         return onehot.transpose(0, 2, 1) @ self._outcome_law(w) @ onehot
 
     def _runs(self, codes, randomness_values):
-        bits = self._message_bits
+        bits = _bitstrings(self.m)
         for law in self._message_laws(codes[0] ^ codes[1], randomness_values):
             accept = float(np.trace(law))
             yield TranscriptRecord(

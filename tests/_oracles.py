@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions with the dumbest
 possible loops, sharing no code with the package: polynomial arithmetic
-works on coefficient lists, rectangle search enumerates ordered tuples
+works on coefficient lists, modulo the moduli locked in `MODULI` (never
+the package's), rectangle search enumerates ordered tuples
 directly via itertools.permutations, cliques come from a full subset
 scan, and quantum states come from a dense gate simulator that applies
 one named gate at a time.  `enumerated_alpha` borrows only the package's
@@ -55,15 +56,16 @@ def poly_rem(a: int, mod: int) -> int:
     return a
 
 
-def reducible_products(degree: int) -> set:
-    """Every polynomial of the given degree that factors nontrivially."""
+@functools.cache
+def reducible_products(d: int) -> frozenset:
+    """Every polynomial of degree d that factors nontrivially."""
     out = set()
-    for d1 in range(1, degree):
-        d2 = degree - d1
+    for d1 in range(1, d):
+        d2 = d - d1
         for a in range(1 << d1, 1 << (d1 + 1)):
             for b in range(1 << d2, 1 << (d2 + 1)):
                 out.add(poly_mul(a, b))
-    return out
+    return frozenset(out)
 
 
 def oracle_irreducible(poly: int) -> bool:
@@ -75,6 +77,22 @@ def oracle_irreducible(poly: int) -> bool:
 
 def field_mul(a: int, b: int, modulus: int) -> int:
     return poly_rem(poly_mul(a, b), modulus)
+
+
+# the smallest-encoding irreducible polynomial of each degree, locked by
+# hand; test_gf2m proves each one with oracle_irreducible
+MODULI = {
+    1: 0b10,
+    2: 0b111,
+    3: 0b1011,
+    4: 0b10011,
+    5: 0b100101,
+    6: 0b1000011,
+    7: 0b10000011,
+    8: 0b100011011,
+    9: 0b1000000011,
+    10: 0b10000001001,
+}
 
 
 # ------------------------------------------------ dense gate simulator
@@ -428,7 +446,7 @@ def ghz_gate_ops(proto, party, own_input, randomness) -> list:
         else:
             blocks, mask = randomness
             packed = [sum(int(c) << i for i, c in enumerate(s)) for s in (mask, x)]
-            value = field_mul(*packed, gf2m.find_irreducible(len(x)))
+            value = field_mul(*packed, MODULI[len(x)])
             a = [(value >> i) & 1 for i in range(len(x))]
             qubits = [b * internal_count + j for b in range(len(blocks))]
             zs = [(a[2 * b + 1], q) for b, q in enumerate(qubits)]

@@ -2,25 +2,19 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from psqm import gf2m
 
-from _oracles import field_mul, oracle_irreducible, poly_rem
+from _oracles import MODULI, field_mul, oracle_irreducible
 
 
 def test_frozen_moduli():
-    # smallest-encoding irreducibles, locked by hand
-    assert gf2m.find_irreducible(1) == 0b10
-    assert gf2m.find_irreducible(2) == 0b111
-    assert gf2m.find_irreducible(3) == 0b1011
-    assert gf2m.find_irreducible(4) == 0b10011
-
-
-def test_irreducibility_matches_factorization_oracle():
-    for poly in range(2, 1 << 7):
-        assert gf2m.is_irreducible(poly) == oracle_irreducible(poly), bin(poly)
+    """Each locked modulus has its degree, is irreducible, and every smaller
+    polynomial of that degree factors: by the factorization oracle."""
+    assert sorted(MODULI) == list(range(1, gf2m.MAX_TABLE_DEGREE + 1))
+    for m, modulus in MODULI.items():
+        assert modulus.bit_length() == m + 1 and oracle_irreducible(modulus), m
+        assert not any(map(oracle_irreducible, range(1 << m, modulus))), m
 
 
 def packed(v: int, m: int) -> int:
@@ -46,20 +40,10 @@ def test_bit_string_encoding_constant_term_first():
 
 
 def test_modulus_validation():
-    with pytest.raises(ValueError):
-        gf2m.find_irreducible(0)
-    with pytest.raises(ValueError):
-        gf2m.find_irreducible(gf2m.MAX_TABLE_DEGREE + 1)
-    # a degree above the product-table cap is refused, though it has moduli
-    wide = (1 << 11) | 0b101  # a^11 + a^2 + 1
-    assert gf2m.MAX_TABLE_DEGREE < 11 and gf2m.is_irreducible(wide)
-    with pytest.raises(ValueError, match="outside"):
-        gf2m.product_table(11)
-
-
-@given(st.integers(0, (1 << 10) - 1), st.integers(2, (1 << 6) - 1))
-def test_polymod_matches_long_division(a, mod):
-    assert gf2m.polymod(a, mod) == poly_rem(a, mod)
+    # degree 0 has no field, and a degree above the cap has moduli but no table
+    for m in (0, gf2m.MAX_TABLE_DEGREE + 1):
+        with pytest.raises(ValueError, match="outside"):
+            gf2m.product_table(m)
 
 
 def test_product_table_is_shared_read_only_and_capped():
@@ -77,12 +61,11 @@ FIELD_DEGREES = [1, 2, 3, 4, 5, 6, gf2m.MAX_TABLE_DEGREE]
 def fields():
     """(m, table, modulus encoding, elements) for each of FIELD_DEGREES."""
     for m in FIELD_DEGREES:
-        modulus = gf2m.find_irreducible(m)
         if m <= 6:
             elements = np.arange(1 << m)
         else:
             elements = np.array(random.Random(m).sample(range(1 << m), 48))
-        yield m, gf2m.product_table(m), modulus, elements
+        yield m, gf2m.product_table(m), MODULI[m], elements
 
 
 def test_mul_matches_oracle_and_commutes():

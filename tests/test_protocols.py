@@ -10,6 +10,7 @@ from psqm import gf2m
 from psqm.protocols import PROMISE_VIOLATION, dj_protocol, geq_protocol, sum2_protocol
 
 from _oracles import (
+    MODULI,
     apply_gate,
     bitstrings,
     dj_joint_outcome,
@@ -20,7 +21,6 @@ from _oracles import (
     ghz,
     ghz_gate_ops,
     input_strings,
-    oracle_irreducible,
     referee_output,
     sum2_reference,
 )
@@ -28,9 +28,6 @@ from _oracles import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-# smallest-encoding irreducible moduli, fixed by hand (see test_gf2m)
-MODULI = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 6: 0b1000011}
 
 
 def ghz_amps(p: int) -> np.ndarray:
@@ -186,11 +183,14 @@ def pack(bits: str) -> int:
     return sum((c == "1") << i for i, c in enumerate(bits))
 
 
-def geq_masked_bits(x: str, mask: str, modulus=None) -> str:
+def unpack(value: int, width: int) -> str:
+    """Bit string of a packed field value, constant term first."""
+    return "".join(str((value >> i) & 1) for i in range(width))
+
+
+def geq_masked_bits(x: str, mask: str) -> str:
     """Field product via the oracle arithmetic, constant term first."""
-    width = len(mask)
-    prod = field_mul(pack(x), pack(mask), modulus or MODULI[width])
-    return "".join(str((prod >> i) & 1) for i in range(width))
+    return unpack(field_mul(pack(x), pack(mask), MODULI[len(mask)]), len(mask))
 
 
 def expected_geq_state(internal_inputs, randomness, l):
@@ -244,21 +244,17 @@ def test_geq_masked_input_matches_oracle():
 
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_geq_masked_input_wider_fields(l):
-    """The product table against the oracle: every pair where MODULI has
-    the modulus, else a seeded sample under the protocol's modulus, which
-    the factorization oracle confirms irreducible (l = 5)."""
+    """The product table against the oracle under the locked modulus: every
+    pair up to GF(64), a seeded sample of 2000 in GF(1024) (l = 5)."""
     proto = geq_protocol(2, l)
     strings = bitstrings(2 * l)
-    if 2 * l in MODULI:
+    if l < 5:
         pairs = itertools.product(strings[1:], strings)
-        modulus = MODULI[2 * l]
     else:
         rng = random.Random(l)
         pairs = [(rng.choice(strings[1:]), rng.choice(strings)) for _ in range(2000)]
-        modulus = gf2m.find_irreducible(2 * l)
-        assert modulus.bit_length() == 2 * l + 1 and oracle_irreducible(modulus)
     for mask, x in pairs:
-        assert masked_input(proto, x, mask) == geq_masked_bits(x, mask, modulus)
+        assert masked_input(proto, x, mask) == geq_masked_bits(x, mask)
 
 
 def test_geq_exhaustive_correctness_small():
@@ -441,15 +437,17 @@ def dj_cases(draw):
 @settings(derandomize=True, deadline=None)
 @given(dj_cases())
 def test_dj_masks_and_laws_match_oracle_property(case):
-    """A mask row is p(r)p(v) + p(r') under the oracle arithmetic, and the
-    message law under that value is the outcome law pushed through it."""
+    """A mask row is p(r)p(v) + p(r') under the oracle arithmetic, each
+    message's bit string (constant term first) read as a big-endian
+    integer, and the message law under that value is the outcome law
+    pushed through it."""
     proto, inputs, i = case
     r, rp = proto.randomness_domain[i]
     (row,) = proto._masks([(r, rp)])
     m = proto.m
     expected = [
-        field_mul(pack(r), pack(format(v, f"0{m}b")), MODULI[m]) ^ pack(rp)
-        for v in range(proto.n)
+        int(unpack(field_mul(pack(r), pack(v), MODULI[m]) ^ pack(rp), m), 2)
+        for v in bitstrings(m)
     ]
     assert row.tolist() == expected
     w = inputs[0] ^ inputs[1]

@@ -24,8 +24,10 @@ values).  dj's messages are classical, so its `_averaged_matrix` gives
 each row's law, the diagonal, which only `averaged_message` lifts to a
 matrix.  `_blocks` sizes the blocks to at most _BLOCK_BYTES of states or
 masses, and each public method above calls a hook with a block of one row.
-Randomness components and classical messages are bit strings, and setting
-`randomness_domain` re-derives all that is read off it.  sum2 and geq
+Randomness components and classical messages are bit strings.  Setting
+`randomness_domain` re-derives all that is read off it, through
+`_randomness_ints`, which refuses a value of the wrong shape; an empty
+domain is refused too.  sum2 and geq
 share one implementation, defined party by party by the Pauli X and Z
 masks that each party applies to the qubits it sends (`_party_frames`);
 sum2 is its l = 1 case with the mask fixed to the field's 1, and each
@@ -67,6 +69,22 @@ def _bitstrings(length: int):
 def _even_strings(length: int):
     """The bit strings of even parity: one GHZ block's randomness values."""
     return [s for s in _bitstrings(length) if not _PARITY[int(s, 2)]]
+
+
+def _fits(value, template) -> bool:
+    """Whether value is a string of as many bits as the template string, or
+    a tuple whose items fit those of the template tuple."""
+    if type(template) is str:
+        return type(value) is str and len(value) == len(template) and not value.strip("01")
+    return type(value) is tuple and len(value) == len(template) and all(map(_fits, value, template))
+
+
+def _refuse_misfits(randomness_values, template):
+    """Refuse, with a ValueError that names it, a randomness value that does
+    not fit the template: the check of every `_randomness_ints`."""
+    for value in randomness_values:
+        if not _fits(value, template):
+            raise ValueError(f"randomness value {value!r} is not shaped like {template!r}")
 
 
 def _popcount(values, bits: int):
@@ -117,10 +135,15 @@ class ProtocolInstance:
 
     @randomness_domain.setter
     def randomness_domain(self, values):
-        """Set the domain and all read off it: its set, ints and an empty memo."""
-        self._randomness_domain = tuple(values)
-        self._randomness_set = frozenset(self._randomness_domain)
-        self._domain_ints = self._randomness_ints(self._randomness_domain)
+        """Set the domain and all read off it: its ints, set and an empty memo.
+        An empty domain, or one with a malformed value, is refused and leaves
+        the domain as it was."""
+        values = tuple(values)
+        if not values:
+            raise ValueError("the randomness domain is empty")
+        self._domain_ints = self._randomness_ints(values)
+        self._randomness_domain = values
+        self._randomness_set = frozenset(values)
         self._memo: dict = {}
 
     def cost(self) -> tuple[int, str]:
@@ -359,7 +382,11 @@ class _GhzMaskProtocol(ProtocolInstance):
         """Internal party 0's (X mask, Z mask) for the product of every
         (input, mask) pair in `_products`, an int16 table indexed [X or Z,
         input code, mask]: string bits 2b, 2b+1 of the product go to qubit
-        b*_parties; party j's are these >> j."""
+        b*_parties; party j's are these >> j.  An odd party count's virtual
+        party inputs code 0 and gets no product frame (`_frames`), so a
+        nonzero `_products[0]` row is refused."""
+        if self.party_count % 2 and self._products[0].any():
+            raise ValueError("nonzero _products[0] row: an odd count's virtual party has no frame")
         n = 2 * self.blocks
         a = np.arange(1 << n)
         spread = np.zeros((2, a.size), dtype=np.int16)
@@ -497,7 +524,9 @@ class Sum2Protocol(_GhzMaskProtocol):
         self.randomness_domain = tuple(_even_strings(self._parties))
 
     def _randomness_ints(self, randomness_values):
-        """(X flips of the strings, the one mask's index 0)."""
+        """(X flips of the strings, the one mask's index 0), each value a
+        string of _parties bits."""
+        _refuse_misfits(randomness_values, "0" * self._parties)
         flips = np.array([int(r, 2) for r in randomness_values], dtype=np.int16)
         return flips, np.zeros_like(flips)
 
@@ -525,7 +554,10 @@ class GeqProtocol(_GhzMaskProtocol):
         self._columns = (np.arange(1 << 2 * l) == 0).astype(np.int8)  # 1 where all sums vanish
 
     def _randomness_ints(self, randomness_values):
-        """(X flips of the block strings, field masks)."""
+        """(X flips of the block strings, field masks), each value a tuple of
+        l strings of _parties bits and a 2l-bit mask."""
+        p, l = self._parties, self.blocks
+        _refuse_misfits(randomness_values, (("0" * p,) * l, "0" * 2 * l))
         flips = [int("".join(blocks), 2) for blocks, _ in randomness_values]
         return np.array(flips, dtype=np.int16), np.array([int(m, 2) for _, m in randomness_values])
 
@@ -603,7 +635,9 @@ class DJProtocol(ProtocolInstance):
         return (_hadamards(amps) ** 2).reshape(n, n)
 
     def _randomness_ints(self, randomness_values):
-        """(r, r') of each randomness value, as integer arrays."""
+        """(r, r') of each randomness value, two m-bit strings, as integer
+        arrays."""
+        _refuse_misfits(randomness_values, ("0" * self.m,) * 2)
         return tuple(np.array([int(s[i], 2) for s in randomness_values], int) for i in (0, 1))
 
     def _masks(self, randomness_values) -> np.ndarray:

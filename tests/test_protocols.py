@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from psqm import gf2m
 from psqm.protocols import PROMISE_VIOLATION, dj_protocol, geq_protocol, sum2_protocol
+from psqm.verify import check_sweep
 
 from _oracles import (
     MODULI,
@@ -152,6 +154,59 @@ def test_run_takes_exactly_the_randomness_domain(proto, inputs, outside):
     for r in outside:
         with pytest.raises(ValueError, match="not in the domain"):
             proto.run(inputs, r)
+
+
+@pytest.mark.parametrize("make", [lambda: sum2_protocol(2), lambda: geq_protocol(2, 1), lambda: dj_protocol(2)])
+def test_empty_randomness_domain_is_refused(make):
+    """An empty domain would divide by zero in every sweep; the setter
+    refuses it and keeps the domain it had."""
+    proto = make()
+    before = proto.randomness_domain
+    with pytest.raises(ValueError, match="randomness domain is empty"):
+        proto.randomness_domain = ()
+    assert proto.randomness_domain == before
+    check_sweep(proto)
+
+
+@pytest.mark.parametrize(
+    "proto,malformed,odd_but_shaped",
+    [
+        (sum2_protocol(3), ["001", "00a1", ("0011",), 3], ["0001"]),  # odd parity
+        (
+            geq_protocol(2, 1),
+            [(("0",), "01"), ("xx", "01"), (("01",), "1"), (("0x",), "01"), ["01", "01"]],
+            [(("01",), "01"), (("00",), "00")],  # odd flips, the zero mask
+        ),
+        (dj_protocol(2), [("00", "0"), ("x", "1"), ("0",), "01"], [("0", "0")]),  # r = 0
+    ],
+    ids=["sum2-3", "geq-2-1", "dj-2"],
+)
+def test_malformed_randomness_values_are_refused(proto, malformed, odd_but_shaped):
+    """`_randomness_ints` refuses a value of the wrong shape or alphabet with
+    a ValueError that names it, and the domain stays as it was; a value of
+    the right shape outside the paper's domain is taken."""
+    before = proto.randomness_domain
+    for value in malformed:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            proto.randomness_domain = [value]
+        assert proto.randomness_domain == before
+    proto.randomness_domain = odd_but_shaped
+    assert proto.randomness_domain == tuple(odd_but_shaped)
+
+
+def test_odd_party_count_refuses_a_nonzero_zero_row():
+    """The virtual party of an odd party count inputs 0 and gets no product
+    frame, so `_spread` refuses a `_products[0]` row that is not zero; with
+    an even count the same edit is just another protocol."""
+    for k, refused in [(3, True), (2, False)]:
+        proto = geq_protocol(k, 1)
+        proto._products = proto._products.copy()
+        proto._products[0, 1] = 1
+        if refused:
+            with pytest.raises(ValueError, match="virtual party"):
+                check_sweep(proto)
+        else:
+            check_sweep(proto)
 
 
 def test_weight_sum_maxima_refuses_what_the_protocol_lacks():

@@ -181,7 +181,7 @@ def cmd_run(args) -> tuple[dict, list, tuple | None]:
                 "randomness_values": len(domain),
             }
             if detailed:
-                runs = zip(domain, protocol._runs(codes, domain))
+                runs = zip(domain, protocol._runs(codes, protocol._domain_ints))
                 witnesses["per_randomness"] = [_transcript(protocol, *run) for run in runs]
             passed = column < 0 or bool(law[:, column].min() >= 1.0 - args.tol)
             coverage = f"randomness-exhaustive:{len(domain)}"

@@ -30,7 +30,8 @@ def product_table(m: int) -> np.ndarray:
     prod = np.zeros((rev.size, rev.size), dtype=np.int32)
     for i in range(m):  # carry-less product of the packed field elements
         prod ^= np.where((rev >> i) & 1, rev[:, None] << i, 0)
-    # a reducible one has a factor of degree <= m // 2: a row whose index ends in zeros
+    # the modulus is the first degree-m value no product gives; a reducible
+    # one has a factor of degree <= m // 2, in a row whose index ends in zeros
     reducible = np.zeros(2 << max(m, 2 * m - 2), dtype=bool)  # np.unique imports numpy.ma
     reducible[prod[:: 1 << (m - m // 2 - 1)]] = True
     modulus = (1 << m) + int(np.argmin(reducible[1 << m : 2 << m]))

@@ -19,8 +19,8 @@ Party inputs are bit strings at the public edge (`reference`,
 one and reads it, once, as a big-endian integer: its code.  Everything
 private takes codes: `input_domain` is an (N, party_count) code array, and
 `_reference`, `_output_masses` and `_averaged_matrix` each take a block of
-its rows at once (`_runs` takes one input under a list of randomness
-values).  dj's messages are classical, so its `_averaged_matrix` gives
+its rows at once (`_runs` takes one input under randomness values as
+`_randomness_ints` parses them).  dj's messages are classical, so its `_averaged_matrix` gives
 each row's law, the diagonal, which only `averaged_message` lifts to a
 matrix.  `_blocks` sizes the blocks to at most _BLOCK_BYTES of states or
 masses, and each public method above calls a hook with a block of one row.
@@ -180,10 +180,11 @@ class ProtocolInstance:
     def run(self, inputs, randomness) -> TranscriptRecord:
         if randomness not in self._randomness_set:
             raise ValueError(f"randomness {randomness!r} is not in the domain")
-        return next(self._runs(self._codes(inputs), [randomness]))
+        return next(self._runs(self._codes(inputs), self._randomness_ints([randomness])))
 
-    def _runs(self, codes, randomness_values):
-        """`run` of one input's codes under each randomness value, in turn."""
+    def _runs(self, codes, randomness):
+        """`run` of one input's codes under each randomness value, in turn,
+        the values parsed by `_randomness_ints`."""
         raise NotImplementedError
 
     def output_masses(self, inputs) -> np.ndarray:
@@ -441,12 +442,10 @@ class _GhzMaskProtocol(ProtocolInstance):
         outcomes |= zs.take(zmasks)
         return outcomes
 
-    def _runs(self, codes, randomness_values):
+    def _runs(self, codes, randomness):
         """One frames call gives every outcome; the message amplitudes are
         framed _BLOCK_BYTES at a time."""
-        (xmasks,), (zmasks,) = self._frames(
-            np.array([codes]), self._randomness_ints(randomness_values)
-        )
+        (xmasks,), (zmasks,) = self._frames(np.array([codes]), randomness)
         outcomes = self._outcomes(xmasks, zmasks).tolist()
         step = max(1, _BLOCK_BYTES // self._shared.nbytes)
         for start in range(0, len(outcomes), step):
@@ -640,27 +639,28 @@ class DJProtocol(ProtocolInstance):
         _refuse_misfits(randomness_values, ("0" * self.m,) * 2)
         return tuple(np.array([int(s[i], 2) for s in randomness_values], int) for i in (0, 1))
 
-    def _masks(self, randomness_values) -> np.ndarray:
+    def _masks(self, randomness) -> np.ndarray:
         """Message p(r)p(v) + p(r') of every outcome v under each randomness
-        value, an (R, n) array.  Column v is the outcome string read as a
-        big-endian integer, and so is each entry: the message's bit string,
-        constant term first, as `gf2m.product_table` encodes field values."""
-        r, rp = self._randomness_ints(randomness_values)
+        value (the (r, r') arrays of `_randomness_ints`), an (R, n) array.
+        Column v is the outcome string read as a big-endian integer, and so
+        is each entry: the message's bit string, constant term first, as
+        `gf2m.product_table` encodes field values."""
+        r, rp = randomness
         return gf2m.product_table(self.m)[r] ^ rp[:, None]
 
-    def _message_laws(self, w: int, randomness_values) -> np.ndarray:
+    def _message_laws(self, w: int, randomness) -> np.ndarray:
         """Joint law of the field-encoded message pair under each randomness
         value, an (R, n, n) array: the outcome law P pushed through that
         value's masks as 0/1 matrices, M^T P M.  For r != 0 the mask is a
         bijection of GF(2^m), so each entry is one outcome pair's mass plus
         exact zeros: the law is P permuted, bit for bit.  A mask that is
         not a bijection adds the masses of the outcomes it merges."""
-        onehot = (self._masks(randomness_values)[:, :, None] == np.arange(self.n)).astype(float)
+        onehot = (self._masks(randomness)[:, :, None] == np.arange(self.n)).astype(float)
         return onehot.transpose(0, 2, 1) @ self._outcome_law(w) @ onehot
 
-    def _runs(self, codes, randomness_values):
+    def _runs(self, codes, randomness):
         bits = _bitstrings(self.m)
-        for law in self._message_laws(codes[0] ^ codes[1], randomness_values):
+        for law in self._message_laws(codes[0] ^ codes[1], randomness):
             accept = float(np.trace(law))
             yield TranscriptRecord(
                 outcome_distribution={"equal": accept, "different": 1.0 - accept},
@@ -675,7 +675,7 @@ class DJProtocol(ProtocolInstance):
         """(output masses, averaged message law flat, indexed a*n + b) of
         the inputs with x XOR y = w, computed once per w and domain."""
         if w not in self._memo:
-            laws = self._message_laws(w, self.randomness_domain)
+            laws = self._message_laws(w, self._domain_ints)
             accept = np.trace(laws, axis1=1, axis2=2)  # the referee accepts equal messages
             masses = np.column_stack([1.0 - accept, accept])  # output_domain is (0, 1)
             average = laws.sum(axis=0).reshape(-1) / len(laws)

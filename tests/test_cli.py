@@ -222,9 +222,9 @@ def test_output_masses_once_per_input_and_no_runs(argv, count, monkeypatch, caps
             blocks.append([tuple(row) for row in codes.tolist()])
             return _original(self, codes)
 
-        def counted_runs(self, codes, randomness_values, _original=cls._runs):
-            transcripts.append(len(randomness_values))
-            return _original(self, codes, randomness_values)
+        def counted_runs(self, codes, randomness, _original=cls._runs):
+            transcripts.append(len(randomness[0]))  # parsed: one array entry per value
+            return _original(self, codes, randomness)
 
         monkeypatch.setattr(cls, "_output_masses", counted)
         monkeypatch.setattr(cls, "_runs", counted_runs)

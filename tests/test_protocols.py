@@ -156,7 +156,9 @@ def test_run_takes_exactly_the_randomness_domain(proto, inputs, outside):
             proto.run(inputs, r)
 
 
-@pytest.mark.parametrize("make", [lambda: sum2_protocol(2), lambda: geq_protocol(2, 1), lambda: dj_protocol(2)])
+@pytest.mark.parametrize(
+    "make", [lambda: sum2_protocol(2), lambda: geq_protocol(2, 1), lambda: dj_protocol(2)]
+)
 def test_empty_randomness_domain_is_refused(make):
     """An empty domain would divide by zero in every sweep; the setter
     refuses it and keeps the domain it had."""
@@ -462,7 +464,7 @@ def test_dj_masking_is_a_bijection():
     cap admits: `_message_laws` moves each outcome's mass unmerged."""
     for n in (2, 4, 8, 16):
         proto = dj_protocol(n)
-        masks = proto._masks(proto.randomness_domain)
+        masks = proto._masks(proto._domain_ints)
         assert masks.shape == (len(proto.randomness_domain), n)
         assert (np.sort(masks, axis=1) == np.arange(n)).all(), n
 
@@ -470,7 +472,7 @@ def test_dj_masking_is_a_bijection():
 def test_dj_messages_agree_iff_outcomes_agree():
     proto = dj_protocol(4)
     domain = proto.randomness_domain
-    masks = proto._masks(domain)
+    masks = proto._masks(proto._domain_ints)
     rng = random.Random(3)
     for _ in range(50):
         i = rng.randrange(len(domain))
@@ -498,7 +500,8 @@ def test_dj_masks_and_laws_match_oracle_property(case):
     pushed through it."""
     proto, inputs, i = case
     r, rp = proto.randomness_domain[i]
-    (row,) = proto._masks([(r, rp)])
+    randomness = proto._randomness_ints([(r, rp)])
+    (row,) = proto._masks(randomness)
     m = proto.m
     expected = [
         int(unpack(field_mul(pack(r), pack(v), MODULI[m]) ^ pack(rp), m), 2)
@@ -511,7 +514,7 @@ def test_dj_masks_and_laws_match_oracle_property(case):
     for k in range(proto.n):
         for l in range(proto.n):
             pushed[expected[k], expected[l]] += pkl[k, l]
-    np.testing.assert_array_equal(proto._message_laws(w, [(r, rp)])[0], pushed)
+    np.testing.assert_array_equal(proto._message_laws(w, randomness)[0], pushed)
 
 
 def test_dj_run_message_law_by_hand():

@@ -271,7 +271,8 @@ def test_block_averaged_matrices_equal_the_per_input_matmul_bit_for_bit(config):
     for _, block in proto._blocks(proto.input_domain(), 16 << proto.cost()[0]):
         sizes.append(len(block))
         for codes, rho in zip(block.tolist(), proto._averaged_matrix(block)):
-            states = np.array([record.message_state for record in proto._runs(codes, domain)])
+            records = proto._runs(codes, proto._domain_ints)
+            states = np.array([record.message_state for record in records])
             alone = (states.T * w) @ states.conj()
             assert np.array_equal(rho.view(np.float64), alone.view(np.float64)), codes
     assert max(sizes) > 1

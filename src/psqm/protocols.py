@@ -20,23 +20,22 @@ one and reads it, once, as a big-endian integer: its code.  Everything
 private takes codes: `input_domain` is an (N, party_count) code array, and
 `_reference`, `_output_masses` and `_averaged_matrix` each take a block of
 its rows at once (`_runs` takes one input under randomness values as
-`_randomness_ints` parses them).  dj's messages are classical, so its `_averaged_matrix` gives
-each row's law, the diagonal, which only `averaged_message` lifts to a
-matrix.  `_blocks` sizes the blocks to at most _BLOCK_BYTES of states or
-masses, and each public method above calls a hook with a block of one row.
-Randomness components and classical messages are bit strings.  Setting
-`randomness_domain` re-derives all that is read off it, through
-`_randomness_ints`, which refuses a value of the wrong shape; an empty
-domain is refused too.  sum2 and geq
-share one implementation, defined party by party by the Pauli X and Z
-masks that each party applies to the qubits it sends (`_party_frames`);
-sum2 is its l = 1 case with the mask fixed to the field's 1, and each
-protocol holds only data.  Odd party counts are handled by an internal
-virtual party with the all-zero input whose qubits are sent by the last
-real party.  Outputs: sum2 yields the pair (sum of first bits, sum of
-second bits); geq and dj yield 1 for "all sums zero" / "equal" and 0
-otherwise.  Inputs off the dj promise map to PROMISE_VIOLATION, a
-distinguished non-output.
+`_randomness_ints` parses them).  dj's messages are classical, so its
+`_averaged_matrix` gives each row's law, the diagonal, which only
+`averaged_message` lifts to a matrix.  `_blocks` sizes the blocks to at
+most _BLOCK_BYTES of states or masses, and each public method above calls
+a hook with a block of one row.  Randomness components and classical
+messages are bit strings.  Setting `randomness_domain` re-derives all that
+is read off it, through `_randomness_ints`, which refuses a value of the
+wrong shape; an empty domain is refused too.  sum2 and geq share one
+implementation, defined party by party by the Pauli X and Z masks that
+each party applies to the qubits it sends (`_party_frames`); sum2 is its
+l = 1 case with the mask fixed to the field's 1, and each protocol holds
+only data.  Odd party counts are handled by an internal virtual party with
+the all-zero input whose qubits are sent by the last real party.  Outputs:
+sum2 yields the pair (sum of first bits, sum of second bits); geq and dj
+yield 1 for "all sums zero" / "equal" and 0 otherwise.  Inputs off the dj
+promise map to PROMISE_VIOLATION, a distinguished non-output.
 """
 
 import functools
